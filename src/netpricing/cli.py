@@ -106,9 +106,11 @@ def _cmd_optimize(args) -> int:
         ("elasticity_profit_opt", pt.equilibrium.elasticity),
         ("kkt_residual", pt.diagnostics.kkt_residual),
         ("lerner_residual", pt.diagnostics.lerner_residual),
+        ("iterations_profit_opt", pt.iterations),
         ("congestion_welfare_opt", wt.equilibrium.congestion),
         ("elasticity_welfare_opt", wt.equilibrium.elasticity),
         ("ramsey_residual", wt.diagnostics.ramsey_residual),
+        ("iterations_welfare_opt", wt.iterations),
     ]
     for name, value in pairs:
         print(f"{name} = {format_value(value)}")

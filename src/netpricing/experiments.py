@@ -170,20 +170,20 @@ class VerificationOutcome:
                 f"max value shortfall {self.max_value_shortfall:.3e}")
 
 
-def _check_against_grid(report: OptimumReport, grid_best: GridOptimum,
-                        label: str) -> tuple[float, float]:
-    gap_p = abs(report.prices.user - grid_best.price_user)
-    gap_q = abs(report.prices.cp - grid_best.price_cp)
+def _check_against_grid(price_user: float, price_cp: float, objective: float,
+                        grid_best: GridOptimum, label: str) -> tuple[float, float]:
+    gap_p = abs(price_user - grid_best.price_user)
+    gap_q = abs(price_cp - grid_best.price_cp)
     cell = max(grid_best.cell_user, grid_best.cell_cp)
-    shortfall = grid_best.value - report.objective
+    shortfall = grid_best.value - objective
     if gap_p > cell or gap_q > cell:
         raise VerificationError(
-            f"{label}: refined prices ({report.prices.user:.6g}, {report.prices.cp:.6g}) "
+            f"{label}: refined prices ({price_user:.6g}, {price_cp:.6g}) "
             f"sit more than one grid cell from the oracle's "
             f"({grid_best.price_user:.6g}, {grid_best.price_cp:.6g})")
     if shortfall > 1e-8:
         raise VerificationError(
-            f"{label}: refined objective {report.objective:.12g} falls "
+            f"{label}: refined objective {objective:.12g} falls "
             f"{shortfall:.3e} below the grid oracle's {grid_best.value:.12g}")
     return max(gap_p, gap_q), max(0.0, shortfall)
 
@@ -198,7 +198,8 @@ def verify_optima(model: MarketModel, profit_report: OptimumReport,
     for report, objective, label in ((profit_report, "profit", "profit optimum"),
                                      (welfare_report, "welfare", "welfare optimum")):
         best = grid_optimize(model, objective, grid)
-        g, s = _check_against_grid(report, best, label)
+        g, s = _check_against_grid(report.prices.user, report.prices.cp,
+                                   report.objective, best, label)
         price_gap = max(price_gap, g)
         shortfall = max(shortfall, s)
     return VerificationOutcome(price_gap, shortfall)
@@ -208,34 +209,19 @@ def verify_sweep(cfg: ScenarioConfig, result: SweepResult,
                  grid: GridSpec | None = None) -> VerificationOutcome:
     """Re-run the grid oracle on every successful sweep row."""
     base_model = build_model(cfg)
+    grid = grid or GridSpec()
     price_gap = 0.0
     shortfall = 0.0
     for row in result.rows:
         if row.error is not None or row.p_star is None:
             continue
         model = _with_parameter(base_model, result.parameter, row.param_value)
-        grid_ = grid or GridSpec()
-        profit_best = grid_optimize(model, "profit", grid_)
-        gap_p = abs(row.p_star - profit_best.price_user)
-        gap_q = abs(row.q_star - profit_best.price_cp)
-        cell = max(profit_best.cell_user, profit_best.cell_cp)
-        if gap_p > cell or gap_q > cell:
-            raise VerificationError(
-                f"row {row.param_value}: profit prices off the oracle by "
-                f"({gap_p:.3e}, {gap_q:.3e}) with cell {cell:.3e}")
-        short = profit_best.value - row.profit_two_sided
-        if short > 1e-8:
-            raise VerificationError(
-                f"row {row.param_value}: profit value {short:.3e} below oracle")
-        welfare_best = grid_optimize(model, "welfare", grid_)
-        gap_pw = abs(row.p_welfare - welfare_best.price_user)
-        if gap_pw > welfare_best.cell_user:
-            raise VerificationError(
-                f"row {row.param_value}: welfare price off the oracle by {gap_pw:.3e}")
-        short_w = welfare_best.value - row.welfare_two_sided
-        if short_w > 1e-8:
-            raise VerificationError(
-                f"row {row.param_value}: welfare value {short_w:.3e} below oracle")
-        price_gap = max(price_gap, gap_p, gap_q, gap_pw)
-        shortfall = max(shortfall, short, short_w, 0.0)
+        for objective, prices, value in (
+                ("profit", (row.p_star, row.q_star), row.profit_two_sided),
+                ("welfare", (row.p_welfare, row.q_welfare), row.welfare_two_sided)):
+            best = grid_optimize(model, objective, grid)
+            g, s = _check_against_grid(*prices, value, best,
+                                       f"row {row.param_value}: {objective} optimum")
+            price_gap = max(price_gap, g)
+            shortfall = max(shortfall, s)
     return VerificationOutcome(price_gap, shortfall)

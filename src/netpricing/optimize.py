@@ -1,17 +1,23 @@
 """Profit-optimal and zero-profit welfare-optimal two-sided prices.
 
-Both optimizations are derivative-free and deterministic:
+Each optimizer runs a deterministic global stage, then solves its
+first-order conditions by projected Newton from the best point found:
 
 * profit: a 101 x 101 coarse grid over the clamped price box (argmax ties
-  broken toward the smallest user price, then the smallest content price)
-  followed by alternating per-coordinate golden-section refinement until a
-  full sweep moves prices by less than 1e-9;
-* welfare: the zero-profit constraint pins q = cost - p, so a 2001-point
-  scan of the feasible p segment plus golden-section refinement suffices.
+  broken toward the smallest user price, then the smallest content price),
+  then Newton on the analytic gradient (dU/dp, dU/dq);
+* welfare: q = cost - p on the zero-profit segment; a 2001-point scan of p,
+  then Newton on the derivative along the segment, dW/dp - dW/dq;
+* one-sided profit: a 2001-point scan of p at q = 0, then Newton on dU/dp.
+  The one-sided welfare benchmark has no freedom left: it is (cost, 0).
 
-The one-sided benchmarks fix the content price at zero: the profit variant
-searches the user price alone, while the zero-profit welfare variant has no
-freedom left and is evaluated at (cost, 0).
+Newton is projected onto the price box: a coordinate at an edge whose
+gradient points out of the box is held exactly there, so corner optima
+(q* = 0 under a strongly convex content demand) are exact.  The Hessian is a
+central difference of the analytic gradient and every step is backtracked on
+the objective.  Prices are accepted once the free gradient is below
+``GRAD_TOL`` or a step moves them less than ``STEP_TOL``; reaching
+``NEWTON_MAX_STEPS`` raises ``ConvergenceError``.
 
 First-order-condition residuals are reported for interior optima: hazard
 equalization and the Lerner form for profit, the cross-product hazard ratio
@@ -26,53 +32,76 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import MarketModel
-from .equilibrium import Equilibrium, solve_equilibrium, solve_for_demands, solve_many
-from .errors import DegenerateBaselineError, DomainError
+# solve_for_demands is re-exported: perfbench's tracer tests patch and
+# restore it in this namespace
+from .equilibrium import Equilibrium, solve_for_demands, solve_many  # noqa: F401
+from .errors import ConvergenceError, DegenerateBaselineError, DomainError
 from .objectives import evaluate_objectives
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-GOLDEN_ABS_TOL = 1e-11
-SWEEP_MOVE_TOL = 1e-9
-MAX_SWEEPS = 200
+NEWTON_MAX_STEPS = 50
+GRAD_TOL = 1e-10            # free gradient entries at which prices are stationary
+STEP_TOL = 1e-13            # price move below which prices are resolved
+HESSIAN_STEP = 1e-6         # relative step of the gradient's central difference
+ROUNDOFF = 4.0 * np.finfo(float).eps
 BOUNDARY_EPS = 1e-6
 _CLAMP = 1.0 - 1e-9
 _COARSE_POINTS = 101
 _SCAN_POINTS = 2001
 
 
-def golden_max(f, lo: float, hi: float, tol: float = GOLDEN_ABS_TOL) -> tuple[float, float]:
-    """Golden-section maximizer on [lo, hi]; ties resolve toward lo."""
-    a, b = lo, hi
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
-    x = 0.5 * (a + b)
-    return x, f(x)
+def _newton_direction(objective, x: np.ndarray, g: np.ndarray, free: np.ndarray,
+                      lo: np.ndarray, hi: np.ndarray, width: float) -> np.ndarray:
+    """Newton ascent direction on the free coordinates.
+
+    Falls back to a step of one scan cell (``width``) along the gradient's
+    signs when the differenced Hessian is not negative definite there; the
+    signs stay defined where a hazard, and so the gradient, diverges.
+    """
+    idx = np.flatnonzero(free)
+    hess = np.empty((idx.size, idx.size))
+    for col, j in enumerate(idx):
+        h = HESSIAN_STEP * max(1.0, abs(x[j]))
+        up, down = x.copy(), x.copy()
+        up[j], down[j] = min(x[j] + h, hi[j]), max(x[j] - h, lo[j])
+        hess[:, col] = (objective(up)[1][idx] - objective(down)[1][idx]) / (up[j] - down[j])
+    hess = 0.5 * (hess + hess.T)
+    g_free = g[idx]
+    if np.all(np.isfinite(hess)) and np.all(np.linalg.eigvalsh(hess) < 0.0):
+        return np.linalg.solve(hess, -g_free)
+    return np.sign(g_free) * width
 
 
-def _coordinate_max(f, x: float, lo: float, hi: float, width: float) -> float:
-    """Golden section on a local bracket around x, growing it when the
-    maximizer sticks to an interior bracket edge."""
-    w = width
-    while True:
-        a, b = max(lo, x - w), min(hi, x + w)
-        xs, _ = golden_max(f, a, b)
-        at_left_edge = (xs - a) < 10 * GOLDEN_ABS_TOL and a > lo
-        at_right_edge = (b - xs) < 10 * GOLDEN_ABS_TOL and b < hi
-        if not (at_left_edge or at_right_edge):
-            return xs
-        w *= 2.0
-        if w >= (hi - lo):
-            return golden_max(f, lo, hi)[0]
+def _projected_newton(objective, x0, lo, hi, width: float):
+    """Maximize over the box [lo, hi] from x0.
+
+    ``objective(x)`` returns the value at the point x, its gradient, and the
+    report the value came from; the result is (x, that report, Newton steps).
+    """
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    x = np.asarray(x0, dtype=float)
+    f, g, report = objective(x)
+    for steps in range(NEWTON_MAX_STEPS):
+        free = ~(((x <= lo) & (g <= 0.0)) | ((x >= hi) & (g >= 0.0)))
+        if not free.any() or np.max(np.abs(g[free])) <= GRAD_TOL:
+            return x, report, steps
+        d = np.zeros_like(x)
+        d[free] = _newton_direction(objective, x, g, free, lo, hi, width)
+        if not np.all(np.isfinite(d)):
+            raise ConvergenceError(f"no finite ascent direction at {x.tolist()}")
+        t = 1.0
+        while True:
+            x_new = np.clip(x + t * d, lo, hi)
+            if np.max(np.abs(x_new - x)) <= STEP_TOL:
+                return x, report, steps
+            f_new, g_new, report_new = objective(x_new)
+            # objective differences below round-off carry no information
+            if f_new >= f - ROUNDOFF * abs(f):
+                break
+            t *= 0.5
+        x, f, g, report = x_new, f_new, g_new, report_new
+    raise ConvergenceError(
+        f"projected Newton did not converge in {NEWTON_MAX_STEPS} steps "
+        f"(last point {x.tolist()}, gradient {g.tolist()})")
 
 
 @dataclass(frozen=True)
@@ -109,20 +138,7 @@ class OptimumReport:
     equilibrium: Equilibrium
     diagnostics: OptimumDiagnostics
     boundary: bool              # optimum pinned at the search box edge; FOC residuals not guaranteed
-
-
-def _profit_value_factory(model: MarketModel):
-    c = model.cost
-
-    def value(p: float, q: float) -> float:
-        m, n = model.demands(p, q)
-        if m <= 0.0 or n <= 0.0:
-            return 0.0
-        _, lam, _, _ = solve_for_demands(model.gain, model.congestion, m, n,
-                                         model.capacity, model.sensitivity)
-        return (p + q - c) * lam
-
-    return value
+    iterations: int             # Newton steps taken; 0 when nothing is searched
 
 
 def _coarse_profit_grid(model: MarketModel, p_hi: float, q_hi: float) -> tuple[float, float]:
@@ -166,39 +182,26 @@ def optimize_profit(model: MarketModel) -> OptimumReport:
     """Two-sided profit maximizer over the clamped price box."""
     p_hi = model.user_demand.support * _CLAMP
     q_hi = model.cp_demand.support * _CLAMP
-    value = _profit_value_factory(model)
 
-    p, q = _coarse_profit_grid(model, p_hi, q_hi)
-    cell = max(p_hi, q_hi) / (_COARSE_POINTS - 1)
-    width = 2.0 * cell
-    prev_move = math.inf
-    stalled = 0
-    for _ in range(MAX_SWEEPS):
-        p_new = _coordinate_max(lambda x: value(x, q), p, 0.0, p_hi, width)
-        q_new = _coordinate_max(lambda x: value(p_new, x), q, 0.0, q_hi, width)
-        moved = abs(p_new - p) + abs(q_new - q)
-        p, q = p_new, q_new
-        if moved < SWEEP_MOVE_TOL:
-            break
-        # movements contract sweep over sweep until the objective's float
-        # granularity is reached; two non-improving sweeps mean that floor
-        if moved >= prev_move:
-            stalled += 1
-            if stalled >= 2:
-                break
-        else:
-            stalled = 0
-        prev_move = moved
+    def objective(x):
+        report = evaluate_objectives(model, float(x[0]), float(x[1]))
+        g = report.gradients
+        return report.profit, np.array([g.profit_price_user, g.profit_price_cp]), report
 
-    eq = solve_equilibrium(model, p, q)
+    start = _coarse_profit_grid(model, p_hi, q_hi)
+    width = max(p_hi, q_hi) / (_COARSE_POINTS - 1)
+    x, report, steps = _projected_newton(objective, start, (0.0, 0.0), (p_hi, q_hi), width)
+    p, q = float(x[0]), float(x[1])
+    eq = report.equilibrium
     boundary = (min(p, p_hi - p) < BOUNDARY_EPS) or (min(q, q_hi - q) < BOUNDARY_EPS)
     return OptimumReport(
         kind="profit_two_sided",
         prices=PricePair(p, q),
-        objective=value(p, q),
+        objective=report.profit,
         equilibrium=eq,
         diagnostics=_profit_diagnostics(model, p, q, eq, one_sided=False),
         boundary=boundary,
+        iterations=steps,
     )
 
 
@@ -212,23 +215,6 @@ def _welfare_segment(model: MarketModel) -> tuple[float, float]:
     if not lo < hi:
         raise DomainError("empty zero-profit segment")
     return lo, hi
-
-
-def _welfare_value_factory(model: MarketModel):
-    c = model.cost
-
-    def value(p: float) -> float:
-        q = c - p
-        m, n = model.demands(p, q)
-        if m <= 0.0 or n <= 0.0:
-            return 0.0
-        _, lam, _, _ = solve_for_demands(model.gain, model.congestion, m, n,
-                                         model.capacity, model.sensitivity)
-        s_m = model.user_demand.per_unit_surplus(p)
-        s_n = model.cp_demand.per_unit_surplus(q)
-        return (s_m + s_n) * lam
-
-    return value
 
 
 def _welfare_diagnostics(model: MarketModel, p: float, q: float,
@@ -251,7 +237,13 @@ def _welfare_diagnostics(model: MarketModel, p: float, q: float,
 def optimize_welfare(model: MarketModel) -> OptimumReport:
     """Welfare maximizer on the zero-profit segment p + q = cost."""
     lo, hi = _welfare_segment(model)
-    value = _welfare_value_factory(model)
+    c = model.cost
+
+    def objective(x):
+        report = evaluate_objectives(model, float(x[0]), c - float(x[0]))
+        g = report.gradients
+        return (report.surplus_welfare,
+                np.array([g.welfare_price_user - g.welfare_price_cp]), report)
 
     p_axis = np.linspace(lo, hi, _SCAN_POINTS)
     m_vals = model.user_demand.value(p_axis)
@@ -262,22 +254,22 @@ def optimize_welfare(model: MarketModel) -> OptimumReport:
         s_m = model.user_demand.per_unit_surplus(p_axis)
         s_n = model.cp_demand.per_unit_surplus(model.cost - p_axis)
         scan = np.where((m_vals > 0) & (n_vals > 0), (s_m + s_n) * lam, 0.0)
-    k = int(np.argmax(scan))
-    cell = (hi - lo) / (_SCAN_POINTS - 1)
-    a, b = max(lo, float(p_axis[k]) - cell), min(hi, float(p_axis[k]) + cell)
-    p, _ = golden_max(value, a, b)
-    p = float(p)
-    q = model.cost - p
+    start = float(p_axis[int(np.argmax(scan))])
+    width = (hi - lo) / (_SCAN_POINTS - 1)
+    x, report, steps = _projected_newton(objective, [start], [lo], [hi], width)
+    p = float(x[0])
+    q = c - p
 
-    eq = solve_equilibrium(model, p, q)
+    eq = report.equilibrium
     boundary = min(p - lo, hi - p) < BOUNDARY_EPS
     return OptimumReport(
         kind="welfare_two_sided",
         prices=PricePair(p, q),
-        objective=value(p),
+        objective=report.surplus_welfare,
         equilibrium=eq,
         diagnostics=_welfare_diagnostics(model, p, q, eq),
         boundary=boundary,
+        iterations=steps,
     )
 
 
@@ -289,7 +281,10 @@ def optimize_one_sided(model: MarketModel, kind: str) -> OptimumReport:
     """
     if kind == "profit":
         p_hi = model.user_demand.support * _CLAMP
-        value = _profit_value_factory(model)
+
+        def objective(x):
+            report = evaluate_objectives(model, float(x[0]), 0.0)
+            return report.profit, np.array([report.gradients.profit_price_user]), report
 
         p_axis = np.linspace(0.0, p_hi, _SCAN_POINTS)
         m_vals = model.user_demand.value(p_axis)
@@ -297,19 +292,20 @@ def optimize_one_sided(model: MarketModel, kind: str) -> OptimumReport:
         _, lam = solve_many(model.gain, model.congestion, m_vals * n0,
                             model.capacity, model.sensitivity)
         scan = (p_axis - model.cost) * lam
-        k = int(np.argmax(scan))
-        cell = p_hi / (_SCAN_POINTS - 1)
-        a, b = max(0.0, float(p_axis[k]) - cell), min(p_hi, float(p_axis[k]) + cell)
-        p = float(golden_max(lambda x: value(x, 0.0), a, b)[0])
+        start = float(p_axis[int(np.argmax(scan))])
+        width = p_hi / (_SCAN_POINTS - 1)
+        x, report, steps = _projected_newton(objective, [start], [0.0], [p_hi], width)
+        p = float(x[0])
 
-        eq = solve_equilibrium(model, p, 0.0)
+        eq = report.equilibrium
         return OptimumReport(
             kind="profit_one_sided",
             prices=PricePair(p, 0.0),
-            objective=value(p, 0.0),
+            objective=report.profit,
             equilibrium=eq,
             diagnostics=_profit_diagnostics(model, p, 0.0, eq, one_sided=True),
             boundary=min(p, p_hi - p) < BOUNDARY_EPS,
+            iterations=steps,
         )
     if kind == "welfare":
         p = model.cost
@@ -328,6 +324,7 @@ def optimize_one_sided(model: MarketModel, kind: str) -> OptimumReport:
                 elasticity=eq.elasticity,
             ),
             boundary=True,      # the constraint leaves no interior freedom
+            iterations=0,
         )
     raise DomainError(f"unknown one-sided kind {kind!r}")
 

@@ -1,9 +1,9 @@
 """How the optimal prices move as capacity or congestion sensitivity moves.
 
 Derivatives are taken by re-optimizing at parameter * (1 +/- step) and
-central-differencing the resulting prices; the optimizers resolve prices to
-1e-9, six orders below the default relative step of 1e-3, so differencing
-noise is negligible.
+central-differencing the resulting prices; the optimizers solve their
+first-order conditions to a gradient of 1e-10, which pins prices many orders
+below the default relative step of 1e-3, so differencing noise is negligible.
 
 The direction of the throughput-elasticity response to congestion decides
 the qualitative predictions.  The relevant slope is taken along the

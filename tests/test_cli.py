@@ -58,6 +58,7 @@ def test_optimize_reports_growth(capsys):
     assert "p_star = 0.584719" in out
     assert "profit_growth = 2.533" in out
     assert "q_welfare = 0.35" in out
+    assert "iterations_profit_opt = " in out
 
 
 def test_optimize_degenerate_baseline_exits_2(capsys):

@@ -5,14 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from netpricing import (CapacitySharing, CpPowerDemand, CustomDemand,
-                        DegenerateBaselineError, ExponentialGain, GridSpec,
-                        MarketModel, MM1Queue, ReciprocalGain, UserPowerDemand,
-                        baseline_model, grid_optimize, growth_rates,
-                        optimize_one_sided, optimize_profit, optimize_welfare,
-                        solve_equilibrium, verify_optima)
+from netpricing import (CapacitySharing, ConvergenceError, CpPowerDemand,
+                        CustomDemand, DegenerateBaselineError, ExponentialGain,
+                        GridSpec, MarketModel, MM1Queue, ReciprocalGain,
+                        UserPowerDemand, baseline_model, evaluate_objectives,
+                        grid_optimize, growth_rates, optimize_one_sided,
+                        optimize_profit, optimize_welfare, solve_equilibrium,
+                        verify_optima)
+from netpricing import optimize
 from netpricing.equilibrium import solve_many
-from netpricing.optimize import golden_max
 
 
 def exp_gain_example_model(capacity: float = 1.0) -> MarketModel:
@@ -29,12 +30,6 @@ def exp_gain_example_model(capacity: float = 1.0) -> MarketModel:
         capacity=capacity,
         sensitivity=math.e - 1.0,
     )
-
-
-def test_golden_max_quadratic():
-    x, fx = golden_max(lambda x: -(x - 0.37) ** 2, 0.0, 1.0)
-    assert x == pytest.approx(0.37, abs=1e-9)
-    assert fx == pytest.approx(0.0, abs=1e-16)
 
 
 # ---------------------------------------------------------------------------
@@ -87,8 +82,63 @@ def test_boundary_flagged_when_cp_side_pins_to_zero():
     # a content demand with an exploding hazard near zero drives q* to 0
     model = baseline_model(beta=0.2)
     report = optimize_profit(model)
-    assert report.prices.cp <= 1e-6
+    assert report.prices.cp == 0.0
     assert report.boundary
+
+
+def test_profit_optimum_on_random_sweep_envelope():
+    # both gains and laws, criterion 10's parameter ranges; every fourth
+    # model has a strongly convex content demand whose optimum sits at q = 0
+    rng = np.random.default_rng(2024)
+    gains = (ReciprocalGain(), ExponentialGain())
+    boundary_optima = 0
+    for i in range(20):
+        mm1 = bool(rng.random() < 0.5)
+        model = baseline_model(
+            gain=gains[int(rng.random() < 0.5)],
+            congestion=MM1Queue() if mm1 else CapacitySharing(),
+            alpha=float(rng.uniform(0.5, 3.0)),
+            beta=float(rng.uniform(0.1, 0.25) if i % 4 == 0 else rng.uniform(0.5, 3.0)),
+            capacity=float(rng.uniform(2.5, 10.0) if mm1 else rng.uniform(0.5, 5.0)),
+            sensitivity=float(rng.uniform(0.5, 3.0)),
+        )
+        report = optimize_profit(model)
+        best = grid_optimize(model, "profit", GridSpec(401, 401))
+        assert report.objective >= best.value - 1e-8
+        grads = evaluate_objectives(model, report.prices.user, report.prices.cp).gradients
+        box = ((report.prices.user, grads.profit_price_user, model.user_demand.support),
+               (report.prices.cp, grads.profit_price_cp, model.cp_demand.support))
+        for price, grad, support in box:
+            if price == 0.0:
+                boundary_optima += 1
+                assert grad <= 0.0
+            elif price >= support * (1.0 - 1e-9):
+                boundary_optima += 1
+                assert grad >= 0.0
+            else:
+                assert abs(grad) <= 1e-8
+    assert boundary_optima > 0
+
+
+def test_projected_newton_holds_edges_and_leaves_non_concave_regions():
+    def bowl(x):    # maximum outside the box, beyond the corner (1, 0)
+        grad = np.array([-2.0 * (x[0] - 2.0), -2.0 * (x[1] + 1.0)])
+        return -(x[0] - 2.0) ** 2 - (x[1] + 1.0) ** 2, grad, None
+
+    x, _, _ = optimize._projected_newton(bowl, [0.5, 0.5], [0.0, 0.0], [1.0, 1.0], 0.1)
+    assert x.tolist() == [1.0, 0.0]
+
+    def wave(x):    # convex at the start, concave around the maximum at 0
+        return math.cos(x[0]), np.array([-math.sin(x[0])]), None
+
+    x, _, _ = optimize._projected_newton(wave, [2.4], [-1.0], [2.5], 0.5)
+    assert abs(x[0]) <= 1e-10
+
+
+def test_newton_iteration_cap_raises(monkeypatch):
+    monkeypatch.setattr(optimize, "NEWTON_MAX_STEPS", 1)
+    with pytest.raises(ConvergenceError):
+        optimize_profit(baseline_model())
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +222,7 @@ def test_one_sided_welfare_is_cost_on_user_side():
 
 
 def test_two_sided_dominates_one_sided():
-    for beta, mu in ((1.0, 1.0), (2.0, 0.7), (3.0, 2.0)):
+    for beta, mu in ((1.0, 1.0), (2.0, 0.7), (3.0, 2.0), (0.2, 1.0)):
         model = baseline_model(beta=beta, capacity=mu)
         rates = growth_rates(model)
         assert rates.profit_growth >= -1e-10
@@ -200,7 +250,9 @@ def test_degenerate_baseline_raises():
 
 
 def test_verify_optima_round_trip():
-    model = baseline_model()
-    outcome = verify_optima(model, optimize_profit(model), optimize_welfare(model),
-                            GridSpec(401, 401))
-    assert outcome.max_value_shortfall <= 1e-8
+    # beta = 0.2 puts both two-sided optima on the q = 0 edge
+    for beta in (1.0, 0.2):
+        model = baseline_model(beta=beta)
+        outcome = verify_optima(model, optimize_profit(model), optimize_welfare(model),
+                                GridSpec(401, 401))
+        assert outcome.max_value_shortfall <= 1e-8
