@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .config import ScenarioConfig, apply_overrides, build_model, load_config
@@ -46,15 +47,13 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="write results as CSV to this path")
         cmd.add_argument("--verify", action="store_true",
                          help="cross-check against the brute-force oracles")
-        cmd.add_argument("--threads", type=int, default=None,
-                         help="worker threads for sweep rows")
     return parser
 
 
 def _load(args) -> ScenarioConfig:
     cfg = load_config(args.config) if args.config else ScenarioConfig()
     cfg = apply_overrides(cfg, args.set)
-    return cfg
+    return replace(cfg, verify=True) if args.verify else cfg
 
 
 def _write_pairs(path: Path, pairs: list[tuple[str, object]]) -> None:
@@ -79,7 +78,7 @@ def _cmd_solve_eq(args) -> int:
         print(f"{name} = {format_value(value) if isinstance(value, float) else value}")
     if args.out:
         _write_pairs(args.out, pairs)
-    if args.verify:
+    if cfg.verify:
         phi_fp = fixed_point_equilibrium(model, cfg.price_user, cfg.price_cp)
         gap = abs(phi_fp - eq.congestion)
         print(f"verify: fixed-point congestion gap = {gap:.3e}")
@@ -116,7 +115,7 @@ def _cmd_optimize(args) -> int:
         print(f"{name} = {format_value(value)}")
     if args.out:
         _write_pairs(args.out, pairs)
-    if args.verify:
+    if cfg.verify:
         outcome = verify_optima(model, pt, wt)
         print(f"verify: {outcome}")
     return 0
@@ -124,7 +123,7 @@ def _cmd_optimize(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = _load(args)
-    result = run_sweep(cfg, threads=args.threads)
+    result = run_sweep(cfg)
     out = args.out or (Path(cfg.output_path) if cfg.output_path else None)
     if out is None:
         raise ConfigError("sweep needs output.path in the config or --out")
@@ -132,7 +131,7 @@ def _cmd_sweep(args) -> int:
     failures = sum(1 for row in result.rows if row.error is not None)
     print(f"wrote {len(result.rows)} rows to {out}"
           + (f" ({failures} rows carry errors)" if failures else ""))
-    if args.verify or cfg.verify:
+    if cfg.verify:
         outcome = verify_sweep(cfg, result)
         print(f"verify: {outcome}")
     return 0
@@ -162,7 +161,7 @@ def _cmd_sensitivity(args) -> int:
         print(check.describe())
     if args.out:
         _write_pairs(args.out, [(n, v) for n, v in pairs if not isinstance(v, str)])
-    if args.verify:
+    if cfg.verify:
         mismatched = [c.name for c in report.predictions
                       if c.conclusive and c.signs_satisfied is False]
         if mismatched:

@@ -23,7 +23,6 @@ gain):
     output.path = sweep.csv
     output.columns = all | prices
     verify = true | false
-    threads = 1
 """
 
 from __future__ import annotations
@@ -31,15 +30,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .curves import (CapacitySharing, CpPowerDemand, ExponentialGain,
-                     MarketModel, MM1Queue, ReciprocalGain, UserPowerDemand)
+from .curves import (PARAMETERS, CapacitySharing, CpPowerDemand,
+                     ExponentialGain, MarketModel, MM1Queue, ReciprocalGain,
+                     UserPowerDemand)
 from .errors import ConfigError
 
-GAIN_FAMILIES = ("reciprocal", "exponential")
-CONGESTION_FAMILIES = ("sharing", "mm1")
-_PARAM_ALIASES = {"mu": "capacity", "s": "sensitivity",
-                  "alpha": "alpha", "beta": "beta",
-                  "capacity": "capacity", "sensitivity": "sensitivity"}
+GAIN_CURVES = {"reciprocal": ReciprocalGain, "exponential": ExponentialGain}
+CONGESTION_CURVES = {"sharing": CapacitySharing, "mm1": MM1Queue}
+_PARAM_ALIASES = {**{name: name for name in PARAMETERS},
+                  "mu": "capacity", "s": "sensitivity"}
 
 
 @dataclass(frozen=True)
@@ -58,7 +57,6 @@ class ScenarioConfig:
     output_path: str | None = None
     output_columns: str = "all"
     verify: bool = False
-    threads: int = 1
     source: str = field(default="<defaults>", compare=False)
 
 
@@ -95,56 +93,51 @@ def _parse_range(key: str, raw: str) -> tuple[float, float, int]:
     return start, stop, count
 
 
+def _parse_choice(choices):
+    def parse(key: str, raw: str) -> str:
+        if raw not in choices:
+            raise ConfigError(f"{key} must be one of {tuple(choices)}, got {raw!r}")
+        return raw
+    return parse
+
+
+_parse_gain = _parse_choice(GAIN_CURVES)
+_parse_congestion = _parse_choice(CONGESTION_CURVES)
+
+
+def _parse_parameter(key: str, raw: str) -> str:
+    canonical = _PARAM_ALIASES.get(raw.lower())
+    if canonical is None:
+        raise ConfigError(
+            f"sweep.parameter must be one of alpha, beta, capacity (mu), "
+            f"sensitivity (s); got {raw!r}")
+    return canonical
+
+
+# config key -> (ScenarioConfig field, parser of the stripped value)
+_KEYS = {
+    "gain": ("gain", _parse_gain),
+    "congestion": ("congestion", _parse_congestion),
+    "user_demand.alpha": ("alpha", _parse_float),
+    "cp_demand.beta": ("beta", _parse_float),
+    "cost": ("cost", _parse_float),
+    "capacity": ("capacity", _parse_float),
+    "sensitivity": ("sensitivity", _parse_float),
+    "price.user": ("price_user", _parse_float),
+    "price.cp": ("price_cp", _parse_float),
+    "sweep.parameter": ("sweep_parameter", _parse_parameter),
+    "sweep.range": ("sweep_range", _parse_range),
+    "output.path": ("output_path", lambda key, raw: raw),
+    "output.columns": ("output_columns", _parse_choice(("all", "prices"))),
+    "verify": ("verify", _parse_bool),
+}
+
+
 def _apply(cfg: ScenarioConfig, key: str, raw: str) -> ScenarioConfig:
-    value = raw.strip()
-    if key == "gain":
-        if value not in GAIN_FAMILIES:
-            raise ConfigError(f"gain must be one of {GAIN_FAMILIES}, got {value!r}")
-        return replace(cfg, gain=value)
-    if key == "congestion":
-        if value not in CONGESTION_FAMILIES:
-            raise ConfigError(f"congestion must be one of {CONGESTION_FAMILIES}, got {value!r}")
-        return replace(cfg, congestion=value)
-    if key == "user_demand.alpha":
-        return replace(cfg, alpha=_parse_float(key, value))
-    if key == "cp_demand.beta":
-        return replace(cfg, beta=_parse_float(key, value))
-    if key == "cost":
-        return replace(cfg, cost=_parse_float(key, value))
-    if key == "capacity":
-        return replace(cfg, capacity=_parse_float(key, value))
-    if key == "sensitivity":
-        return replace(cfg, sensitivity=_parse_float(key, value))
-    if key == "price.user":
-        return replace(cfg, price_user=_parse_float(key, value))
-    if key == "price.cp":
-        return replace(cfg, price_cp=_parse_float(key, value))
-    if key == "sweep.parameter":
-        canonical = _PARAM_ALIASES.get(value.lower())
-        if canonical is None:
-            raise ConfigError(
-                f"sweep.parameter must be one of alpha, beta, capacity (mu), "
-                f"sensitivity (s); got {value!r}")
-        return replace(cfg, sweep_parameter=canonical)
-    if key == "sweep.range":
-        return replace(cfg, sweep_range=_parse_range(key, value))
-    if key == "output.path":
-        return replace(cfg, output_path=value)
-    if key == "output.columns":
-        if value not in ("all", "prices"):
-            raise ConfigError(f"output.columns must be all or prices, got {value!r}")
-        return replace(cfg, output_columns=value)
-    if key == "verify":
-        return replace(cfg, verify=_parse_bool(key, value))
-    if key == "threads":
-        try:
-            threads = int(value)
-        except ValueError:
-            raise ConfigError(f"threads must be an integer, got {value!r}") from None
-        if threads < 1:
-            raise ConfigError(f"threads must be >= 1, got {threads}")
-        return replace(cfg, threads=threads)
-    raise ConfigError(f"unknown config key {key!r}")
+    if key not in _KEYS:
+        raise ConfigError(f"unknown config key {key!r}")
+    name, parse = _KEYS[key]
+    return replace(cfg, **{name: parse(key, raw.strip())})
 
 
 def parse_config(text: str, base: ScenarioConfig | None = None,
@@ -185,8 +178,8 @@ def apply_overrides(cfg: ScenarioConfig, overrides: list[str]) -> ScenarioConfig
 
 
 def build_model(cfg: ScenarioConfig) -> MarketModel:
-    gain = ReciprocalGain() if cfg.gain == "reciprocal" else ExponentialGain()
-    congestion = CapacitySharing() if cfg.congestion == "sharing" else MM1Queue()
+    gain = GAIN_CURVES[_parse_gain("gain", cfg.gain)]()
+    congestion = CONGESTION_CURVES[_parse_congestion("congestion", cfg.congestion)]()
     try:
         return MarketModel(
             gain=gain,

@@ -19,12 +19,15 @@ Curve methods are polymorphic over floats and numpy arrays wherever the math
 is plain arithmetic; the vectorized paths back the dense-grid optimizers.
 All curve objects are immutable and every operation is pure, so instances
 can be shared and evaluated concurrently without locking.
+
+``PARAMETERS`` are the sweepable model parameters, read by
+``parameter_value`` and set on a copy by ``with_parameter``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -584,6 +587,41 @@ class MarketModel:
 
     def demands(self, price_user: float, price_cp: float) -> tuple[float, float]:
         return (self.user_demand.value(price_user), self.cp_demand.value(price_cp))
+
+
+# Sweepable parameters.  A model field maps to None; a demand shape maps to
+# (the model field holding the demand, its power family, the side's name).
+_PARAMETER_HOMES = {
+    "capacity": None,
+    "sensitivity": None,
+    "alpha": ("user_demand", UserPowerDemand, "user"),
+    "beta": ("cp_demand", CpPowerDemand, "content"),
+}
+PARAMETERS = tuple(_PARAMETER_HOMES)
+
+
+def _parameter_home(model: MarketModel, parameter: str):
+    if parameter not in _PARAMETER_HOMES:
+        raise DomainError(f"unknown parameter {parameter!r}; expected one of {PARAMETERS}")
+    home = _PARAMETER_HOMES[parameter]
+    if home is not None and not isinstance(getattr(model, home[0]), home[1]):
+        raise DomainError(f"{parameter} sweeps need the power-family {home[2]} demand")
+    return home
+
+
+def parameter_value(model: MarketModel, parameter: str) -> float:
+    """Current value of a sweepable parameter (one of ``PARAMETERS``)."""
+    home = _parameter_home(model, parameter)
+    owner = model if home is None else getattr(model, home[0])
+    return getattr(owner, parameter)
+
+
+def with_parameter(model: MarketModel, parameter: str, value: float) -> MarketModel:
+    """Copy of the model with one sweepable parameter set to ``value``."""
+    home = _parameter_home(model, parameter)
+    if home is None:
+        return replace(model, **{parameter: value})
+    return replace(model, **{home[0]: home[1](**{parameter: value})})
 
 
 def baseline_model(gain: GainCurve | None = None,

@@ -29,11 +29,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import CongestionCurve, GainCurve, MarketModel
-from .errors import BracketError, DomainError
+from .errors import BracketError, ConvergenceError, DomainError
 
 BISECT_REL_TOL = 1e-15          # interval width relative to max(1, phi)
 BRACKET_EXPANSIONS = 200
 FLOOR_NUDGE = 1e-14
+VECTOR_MAX_ROUNDS = 130         # bisection rounds of solve_many
 
 
 @dataclass(frozen=True)
@@ -95,57 +96,48 @@ def solve_for_demands(gain: GainCurve, congestion: CongestionCurve,
 
 
 def solve_many(gain: GainCurve, congestion: CongestionCurve, mn: np.ndarray,
-               capacity: float, sensitivity: float,
-               max_iterations: int = 130) -> tuple[np.ndarray, np.ndarray]:
+               capacity: float, sensitivity: float) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized gap-function bisection over an array of demand products.
 
-    Backs the dense-grid oracle and the scan stages of the optimizers.  Falls
-    back to the scalar solver elementwise when a custom curve rejects arrays.
+    Backs the dense-grid oracle and the scan stages of the optimizers.
+    Failing to converge in ``VECTOR_MAX_ROUNDS`` raises ``ConvergenceError``.
     """
     mn = np.asarray(mn, dtype=float)
     floor = congestion.congestion_floor(capacity)
-    try:
-        active = mn > 0.0
-        phi = np.full(mn.shape, floor, dtype=float)
-        if not np.any(active):
-            return phi, np.zeros_like(phi)
-        mna = mn[active]
-        lo = np.full(mna.shape, floor + FLOOR_NUDGE)
-        hi = np.full(mna.shape, max(2.0 * (floor + FLOOR_NUDGE), 1.0))
+    active = mn > 0.0
+    phi = np.full(mn.shape, floor, dtype=float)
+    if not np.any(active):
+        return phi, np.zeros_like(phi)
+    mna = mn[active]
+    lo = np.full(mna.shape, floor + FLOOR_NUDGE)
+    hi = np.full(mna.shape, max(2.0 * (floor + FLOOR_NUDGE), 1.0))
 
-        def gap(x: np.ndarray) -> np.ndarray:
-            return (congestion.implied_throughput(x, capacity)
-                    - mna * gain.value(x, sensitivity))
+    def gap(x: np.ndarray) -> np.ndarray:
+        return (congestion.implied_throughput(x, capacity)
+                - mna * gain.value(x, sensitivity))
 
-        for _ in range(BRACKET_EXPANSIONS):
-            low = gap(hi) <= 0.0
-            if not np.any(low):
-                break
-            hi = np.where(low, hi * 2.0, hi)
-        else:
-            raise BracketError("vectorized bracketing failed")
-        for _ in range(max_iterations):
-            if np.all((hi - lo) <= BISECT_REL_TOL * np.maximum(1.0, hi)):
-                break
-            mid = 0.5 * (lo + hi)
-            high = gap(mid) > 0.0
-            hi = np.where(high, mid, hi)
-            lo = np.where(high, lo, mid)
-        phi_active = 0.5 * (lo + hi)
-        phi[active] = phi_active
-        lam = np.zeros_like(phi)
-        lam[active] = mna * gain.value(phi_active, sensitivity)
-        return phi, lam
-    except (TypeError, AttributeError):
-        flat = mn.reshape(-1)
-        phis = np.empty(flat.shape)
-        lams = np.empty(flat.shape)
-        for i, v in enumerate(flat):
-            # demand product is all the scalar core needs; pass it on one side
-            f, l, _, _ = solve_for_demands(gain, congestion, float(v), 1.0,
-                                           capacity, sensitivity)
-            phis[i], lams[i] = f, l
-        return phis.reshape(mn.shape), lams.reshape(mn.shape)
+    for _ in range(BRACKET_EXPANSIONS):
+        low = gap(hi) <= 0.0
+        if not np.any(low):
+            break
+        hi = np.where(low, hi * 2.0, hi)
+    else:
+        raise BracketError("vectorized bracketing failed")
+    for rounds in range(VECTOR_MAX_ROUNDS + 1):
+        if np.all((hi - lo) <= BISECT_REL_TOL * np.maximum(1.0, hi)):
+            break
+        if rounds == VECTOR_MAX_ROUNDS:
+            raise ConvergenceError(
+                f"vectorized bisection did not converge in {VECTOR_MAX_ROUNDS} rounds")
+        mid = 0.5 * (lo + hi)
+        high = gap(mid) > 0.0
+        hi = np.where(high, mid, hi)
+        lo = np.where(high, lo, mid)
+    phi_active = 0.5 * (lo + hi)
+    phi[active] = phi_active
+    lam = np.zeros_like(phi)
+    lam[active] = mna * gain.value(phi_active, sensitivity)
+    return phi, lam
 
 
 def _elasticity_at(gain: GainCurve, congestion: CongestionCurve, mn: float,

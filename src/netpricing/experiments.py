@@ -1,11 +1,10 @@
 """Config-driven parameter sweeps with deterministic CSV output.
 
 Each sweep row rebuilds the model at one parameter value, computes all four
-optima from scratch (no warm starts, so rows are independent and may run on
-any number of worker threads without changing the result), and records
-prices, objectives, growth rates, and the equilibrium state at the two
-two-sided optima.  Numerical failures are captured per row in the ``error``
-column rather than aborting the sweep.
+optima from scratch (no warm starts, so every row depends on its parameter
+value alone), and records prices, objectives, growth rates, and the
+equilibrium state at the two two-sided optima.  Numerical failures are
+captured per row in the ``error`` column rather than aborting the sweep.
 
 CSV output is RFC-4180 style: comma separated, header row, LF line endings,
 12 significant digits.  Identical configs produce byte-identical files.
@@ -14,18 +13,16 @@ CSV output is RFC-4180 style: comma separated, header row, LF line endings,
 from __future__ import annotations
 
 import dataclasses
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .config import ScenarioConfig, build_model
-from .curves import MarketModel
+from .curves import MarketModel, with_parameter
 from .errors import ConfigError, NumericalError, VerificationError
 from .optimize import GrowthRates, OptimumReport, growth_rates
 from .oracle import GridOptimum, GridSpec, grid_optimize
-from .sensitivity import _with_parameter
 
 ALL_COLUMNS = (
     "param_value",
@@ -99,32 +96,26 @@ def _row_from_rates(value: float, rates: GrowthRates) -> SweepRow:
 
 def _evaluate_row(base_model: MarketModel, parameter: str, value: float) -> SweepRow:
     try:
-        model = _with_parameter(base_model, parameter, value)
+        model = with_parameter(base_model, parameter, value)
         return _row_from_rates(value, growth_rates(model))
     except (NumericalError, ValueError) as exc:
         return SweepRow(param_value=value, error=f"{type(exc).__name__}: {exc}")
 
 
-def run_sweep(cfg: ScenarioConfig, threads: int | None = None) -> SweepResult:
+def run_sweep(cfg: ScenarioConfig) -> SweepResult:
     """Evaluate the configured sweep; rows are assembled in parameter order."""
     parameter = cfg.sweep_parameter
     values = sweep_values(cfg)
     base_model = build_model(cfg)
-    workers = threads if threads is not None else cfg.threads
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(
-                lambda v: _evaluate_row(base_model, parameter, v), values))
-    else:
-        rows = [_evaluate_row(base_model, parameter, v) for v in values]
+    rows = tuple(_evaluate_row(base_model, parameter, v) for v in values)
     columns = ALL_COLUMNS if cfg.output_columns == "all" else PRICE_COLUMNS
-    return SweepResult(parameter=parameter, columns=columns, rows=tuple(rows))
+    return SweepResult(parameter=parameter, columns=columns, rows=rows)
 
 
-def price_trend_sweep(cfg: ScenarioConfig, threads: int | None = None) -> SweepResult:
+def price_trend_sweep(cfg: ScenarioConfig) -> SweepResult:
     """Sweep restricted to the four optimal-price columns."""
     cfg = dataclasses.replace(cfg, output_columns="prices")
-    return run_sweep(cfg, threads=threads)
+    return run_sweep(cfg)
 
 
 def format_value(v: float | str | None) -> str:
@@ -215,7 +206,7 @@ def verify_sweep(cfg: ScenarioConfig, result: SweepResult,
     for row in result.rows:
         if row.error is not None or row.p_star is None:
             continue
-        model = _with_parameter(base_model, result.parameter, row.param_value)
+        model = with_parameter(base_model, result.parameter, row.param_value)
         for objective, prices, value in (
                 ("profit", (row.p_star, row.q_star), row.profit_two_sided),
                 ("welfare", (row.p_welfare, row.q_welfare), row.welfare_two_sided)):

@@ -19,9 +19,10 @@ the objective.  Prices are accepted once the free gradient is below
 ``GRAD_TOL`` or a step moves them less than ``STEP_TOL``; reaching
 ``NEWTON_MAX_STEPS`` raises ``ConvergenceError``.
 
-First-order-condition residuals are reported for interior optima: hazard
-equalization and the Lerner form for profit, the cross-product hazard ratio
-for welfare.
+First-order-condition residuals: the KKT residual of hazard equalization
+over the prices not held at a box edge, and, for interior optima only, the
+Lerner form for profit and the cross-product hazard ratio for welfare; a
+residual whose condition does not apply is None, never inf or nan.
 """
 
 from __future__ import annotations
@@ -155,26 +156,19 @@ def _coarse_profit_grid(model: MarketModel, p_hi: float, q_hi: float) -> tuple[f
     return float(p_axis[k // _COARSE_POINTS]), float(q_axis[k % _COARSE_POINTS])
 
 
-def _profit_diagnostics(model: MarketModel, p: float, q: float,
-                        eq: Equilibrium, one_sided: bool) -> OptimumDiagnostics:
+def _profit_diagnostics(model: MarketModel, p: float, q: float, eq: Equilibrium,
+                        held: tuple[bool, bool]) -> OptimumDiagnostics:
+    """FOC residuals.  ``held`` flags the prices (p, q) held at a box edge: the
+    KKT residual skips them, and the Lerner residual is None if either is."""
     margin = p + q - model.cost
     mh = model.user_demand.hazard(p)
-    eps = eq.elasticity
-    kkt_user = abs(mh * margin * eps - 1.0)
-    if one_sided:
-        return OptimumDiagnostics(
-            user_hazard=mh,
-            cp_hazard=model.cp_demand.hazard(q),
-            elasticity=eps,
-            kkt_residual=kkt_user,
-        )
     nh = model.cp_demand.hazard(q)
-    kkt = max(kkt_user, abs(nh * margin * eps - 1.0))
-    total_price_elasticity = eps * (p * mh + q * nh)
-    lerner = abs(margin / (p + q) - 1.0 / total_price_elasticity)
+    eps = eq.elasticity
+    focs = [abs(h * margin * eps - 1.0) for h, pinned in zip((mh, nh), held) if not pinned]
+    lerner = None if any(held) else abs(margin / (p + q) - 1.0 / (eps * (p * mh + q * nh)))
     return OptimumDiagnostics(
         user_hazard=mh, cp_hazard=nh, elasticity=eps,
-        kkt_residual=kkt, lerner_residual=lerner,
+        kkt_residual=max(focs, default=0.0), lerner_residual=lerner,
     )
 
 
@@ -199,7 +193,7 @@ def optimize_profit(model: MarketModel) -> OptimumReport:
         prices=PricePair(p, q),
         objective=report.profit,
         equilibrium=eq,
-        diagnostics=_profit_diagnostics(model, p, q, eq, one_sided=False),
+        diagnostics=_profit_diagnostics(model, p, q, eq, (p in (0.0, p_hi), q in (0.0, q_hi))),
         boundary=boundary,
         iterations=steps,
     )
@@ -217,8 +211,9 @@ def _welfare_segment(model: MarketModel) -> tuple[float, float]:
     return lo, hi
 
 
-def _welfare_diagnostics(model: MarketModel, p: float, q: float,
-                         eq: Equilibrium) -> OptimumDiagnostics:
+def _welfare_diagnostics(model: MarketModel, p: float, q: float, eq: Equilibrium,
+                         held: bool) -> OptimumDiagnostics:
+    """Ramsey residual; None when p is held at a segment end (``held``)."""
     mh = model.user_demand.hazard(p)
     nh = model.cp_demand.hazard(q)
     s_m = model.user_demand.per_unit_surplus(p)
@@ -229,7 +224,7 @@ def _welfare_diagnostics(model: MarketModel, p: float, q: float,
     residual = abs(mh * (eps - 1.0 + share_n) - nh * (eps - 1.0 + share_m))
     return OptimumDiagnostics(
         user_hazard=mh, cp_hazard=nh, elasticity=eps,
-        ramsey_residual=residual / max(mh, nh),
+        ramsey_residual=None if held else residual / max(mh, nh),
         user_surplus_per_unit=s_m, cp_surplus_per_unit=s_n,
     )
 
@@ -267,7 +262,7 @@ def optimize_welfare(model: MarketModel) -> OptimumReport:
         prices=PricePair(p, q),
         objective=report.surplus_welfare,
         equilibrium=eq,
-        diagnostics=_welfare_diagnostics(model, p, q, eq),
+        diagnostics=_welfare_diagnostics(model, p, q, eq, p in (lo, hi)),
         boundary=boundary,
         iterations=steps,
     )
@@ -303,7 +298,7 @@ def optimize_one_sided(model: MarketModel, kind: str) -> OptimumReport:
             prices=PricePair(p, 0.0),
             objective=report.profit,
             equilibrium=eq,
-            diagnostics=_profit_diagnostics(model, p, 0.0, eq, one_sided=True),
+            diagnostics=_profit_diagnostics(model, p, 0.0, eq, (p in (0.0, p_hi), True)),
             boundary=min(p, p_hi - p) < BOUNDARY_EPS,
             iterations=steps,
         )

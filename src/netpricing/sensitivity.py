@@ -31,13 +31,12 @@ observed signs are still reported.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import CpPowerDemand, MarketModel, UserPowerDemand
-from .equilibrium import solve_for_demands
+from .curves import MarketModel, parameter_value, with_parameter
+from .equilibrium import solve_equilibrium
 from .errors import DomainError, NumericalError
 from .optimize import OptimumReport, optimize_profit, optimize_welfare
 
@@ -47,8 +46,6 @@ CONCLUSIVE_EPS = 1e-6
 RATIO_REL_TOL = 1e-2
 HAZARD_FD_STEP = 1e-5
 
-PARAMETERS = ("capacity", "sensitivity", "alpha", "beta")
-
 
 def elasticity_slope_vs_congestion(model: MarketModel, price_user: float,
                                    price_cp: float,
@@ -57,15 +54,11 @@ def elasticity_slope_vs_congestion(model: MarketModel, price_user: float,
     m, n = model.demands(price_user, price_cp)
     if m <= 0.0 or n <= 0.0:
         raise DomainError("elasticity trace needs positive demand on both sides")
-    mn = m * n
     pairs = []
     for k in (-2, -1, 0, 1, 2):
         mu = model.capacity * (1.0 + rel_step * k)
-        phi, _, _, _ = solve_for_demands(model.gain, model.congestion, m, n,
-                                         mu, model.sensitivity)
-        demand_slope = mn * abs(model.gain.slope(phi, model.sensitivity))
-        supply_slope = model.congestion.throughput_slope(phi, mu)
-        pairs.append((phi, 1.0 / (1.0 + demand_slope / supply_slope)))
+        eq = solve_equilibrium(with_parameter(model, "capacity", mu), price_user, price_cp)
+        pairs.append((eq.congestion, eq.elasticity))
     phis = np.array([p for p, _ in pairs])
     epss = np.array([e for _, e in pairs])
     if np.max(np.abs(phis - phis[2])) < 1e-10:
@@ -73,38 +66,6 @@ def elasticity_slope_vs_congestion(model: MarketModel, price_user: float,
     dphi = phis - phis.mean()
     deps = epss - epss.mean()
     return float(np.dot(dphi, deps) / np.dot(dphi, dphi))
-
-
-def _with_parameter(model: MarketModel, parameter: str, value: float) -> MarketModel:
-    if parameter == "capacity":
-        return dataclasses.replace(model, capacity=value)
-    if parameter == "sensitivity":
-        return dataclasses.replace(model, sensitivity=value)
-    if parameter == "alpha":
-        if not isinstance(model.user_demand, UserPowerDemand):
-            raise DomainError("alpha sweeps need the power-family user demand")
-        return dataclasses.replace(model, user_demand=UserPowerDemand(alpha=value))
-    if parameter == "beta":
-        if not isinstance(model.cp_demand, CpPowerDemand):
-            raise DomainError("beta sweeps need the power-family content demand")
-        return dataclasses.replace(model, cp_demand=CpPowerDemand(beta=value))
-    raise DomainError(f"unknown parameter {parameter!r}; expected one of {PARAMETERS}")
-
-
-def _parameter_value(model: MarketModel, parameter: str) -> float:
-    if parameter == "capacity":
-        return model.capacity
-    if parameter == "sensitivity":
-        return model.sensitivity
-    if parameter == "alpha":
-        if not isinstance(model.user_demand, UserPowerDemand):
-            raise DomainError("alpha sweeps need the power-family user demand")
-        return model.user_demand.alpha
-    if parameter == "beta":
-        if not isinstance(model.cp_demand, CpPowerDemand):
-            raise DomainError("beta sweeps need the power-family content demand")
-        return model.cp_demand.beta
-    raise DomainError(f"unknown parameter {parameter!r}; expected one of {PARAMETERS}")
 
 
 def _hazard_slope(demand, price: float) -> float:
@@ -262,15 +223,15 @@ def _sensitivity_checks(dp_star, dq_star, dp_ring, dq_ring, profit_ctx,
 def optimal_price_sensitivity(model: MarketModel, parameter: str,
                               rel_step: float = PARAM_REL_STEP) -> SensitivityReport:
     """Central-difference derivatives of re-optimized prices in ``parameter``."""
-    base = _parameter_value(model, parameter)
+    base = parameter_value(model, parameter)
     step = rel_step * abs(base)
     if step == 0.0:
         raise DomainError("parameter step collapsed to zero")
 
     profit_base = optimize_profit(model)
     welfare_base = optimize_welfare(model)
-    lo_model = _with_parameter(model, parameter, base - step)
-    hi_model = _with_parameter(model, parameter, base + step)
+    lo_model = with_parameter(model, parameter, base - step)
+    hi_model = with_parameter(model, parameter, base + step)
     profit_lo, profit_hi = optimize_profit(lo_model), optimize_profit(hi_model)
     welfare_lo, welfare_hi = optimize_welfare(lo_model), optimize_welfare(hi_model)
     if any(r.boundary for r in (profit_base, profit_lo, profit_hi)):

@@ -1,5 +1,11 @@
 """Command line behavior: subcommands, outputs, exit codes."""
 
+import dataclasses
+import re
+
+import pytest
+
+from netpricing import ScenarioConfig
 from netpricing.cli import main
 from netpricing.experiments import parse_csv
 
@@ -87,16 +93,6 @@ def test_sweep_without_output_path_exits_1(tmp_path, capsys):
     assert main(["sweep", "--config", str(cfg)]) == 1
 
 
-def test_sweep_threads_flag_deterministic(tmp_path):
-    cfg = _write(tmp_path, "sweep.parameter = beta\nsweep.range = 0.9:1.1:3\n")
-    out1, out4 = tmp_path / "t1.csv", tmp_path / "t4.csv"
-    assert main(["sweep", "--config", str(cfg), "--out", str(out1),
-                 "--threads", "1"]) == 0
-    assert main(["sweep", "--config", str(cfg), "--out", str(out4),
-                 "--threads", "4"]) == 0
-    assert out1.read_bytes() == out4.read_bytes()
-
-
 def test_sensitivity_command(capsys):
     assert main(["sensitivity", "--set", "sweep.parameter=mu",
                  "--set", "cp_demand.beta=2"]) == 0
@@ -127,3 +123,23 @@ def test_verification_mismatch_exits_3(monkeypatch, capsys):
 def test_optimize_verify_against_dense_grid(capsys):
     assert main(["optimize", "--verify"]) == 0
     assert "verify: max price gap" in capsys.readouterr().out
+
+
+def test_optimize_honours_verify_from_config(capsys):
+    assert main(["optimize", "--set", "verify=true"]) == 0
+    assert "verify: max price gap" in capsys.readouterr().out
+
+
+def test_option_surface(capsys):
+    # every option of every subcommand, and every config field; a new knob
+    # has to change this test
+    for command in ("solve-eq", "optimize", "sweep", "sensitivity"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        assert set(re.findall(r"--[a-z-]+", capsys.readouterr().out)) == {
+            "--help", "--config", "--set", "--out", "--verify"}
+    assert [f.name for f in dataclasses.fields(ScenarioConfig)] == [
+        "gain", "congestion", "alpha", "beta", "cost", "capacity", "sensitivity",
+        "price_user", "price_cp", "sweep_parameter", "sweep_range", "output_path",
+        "output_columns", "verify", "source"]

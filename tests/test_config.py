@@ -21,7 +21,6 @@ sweep.range = 0.5:3:26
 output.path = out.csv
 output.columns = prices
 verify = true
-threads = 4
 """
 
 
@@ -36,7 +35,6 @@ def test_parse_full_sample():
     assert cfg.output_path == "out.csv"
     assert cfg.output_columns == "prices"
     assert cfg.verify is True
-    assert cfg.threads == 4
 
 
 def test_defaults_encode_baseline():
@@ -66,6 +64,7 @@ def test_unknown_key_rejected_with_location():
     "sweep.range = 1:2:x",
     "verify = maybe",
     "threads = 0",
+    "threads = 1",
     "gain = quadratic",
     "congestion = m/m/k",
     "output.columns = everything",
@@ -109,3 +108,10 @@ def test_invalid_model_parameters_surface_as_config_error():
 def test_mm1_model_construction():
     model = build_model(parse_config("congestion = mm1\ncapacity = 2"))
     assert isinstance(model.congestion, MM1Queue)
+
+
+@pytest.mark.parametrize("family", [{"gain": "quadratic"}, {"congestion": "m/m/k"}])
+def test_build_model_rejects_unknown_family(family):
+    # a config built directly, bypassing the parser, still gets validated
+    with pytest.raises(ConfigError, match="must be one of"):
+        build_model(ScenarioConfig(**family))

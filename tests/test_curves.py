@@ -7,8 +7,9 @@ import pytest
 
 from netpricing import (CapacitySharing, CpPowerDemand, CustomCongestion,
                         CustomDemand, CustomGain, DomainError, ExponentialGain,
-                        MM1Queue, ReciprocalGain, UserPowerDemand,
+                        MarketModel, MM1Queue, ReciprocalGain, UserPowerDemand,
                         baseline_model, finite_difference)
+from netpricing.curves import PARAMETERS, parameter_value, with_parameter
 
 GAINS = [ReciprocalGain(), ExponentialGain()]
 CONGESTIONS = [CapacitySharing(), MM1Queue()]
@@ -309,3 +310,23 @@ def test_market_model_is_frozen():
     model = baseline_model()
     with pytest.raises(AttributeError):
         model.cost = 0.5
+
+
+def test_parameter_table_round_trip():
+    model = baseline_model(congestion=MM1Queue(), alpha=1.5, beta=2.0,
+                           capacity=2.5, sensitivity=1.2)
+    assert PARAMETERS == ("capacity", "sensitivity", "alpha", "beta")
+    for name, value in zip(PARAMETERS, (2.5, 1.2, 1.5, 2.0)):
+        assert parameter_value(model, name) == value
+        assert with_parameter(model, name, parameter_value(model, name)) == model
+        moved = with_parameter(model, name, 3.0)
+        assert parameter_value(moved, name) == 3.0
+        assert all(parameter_value(moved, other) == parameter_value(model, other)
+                   for other in PARAMETERS if other != name)
+    with pytest.raises(DomainError, match="unknown parameter 'cost'"):
+        parameter_value(model, "cost")
+    custom = MarketModel(
+        gain=ReciprocalGain(), congestion=CapacitySharing(),
+        user_demand=CustomDemand(lambda p: 1.0 - p), cp_demand=CpPowerDemand())
+    with pytest.raises(DomainError, match="power-family user demand"):
+        with_parameter(custom, "alpha", 2.0)

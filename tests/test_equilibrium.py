@@ -121,9 +121,15 @@ def test_solver_idempotent_and_deterministic():
 
 def test_solve_many_matches_scalar():
     rng = np.random.default_rng(29)
-    for congestion in (CapacitySharing(), MM1Queue()):
-        model = baseline_model(congestion=congestion, capacity=1.4)
-        mn = rng.uniform(0.0, 1.0, size=64)
+    # scalar-only custom callables (math.exp and float() reject arrays), and
+    # a custom law without an inverse: the curves map them elementwise
+    scalar_gain = CustomGain(lambda phi, s: math.exp(-math.log1p(s) * phi))
+    scalar_law = CustomCongestion(lambda lam, mu: float(lam) / mu)
+    for gain, congestion, size in ((ReciprocalGain(), CapacitySharing(), 64),
+                                   (ReciprocalGain(), MM1Queue(), 64),
+                                   (scalar_gain, scalar_law, 16)):
+        model = baseline_model(gain=gain, congestion=congestion, capacity=1.4)
+        mn = rng.uniform(0.0, 1.0, size=size)
         mn[0] = 0.0
         phis, lams = solve_many(model.gain, model.congestion, mn,
                                 model.capacity, model.sensitivity)
@@ -133,6 +139,15 @@ def test_solve_many_matches_scalar():
                                            model.sensitivity)
             assert abs(phi - f) <= 1e-13 * max(1.0, f)
             assert abs(lam - l) <= 1e-13 * max(1.0, l)
+
+
+def test_solve_many_raises_when_round_cap_is_reached(monkeypatch):
+    from netpricing import ConvergenceError, equilibrium
+    monkeypatch.setattr(equilibrium, "VECTOR_MAX_ROUNDS", 1)
+    model = baseline_model()
+    with pytest.raises(ConvergenceError, match="1 rounds"):
+        solve_many(model.gain, model.congestion, np.array([0.25, 0.5]),
+                   model.capacity, model.sensitivity)
 
 
 # ---------------------------------------------------------------------------

@@ -84,6 +84,15 @@ def test_boundary_flagged_when_cp_side_pins_to_zero():
     report = optimize_profit(model)
     assert report.prices.cp == 0.0
     assert report.boundary
+    # the infinite content hazard at q = 0 leaks into no residual
+    welfare = optimize_welfare(model)
+    for diagnostics in (report.diagnostics, welfare.diagnostics):
+        for residual in (diagnostics.kkt_residual, diagnostics.lerner_residual,
+                         diagnostics.ramsey_residual):
+            assert residual is None or math.isfinite(residual)
+    assert report.diagnostics.kkt_residual <= 1e-8
+    assert report.diagnostics.lerner_residual is None
+    assert welfare.diagnostics.ramsey_residual is None
 
 
 def test_profit_optimum_on_random_sweep_envelope():
