@@ -84,7 +84,7 @@ def _cmd_solve_eq(args) -> int:
         print(f"verify: fixed-point congestion gap = {gap:.3e}")
         if gap > FIXED_POINT_AGREEMENT * max(1.0, eq.congestion):
             raise VerificationError(
-                f"bisection and fixed-point equilibria disagree by {gap:.3e}")
+                f"Newton and fixed-point equilibria disagree by {gap:.3e}")
     return 0
 
 

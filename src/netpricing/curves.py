@@ -43,16 +43,15 @@ def _is_array(x) -> bool:
     return isinstance(x, np.ndarray)
 
 
-def _central_diff(f: Callable[[float], float], x: float, lo: float, hi: float,
-                  rel_step: float = FD_REL_STEP) -> float:
-    """Central difference of f at x, degrading to one-sided at [lo, hi] edges."""
-    h = rel_step * max(1.0, abs(x))
-    a, b = x - h, x + h
-    if a < lo:
-        a = x
-    if b > hi:
-        b = x
-    if a == b:
+def _central_diff(f: Callable, x, lo: float, hi: float, rel_step: float = FD_REL_STEP):
+    """Central difference of f at x (float or array), one-sided at [lo, hi] edges."""
+    if _is_array(x):
+        h = rel_step * np.maximum(1.0, np.abs(x))
+        a, b = np.where(x - h < lo, x, x - h), np.where(x + h > hi, x, x + h)
+    else:
+        h = rel_step * max(1.0, abs(x))
+        a, b = (x if x - h < lo else x - h), (x if x + h > hi else x + h)
+    if np.any(a == b):
         raise DomainError("finite-difference interval collapsed to a point")
     return (f(b) - f(a)) / (b - a)
 
@@ -188,9 +187,8 @@ class CustomGain(GainCurve):
         _check_gain_args(phi, sensitivity)
         if self.slope_fn is not None:
             return _map_maybe_array(self.slope_fn, phi, sensitivity)
-        if _is_array(phi):
-            return np.array([self.slope(float(v), sensitivity) for v in phi])
-        return _central_diff(lambda x: self.value_fn(x, sensitivity), phi, 0.0, math.inf)
+        return _central_diff(lambda x: _map_maybe_array(self.value_fn, x, sensitivity),
+                             phi, 0.0, math.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -207,11 +205,19 @@ class CongestionCurve:
 
     ``congestion`` is increasing in throughput and decreasing in capacity;
     ``implied_throughput`` is its inverse in the throughput argument, hence
-    strictly increasing in both the congestion level and the capacity.
+    strictly increasing in both the congestion level and the capacity.  The
+    slopes default to central differences of the forward map ``congestion``
+    (the builtin laws override them in closed form); those of the inverse
+    take the throughput at ``phi`` when the caller knows it, which spares
+    the numerical inversion.
     """
 
     def congestion(self, throughput, capacity):
         raise NotImplementedError
+
+    def congestion_slope(self, throughput, capacity):
+        """d congestion / d throughput (positive)."""
+        return _central_diff(lambda x: self.congestion(x, capacity), throughput, 0.0, math.inf)
 
     def implied_throughput(self, phi, capacity):
         raise NotImplementedError
@@ -220,13 +226,20 @@ class CongestionCurve:
         """Congestion at zero throughput; lowest admissible congestion level."""
         return self.congestion(0.0, capacity)
 
-    def throughput_slope(self, phi, capacity):
-        """d implied_throughput / d phi (positive)."""
-        raise NotImplementedError
+    def throughput_limit(self, capacity):
+        """Largest throughput the law admits."""
+        return math.inf
 
-    def capacity_slope(self, phi, capacity):
-        """d implied_throughput / d capacity (positive)."""
-        raise NotImplementedError
+    def throughput_slope(self, phi, capacity, throughput=None):
+        """d implied_throughput / d phi = 1 / Phi_lam (positive)."""
+        lam = self.implied_throughput(phi, capacity) if throughput is None else throughput
+        return 1.0 / self.congestion_slope(lam, capacity)
+
+    def capacity_slope(self, phi, capacity, throughput=None):
+        """d implied_throughput / d capacity = -Phi_mu / Phi_lam (positive)."""
+        lam = self.implied_throughput(phi, capacity) if throughput is None else throughput
+        phi_mu = _central_diff(lambda mu: self.congestion(lam, mu), capacity, 0.0, math.inf)
+        return -phi_mu / self.congestion_slope(lam, capacity)
 
 
 @dataclass(frozen=True)
@@ -240,6 +253,11 @@ class CapacitySharing(CongestionCurve):
             raise DomainError("throughput must be nonnegative")
         return throughput / capacity
 
+    def congestion_slope(self, throughput, capacity):
+        _check_capacity(capacity)
+        return (1.0 / capacity if not _is_array(throughput)
+                else np.full_like(throughput, 1.0 / capacity))
+
     def implied_throughput(self, phi, capacity):
         _check_capacity(capacity)
         bad = np.any(phi < 0) if _is_array(phi) else phi < 0
@@ -247,11 +265,11 @@ class CapacitySharing(CongestionCurve):
             raise DomainError("congestion level must be nonnegative")
         return phi * capacity
 
-    def throughput_slope(self, phi, capacity):
+    def throughput_slope(self, phi, capacity, throughput=None):
         _check_capacity(capacity)
         return capacity if not _is_array(phi) else np.full_like(phi, capacity)
 
-    def capacity_slope(self, phi, capacity):
+    def capacity_slope(self, phi, capacity, throughput=None):
         _check_capacity(capacity)
         return phi
 
@@ -270,6 +288,10 @@ class MM1Queue(CongestionCurve):
                 f"M/M/1 requires 0 <= throughput < capacity, got lam={throughput}, mu={capacity}")
         return 1.0 / (capacity - throughput)
 
+    def congestion_slope(self, throughput, capacity):
+        phi = self.congestion(throughput, capacity)
+        return phi * phi
+
     def implied_throughput(self, phi, capacity):
         _check_capacity(capacity)
         floor = 1.0 / capacity
@@ -278,15 +300,15 @@ class MM1Queue(CongestionCurve):
             raise DomainError(f"M/M/1 congestion cannot fall below 1/capacity = {floor}")
         return capacity - 1.0 / phi
 
-    def congestion_floor(self, capacity):
+    def throughput_limit(self, capacity):
         _check_capacity(capacity)
-        return 1.0 / capacity
+        return math.nextafter(capacity, 0.0)
 
-    def throughput_slope(self, phi, capacity):
+    def throughput_slope(self, phi, capacity, throughput=None):
         _check_capacity(capacity)
         return 1.0 / (phi * phi)
 
-    def capacity_slope(self, phi, capacity):
+    def capacity_slope(self, phi, capacity, throughput=None):
         _check_capacity(capacity)
         return 1.0 if not _is_array(phi) else np.ones_like(phi)
 
@@ -295,9 +317,9 @@ class MM1Queue(CongestionCurve):
 class CustomCongestion(CongestionCurve):
     """Congestion law from a user-supplied (throughput, capacity) callable.
 
-    The throughput inverse is recovered by bracketed bisection and both
-    slopes by central differences, so only monotonicity is required of the
-    callable.  An optional analytic inverse short-circuits the bisection.
+    Only monotonicity is required of the callable: the slopes are the
+    central differences of the forward map that ``CongestionCurve`` defines,
+    and the inverse is bisected for unless an analytic ``inverse_fn`` is given.
     """
 
     congestion_fn: Callable = field(compare=False)
@@ -305,7 +327,10 @@ class CustomCongestion(CongestionCurve):
 
     def congestion(self, throughput, capacity):
         _check_capacity(capacity)
-        return _map_maybe_array(self.congestion_fn, throughput, capacity)
+        try:
+            return _map_maybe_array(self.congestion_fn, throughput, capacity)
+        except (ArithmeticError, ValueError) as exc:
+            raise DomainError(f"congestion law undefined at throughput {throughput}: {exc}") from exc
 
     def implied_throughput(self, phi, capacity):
         _check_capacity(capacity)
@@ -318,46 +343,25 @@ class CustomCongestion(CongestionCurve):
             raise DomainError(f"congestion {phi} below zero-throughput floor {floor}")
         if phi == floor:
             return 0.0
+
+        def reaches(lam):       # a throughput outside the callable's domain is too high
+            try:
+                return self.congestion_fn(lam, capacity) >= phi
+            except (DomainError, ValueError, ZeroDivisionError, OverflowError):
+                return True
+
         lo, hi = 0.0, 1.0
         for _ in range(200):
-            try:
-                if self.congestion_fn(hi, capacity) >= phi:
-                    break
-            except (DomainError, ValueError, ZeroDivisionError, OverflowError):
+            if reaches(hi):
                 break
             lo, hi = hi, hi * 2.0
         else:
             raise DomainError(f"no throughput induces congestion {phi}")
-        for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        while lo < mid < hi and hi - lo > 1e-15 * max(1.0, hi):
+            lo, hi = (lo, mid) if reaches(mid) else (mid, hi)
             mid = 0.5 * (lo + hi)
-            if mid == lo or mid == hi:
-                break
-            try:
-                high = self.congestion_fn(mid, capacity) >= phi
-            except (DomainError, ValueError, ZeroDivisionError, OverflowError):
-                high = True
-            if high:
-                hi = mid
-            else:
-                lo = mid
-            if (hi - lo) <= 1e-15 * max(1.0, hi):
-                break
-        return 0.5 * (lo + hi)
-
-    def throughput_slope(self, phi, capacity):
-        if _is_array(phi):
-            return np.array([self.throughput_slope(float(v), capacity) for v in phi])
-        floor = self.congestion_floor(capacity)
-        return _central_diff(lambda x: self.implied_throughput(x, capacity), phi,
-                             floor, math.inf)
-
-    def capacity_slope(self, phi, capacity):
-        if _is_array(phi):
-            return np.array([self.capacity_slope(float(v), capacity) for v in phi])
-        # keep phi above the floor of every perturbed capacity
-        def lam_of_mu(mu):
-            return self.implied_throughput(phi, mu)
-        return _central_diff(lam_of_mu, capacity, 0.0, math.inf)
+        return mid
 
 
 # ---------------------------------------------------------------------------

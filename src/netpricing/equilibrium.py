@@ -1,16 +1,17 @@
 """Congestion equilibrium of the two-sided system and its comparative statics.
 
-At prices (p, q) the demand sides contribute m(p) and n(q); congestion phi
-settles where the throughput the network carries at phi equals the
-throughput demanded at phi:
+At prices (p, q) the demand sides contribute m(p) and n(q); the carried
+throughput lam settles where it equals the throughput demanded at the
+congestion phi = Phi(lam, mu) that it causes:
 
-    gap(phi) = Lambda(phi, mu) - m * n * rho(phi, s) = 0.
+    h(lam) = lam - m * n * rho(Phi(lam, mu), s) = 0.
 
-The gap is strictly increasing (supply rises with congestion, demand falls),
-so the root is unique and bracketed bisection is unconditionally safe.
-The bracket starts a hair above the zero-throughput congestion floor, where
-the gap is nonpositive, and expands geometrically until the gap turns
-positive.
+The root lies in the bracket [0, min(m n, lam_max)], lam_max the largest
+throughput the congestion law admits (just below mu for M/M/1): h(0) < 0
+and h'(lam) = 1 - m n rho'(phi) dPhi/dlam >= 1, so the root is unique.
+Newton starts from lam0 = m n rho(Phi(hi / 2)) and bisects instead of any
+step that would leave the sign bracket.  A root where dPhi/dlam is not
+positive and finite (a flat stretch of a custom law) raises ``BracketError``.
 
 ``throughput_elasticity`` is the relative congestion elasticity of demand
 versus supply,
@@ -24,6 +25,7 @@ and the two prices.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,20 +33,18 @@ import numpy as np
 from .curves import CongestionCurve, GainCurve, MarketModel
 from .errors import BracketError, ConvergenceError, DomainError
 
-BISECT_REL_TOL = 1e-15          # interval width relative to max(1, phi)
-BRACKET_EXPANSIONS = 200
-FLOOR_NUDGE = 1e-14
-VECTOR_MAX_ROUNDS = 130         # bisection rounds of solve_many
+NEWTON_REL_TOL = 1e-9           # a step below this fraction of lam is the last
+MAX_ROUNDS = 100                # cap on the rounds of either solver
 
 
 @dataclass(frozen=True)
 class Equilibrium:
     """Solved congestion state for one (p, q) price pair."""
 
-    congestion: float           # phi
-    throughput: float           # lam = m * n * rho(phi)
+    congestion: float           # phi = Phi(lam, mu)
+    throughput: float           # lam
     elasticity: float           # throughput elasticity, in (0, 1]
-    gap_residual: float         # |Lambda(phi, mu) - lam|
+    gap_residual: float         # |lam - m * n * rho(phi)|
     iterations: int
     price_user: float
     price_cp: float
@@ -55,97 +55,92 @@ class Equilibrium:
     degenerate: bool            # zero demand on at least one side
 
 
+def _newton_step(gain: GainCurve, congestion: CongestionCurve, mn, lam,
+                 capacity: float, sensitivity: float):
+    """h(lam), the Newton step h / h' and dPhi/dlam; floats or arrays."""
+    phi = congestion.congestion(lam, capacity)
+    phi_lam = congestion.congestion_slope(lam, capacity)
+    h = lam - mn * gain.value(phi, sensitivity)
+    return h, h / (1.0 - mn * gain.slope(phi, sensitivity) * phi_lam), phi_lam
+
+
+def _require_rising_law(phi_lam) -> None:
+    if not np.all((phi_lam > 0.0) & (phi_lam < math.inf)):
+        raise BracketError("the equilibrium falls on a flat stretch of the congestion "
+                           "law; a custom law is likely not strictly increasing")
+
+
 def solve_for_demands(gain: GainCurve, congestion: CongestionCurve,
                       user_level: float, cp_level: float,
                       capacity: float, sensitivity: float) -> tuple[float, float, int, bool]:
-    """Root of the gap function for raw demand levels; returns (phi, lam, iters, degenerate)."""
-    floor = congestion.congestion_floor(capacity)
+    """Equilibrium for raw demand levels; returns (phi, lam, rounds, degenerate)."""
     if user_level <= 0.0 or cp_level <= 0.0:
-        return floor, 0.0, 0, True
+        return congestion.congestion_floor(capacity), 0.0, 0, True
     mn = user_level * cp_level
-
-    def gap(phi: float) -> float:
-        return (congestion.implied_throughput(phi, capacity)
-                - mn * gain.value(phi, sensitivity))
-
-    lo = floor + FLOOR_NUDGE
-    hi = max(2.0 * lo, 1.0)
-    iterations = 0
-    while gap(hi) <= 0.0:
-        hi *= 2.0
-        iterations += 1
-        if iterations > BRACKET_EXPANSIONS:
-            raise BracketError(
-                "could not bracket the equilibrium congestion; a custom curve "
-                "is likely not monotone or the gain does not decay")
-    if gap(lo) > 0.0:
-        # root pinned at the floor (vanishing demand already at zero traffic)
-        hi = lo
-    while (hi - lo) > BISECT_REL_TOL * max(1.0, hi):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
+    lo, hi = 0.0, min(mn, congestion.throughput_limit(capacity))
+    lam = mn * gain.value(congestion.congestion(0.5 * hi, capacity), sensitivity)
+    if not lam <= hi:
+        lam = 0.5 * hi
+    for rounds in range(1, MAX_ROUNDS + 1):
+        h, step, phi_lam = _newton_step(gain, congestion, mn, lam, capacity, sensitivity)
+        if abs(step) <= NEWTON_REL_TOL * lam:
             break
-        if gap(mid) > 0.0:
-            hi = mid
+        if h > 0.0:
+            hi = lam
         else:
-            lo = mid
-        iterations += 1
-    phi = 0.5 * (lo + hi)
-    lam = mn * gain.value(phi, sensitivity)
-    return phi, lam, iterations, False
+            lo = lam
+        lam = lam - step if lo < lam - step <= hi else 0.5 * (lo + hi)
+    else:
+        raise ConvergenceError(f"equilibrium Newton did not converge in {MAX_ROUNDS} rounds")
+    _require_rising_law(phi_lam)
+    lam -= step
+    return congestion.congestion(lam, capacity), lam, rounds, False
 
 
 def solve_many(gain: GainCurve, congestion: CongestionCurve, mn: np.ndarray,
                capacity: float, sensitivity: float) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized gap-function bisection over an array of demand products.
+    """``solve_for_demands`` over an array of demand products; returns (phi, lam).
 
-    Backs the dense-grid oracle and the scan stages of the optimizers.
-    Failing to converge in ``VECTOR_MAX_ROUNDS`` raises ``ConvergenceError``.
+    Backs the dense-grid oracle and the scan stages of the optimizers.  Each
+    round works only on the points that have not converged yet.
     """
     mn = np.asarray(mn, dtype=float)
-    floor = congestion.congestion_floor(capacity)
+    phi = np.full(mn.shape, congestion.congestion_floor(capacity))
+    lam = np.zeros(mn.shape)
     active = mn > 0.0
-    phi = np.full(mn.shape, floor, dtype=float)
-    if not np.any(active):
-        return phi, np.zeros_like(phi)
-    mna = mn[active]
-    lo = np.full(mna.shape, floor + FLOOR_NUDGE)
-    hi = np.full(mna.shape, max(2.0 * (floor + FLOOR_NUDGE), 1.0))
-
-    def gap(x: np.ndarray) -> np.ndarray:
-        return (congestion.implied_throughput(x, capacity)
-                - mna * gain.value(x, sensitivity))
-
-    for _ in range(BRACKET_EXPANSIONS):
-        low = gap(hi) <= 0.0
-        if not np.any(low):
+    todo = np.flatnonzero(active)
+    m = mn.reshape(-1)[todo]
+    lo = np.zeros_like(m)
+    hi = np.minimum(m, congestion.throughput_limit(capacity))
+    x = m * gain.value(congestion.congestion(0.5 * hi, capacity), sensitivity)
+    x = np.where(x <= hi, x, 0.5 * hi)
+    lam_flat = lam.reshape(-1)
+    for _ in range(MAX_ROUNDS):
+        if todo.size == 0:
             break
-        hi = np.where(low, hi * 2.0, hi)
-    else:
-        raise BracketError("vectorized bracketing failed")
-    for rounds in range(VECTOR_MAX_ROUNDS + 1):
-        if np.all((hi - lo) <= BISECT_REL_TOL * np.maximum(1.0, hi)):
-            break
-        if rounds == VECTOR_MAX_ROUNDS:
-            raise ConvergenceError(
-                f"vectorized bisection did not converge in {VECTOR_MAX_ROUNDS} rounds")
-        mid = 0.5 * (lo + hi)
-        high = gap(mid) > 0.0
-        hi = np.where(high, mid, hi)
-        lo = np.where(high, lo, mid)
-    phi_active = 0.5 * (lo + hi)
-    phi[active] = phi_active
-    lam = np.zeros_like(phi)
-    lam[active] = mna * gain.value(phi_active, sensitivity)
+        h, step, phi_lam = _newton_step(gain, congestion, m, x, capacity, sensitivity)
+        done = np.abs(step) <= NEWTON_REL_TOL * x
+        _require_rising_law(phi_lam[done])
+        lam_flat[todo[done]] = x[done] - step[done]
+        left = ~done
+        todo, m, x, lo, hi, h, step = (a[left] for a in (todo, m, x, lo, hi, h, step))
+        rising = h > 0.0
+        hi = np.where(rising, x, hi)
+        lo = np.where(rising, lo, x)
+        x = x - step
+        x = np.where((lo < x) & (x <= hi), x, 0.5 * (lo + hi))
+    if todo.size:
+        raise ConvergenceError(f"equilibrium Newton did not converge in {MAX_ROUNDS} rounds")
+    phi[active] = congestion.congestion(lam[active], capacity)
     return phi, lam
 
 
 def _elasticity_at(gain: GainCurve, congestion: CongestionCurve, mn: float,
-                   phi: float, capacity: float, sensitivity: float) -> float:
+                   phi: float, lam: float, capacity: float, sensitivity: float) -> float:
     if mn <= 0.0:
         return 1.0
     demand_slope = mn * abs(gain.slope(phi, sensitivity))
-    supply_slope = congestion.throughput_slope(phi, capacity)
+    supply_slope = congestion.throughput_slope(phi, capacity, lam)
     return 1.0 / (1.0 + demand_slope / supply_slope)
 
 
@@ -161,14 +156,13 @@ def solve_equilibrium(model: MarketModel, price_user: float, price_cp: float) ->
     m, n = model.demands(price_user, price_cp)
     phi, lam, iterations, degenerate = solve_for_demands(
         model.gain, model.congestion, m, n, model.capacity, model.sensitivity)
-    supply = model.congestion.implied_throughput(phi, model.capacity)
-    eps = _elasticity_at(model.gain, model.congestion, m * n, phi,
+    eps = _elasticity_at(model.gain, model.congestion, m * n, phi, lam,
                          model.capacity, model.sensitivity)
     return Equilibrium(
         congestion=phi,
         throughput=lam,
         elasticity=eps,
-        gap_residual=abs(supply - lam),
+        gap_residual=abs(lam - m * n * model.gain.value(phi, model.sensitivity)),
         iterations=iterations,
         price_user=price_user,
         price_cp=price_cp,
@@ -184,7 +178,7 @@ def throughput_elasticity(model: MarketModel, eq: Equilibrium) -> float:
     """Recompute the throughput elasticity at a solved equilibrium."""
     return _elasticity_at(model.gain, model.congestion,
                           eq.user_level * eq.cp_level, eq.congestion,
-                          model.capacity, model.sensitivity)
+                          eq.throughput, model.capacity, model.sensitivity)
 
 
 @dataclass(frozen=True)
@@ -214,9 +208,9 @@ PREDICTED_STATIC_SIGNS = {
 }
 
 
-def gap_slope(model: MarketModel, mn: float, phi: float) -> float:
-    """d gap / d phi = supply slope minus (negative) demand slope; positive."""
-    return (model.congestion.throughput_slope(phi, model.capacity)
+def gap_slope(model: MarketModel, mn: float, phi: float, lam: float) -> float:
+    """d/d phi of Lambda(phi, mu) - m n rho(phi), where Lambda(phi, mu) = lam; positive."""
+    return (model.congestion.throughput_slope(phi, model.capacity, lam)
             - mn * model.gain.slope(phi, model.sensitivity))
 
 
@@ -227,9 +221,9 @@ def comparative_statics(model: MarketModel, price_user: float,
     if eq.degenerate:
         raise DomainError("comparative statics need positive demand on both sides")
     m, n, phi, lam = eq.user_level, eq.cp_level, eq.congestion, eq.throughput
-    dg = gap_slope(model, m * n, phi)
-    supply_slope = model.congestion.throughput_slope(phi, model.capacity)
-    cap_slope = model.congestion.capacity_slope(phi, model.capacity)
+    dg = gap_slope(model, m * n, phi, lam)
+    supply_slope = model.congestion.throughput_slope(phi, model.capacity, lam)
+    cap_slope = model.congestion.capacity_slope(phi, model.capacity, lam)
     gain_slope = model.gain.slope(phi, model.sensitivity)
     user_hazard = model.user_demand.hazard(price_user)
     cp_hazard = model.cp_demand.hazard(price_cp)

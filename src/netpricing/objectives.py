@@ -74,8 +74,8 @@ def evaluate_objectives(model: MarketModel, price_user: float,
     user_hazard = model.user_demand.hazard(price_user)
     cp_hazard = model.cp_demand.hazard(price_cp)
     gain_hazard = model.gain.hazard(phi, model.sensitivity)
-    cap_slope = model.congestion.capacity_slope(phi, model.capacity)
-    dg = gap_slope(model, m * n, phi)
+    cap_slope = model.congestion.capacity_slope(phi, model.capacity, lam)
+    dg = gap_slope(model, m * n, phi, lam)
 
     # hazards may diverge at a zero price (convex demands); with an exactly
     # zero margin the hazard term drops out rather than producing 0 * inf

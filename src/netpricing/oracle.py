@@ -6,7 +6,7 @@ Three independent routes live here:
   the zero-profit welfare segment, with a deterministic lexicographic
   tie-break (smallest user price, then smallest content price);
 * ``fixed_point_equilibrium``: damped fixed-point iteration on the
-  congestion map, an alternative to the gap-function bisection;
+  congestion map, an alternative to the Newton equilibrium solver;
 * ``finite_difference``: central (optionally five-point) differencing for
   gradient cross-checks.
 
@@ -131,7 +131,7 @@ def fixed_point_equilibrium(model: MarketModel, price_user: float, price_cp: flo
                             start: float | None = None) -> float:
     """Damped congestion fixed point phi <- (1-theta) phi + theta Phi(lam(phi), mu).
 
-    Deliberately shares nothing with the bisection route beyond the curve
+    Deliberately shares nothing with the Newton solver beyond the curve
     objects.  When the implied throughput leaves the congestion map's domain
     (M/M/1 with lam >= mu), the update is replaced by halving the remaining
     headroom, i.e. doubling phi, which restores feasibility monotonically.

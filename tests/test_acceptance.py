@@ -102,12 +102,12 @@ def test_criterion_02_solver_agreement_on_random_models():
         model = _random_builtin_model(rng)
         p = float(rng.uniform(0.0, 0.8))
         q = float(rng.uniform(0.0, 0.8))
-        phi_bisect = solve_equilibrium(model, p, q).congestion
+        phi_newton = solve_equilibrium(model, p, q).congestion
         phi_fixed = fixed_point_equilibrium(model, p, q)
-        gap = abs(phi_bisect - phi_fixed) / max(1.0, phi_bisect)
+        gap = abs(phi_newton - phi_fixed) / max(1.0, phi_newton)
         worst = max(worst, gap)
         assert gap <= 1e-10
-    _ok(2, f"bisection and damped fixed point agree on 1000 random models "
+    _ok(2, f"Newton and damped fixed point agree on 1000 random models "
            f"(worst relative gap {worst:.2e})")
 
 

@@ -8,7 +8,7 @@ import pytest
 from netpricing import (BracketError, CapacitySharing, CustomCongestion,
                         CustomGain, DomainError, ExponentialGain, MM1Queue,
                         ReciprocalGain, baseline_model, comparative_statics,
-                        finite_difference, solve_equilibrium,
+                        evaluate_objectives, finite_difference, solve_equilibrium,
                         throughput_elasticity)
 from netpricing.equilibrium import (PREDICTED_STATIC_SIGNS, solve_for_demands,
                                     solve_many)
@@ -71,6 +71,26 @@ def test_bracket_failure_on_bounded_custom_supply():
     model = baseline_model(gain=floored_gain, congestion=bounded, capacity=0.3)
     with pytest.raises(BracketError):
         solve_equilibrium(model, 0.0, 0.0)
+
+
+def test_bracket_failure_without_analytic_inverse():
+    # the same saturating law with no inverse: the demanded throughput meets
+    # its flat stretch above capacity on the scalar and the vectorized path
+    bounded = CustomCongestion(lambda lam, mu: -math.log(max(1e-300, 1.0 - lam / mu)))
+    floored_gain = CustomGain(lambda phi, s: 0.6 + 0.4 * math.exp(-s * phi))
+    model = baseline_model(gain=floored_gain, congestion=bounded, capacity=0.3)
+    with pytest.raises(BracketError):
+        solve_equilibrium(model, 0.0, 0.0)
+    with pytest.raises(BracketError):
+        solve_many(model.gain, model.congestion, np.array([0.01, 1.0]),
+                   model.capacity, model.sensitivity)
+
+
+def test_custom_law_undefined_inside_the_bracket_raises_domain_error():
+    # a naive M/M/1 clone divides by zero at lam = mu < m n
+    law = CustomCongestion(lambda lam, mu: 1.0 / (mu - lam))
+    with pytest.raises(DomainError):
+        solve_equilibrium(baseline_model(congestion=law, capacity=0.5), 0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -141,13 +161,42 @@ def test_solve_many_matches_scalar():
             assert abs(lam - l) <= 1e-13 * max(1.0, l)
 
 
+def test_newton_takes_few_rounds_on_random_models():
+    rng = np.random.default_rng(59)
+    for _ in range(1000):
+        model = random_model(rng)
+        p, q = random_prices(rng)
+        assert solve_equilibrium(model, p, q).iterations <= 6
+
+
+@pytest.mark.parametrize("gain", [ReciprocalGain(), ExponentialGain()])
+@pytest.mark.parametrize("congestion, capacity", [(CapacitySharing(), 0.2), (MM1Queue(), 1.05)])
+def test_solve_many_converges_in_eight_rounds_on_price_grids(gain, congestion, capacity,
+                                                             monkeypatch):
+    from netpricing import equilibrium
+    monkeypatch.setattr(equilibrium, "MAX_ROUNDS", 8)
+    model = baseline_model(gain=gain, congestion=congestion, capacity=capacity)
+    prices = np.linspace(0.0, 1.0 - 1e-9, 201)
+    mn = np.outer(model.user_demand.value(prices), model.cp_demand.value(prices)).reshape(-1)
+    phis, lams = solve_many(gain, congestion, mn, capacity, model.sensitivity)
+    for v, phi, lam in zip(mn, phis, lams):
+        f, l, _, _ = solve_for_demands(gain, congestion, float(v), 1.0, capacity,
+                                       model.sensitivity)
+        assert abs(phi - f) <= 1e-13 * max(1.0, f)
+        assert abs(lam - l) <= 1e-13 * max(1.0, l)
+
+
 def test_solve_many_raises_when_round_cap_is_reached(monkeypatch):
+    # one cap governs both solvers, and reaching it raises
     from netpricing import ConvergenceError, equilibrium
-    monkeypatch.setattr(equilibrium, "VECTOR_MAX_ROUNDS", 1)
+    monkeypatch.setattr(equilibrium, "MAX_ROUNDS", 1)
     model = baseline_model()
     with pytest.raises(ConvergenceError, match="1 rounds"):
         solve_many(model.gain, model.congestion, np.array([0.25, 0.5]),
                    model.capacity, model.sensitivity)
+    with pytest.raises(ConvergenceError, match="1 rounds"):
+        solve_for_demands(model.gain, model.congestion, 0.5, 0.5,
+                          model.capacity, model.sensitivity)
 
 
 # ---------------------------------------------------------------------------
@@ -300,6 +349,21 @@ def test_price_elasticity_ratio_identity():
         eps_n_q = q * model.cp_demand.hazard(q)
         left, right = eps_lam_p * eps_n_q, eps_lam_q * eps_m_p
         assert left == pytest.approx(right, rel=1e-6)
+
+
+def test_solver_and_statics_never_invert_a_custom_law():
+    def no_inverse(phi, mu):
+        raise AssertionError("the inverse is off the solver and statics paths")
+
+    law = CustomCongestion(lambda lam, mu: lam / mu, inverse_fn=no_inverse)
+    custom, ref = baseline_model(congestion=law, capacity=1.3), baseline_model(capacity=1.3)
+    stat, ref_stat = comparative_statics(custom, 0.2, 0.3), comparative_statics(ref, 0.2, 0.3)
+    for name in PREDICTED_STATIC_SIGNS:
+        assert getattr(stat, name) == pytest.approx(getattr(ref_stat, name), rel=1e-6)
+    grads = evaluate_objectives(custom, 0.2, 0.3).gradients
+    ref_grads = evaluate_objectives(ref, 0.2, 0.3).gradients
+    assert grads.profit_capacity == pytest.approx(ref_grads.profit_capacity, rel=1e-6)
+    assert grads.welfare_capacity == pytest.approx(ref_grads.welfare_capacity, rel=1e-6)
 
 
 def test_statics_reject_degenerate_point():
