@@ -15,10 +15,12 @@ arbitrary value callables and derive slopes, inverses, hazards, and surplus
 integrals numerically (central differences at relative step 1e-6, adaptive
 Simpson quadrature at absolute tolerance 1e-10).
 
-Curve methods are polymorphic over floats and numpy arrays wherever the math
-is plain arithmetic; the vectorized paths back the dense-grid optimizers.
-All curve objects are immutable and every operation is pure, so instances
-can be shared and evaluated concurrently without locking.
+Each curve method states its formula once, in operators that take a float
+or a numpy array; a float stays in float arithmetic, far cheaper than numpy
+on a float.  Whether a custom callable broadcasts is decided once, at
+construction, from one call on a two-point float array; one that raises or
+returns another shape there is mapped over array elements.  Curve objects
+are immutable and pure, so instances can be shared and used concurrently.
 
 ``PARAMETERS`` are the sweepable model parameters, read by
 ``parameter_value`` and set on a copy by ``with_parameter``.
@@ -27,7 +29,7 @@ can be shared and evaluated concurrently without locking.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable
 
 import numpy as np
@@ -39,20 +41,45 @@ QUAD_ABS_TOL = 1e-10
 QUAD_MAX_DEPTH = 50
 
 
-def _is_array(x) -> bool:
-    return isinstance(x, np.ndarray)
+def _where(cond, x, y):
+    """``np.where(cond, x, y)``; ``x if cond else y`` for a float comparison."""
+    if isinstance(cond, np.ndarray):
+        return np.where(cond, x, y)
+    return x if cond else y
+
+
+def _require(ok, message: str, *args) -> None:
+    """Raise ``DomainError(message.format(*args))`` unless ``ok`` holds everywhere."""
+    if ok is not True and not (ok.all() if isinstance(ok, np.ndarray) else ok):
+        raise DomainError(message.format(*args))
+
+
+def _custom_callable(fn: Callable, probe_args: tuple | None = None) -> Callable:
+    """Wrap a user callable so its first argument may be a float or an array.
+
+    One call on ``probe_args`` decides whether ``fn`` broadcasts; without
+    them arrays are always mapped over their elements.  Floats give floats.
+    """
+    try:
+        broadcasts = probe_args is not None and np.shape(fn(*probe_args)) == probe_args[0].shape
+    except (TypeError, ValueError, ArithmeticError):
+        broadcasts = False
+
+    def call(x, *args):
+        if not isinstance(x, np.ndarray):
+            return float(fn(x, *args))
+        if broadcasts:
+            return np.asarray(fn(x, *args), dtype=float)
+        return np.array([float(fn(float(v), *args)) for v in x.flat]).reshape(x.shape)
+    return call
 
 
 def _central_diff(f: Callable, x, lo: float, hi: float, rel_step: float = FD_REL_STEP):
     """Central difference of f at x (float or array), one-sided at [lo, hi] edges."""
-    if _is_array(x):
-        h = rel_step * np.maximum(1.0, np.abs(x))
-        a, b = np.where(x - h < lo, x, x - h), np.where(x + h > hi, x, x + h)
-    else:
-        h = rel_step * max(1.0, abs(x))
-        a, b = (x if x - h < lo else x - h), (x if x + h > hi else x + h)
-    if np.any(a == b):
-        raise DomainError("finite-difference interval collapsed to a point")
+    h = rel_step * _where(abs(x) > 1.0, abs(x), 1.0)
+    a = _where(x - h < lo, x, x - h)
+    b = _where(x + h > hi, x, x + h)
+    _require(a != b, "finite-difference interval collapsed to a point")
     return (f(b) - f(a)) / (b - a)
 
 
@@ -82,18 +109,11 @@ def adaptive_simpson(f: Callable[[float], float], a: float, b: float,
     return recurse(a, b, fa, fm, fb, simpson(a, b, fa, fm, fb), tol, 0)
 
 
-def _map_maybe_array(fn: Callable, x, *args):
-    """Call fn elementwise when it rejects array input (non-vectorized customs)."""
-    if not _is_array(x):
-        return fn(x, *args)
-    try:
-        out = fn(x, *args)
-    except Exception:
-        return np.array([float(fn(float(v), *args)) for v in x])
-    out = np.asarray(out, dtype=float)
-    if out.shape != x.shape:
-        return np.array([float(fn(float(v), *args)) for v in x])
-    return out
+class _CustomCurve:
+    """Pickled by its fields, so the wrappers built at construction are rebuilt."""
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
 
 # ---------------------------------------------------------------------------
@@ -101,11 +121,9 @@ def _map_maybe_array(fn: Callable, x, *args):
 # ---------------------------------------------------------------------------
 
 def _check_gain_args(phi, sensitivity) -> None:
-    if sensitivity <= 0:
+    if not sensitivity > 0:
         raise DomainError(f"sensitivity must be positive, got {sensitivity}")
-    bad = np.any(phi < 0) if _is_array(phi) else phi < 0
-    if bad:
-        raise DomainError("congestion level must be nonnegative")
+    _require(phi >= 0, "congestion level must be nonnegative")
 
 
 class GainCurve:
@@ -124,20 +142,13 @@ class GainCurve:
 
     def elasticity(self, phi, sensitivity):
         """Congestion elasticity phi * |slope| / value; 0 in the phi -> 0 limit."""
-        _check_gain_args(phi, sensitivity)
         v = self.value(phi, sensitivity)
         d = self.slope(phi, sensitivity)
-        if _is_array(phi):
-            return np.where(phi > 0, phi * np.abs(d) / v, 0.0)
-        if phi == 0:
-            return 0.0
-        return phi * abs(d) / v
+        return _where(phi > 0, phi * abs(d) / v, 0.0)
 
     def hazard(self, phi, sensitivity):
         """Hazard of the gain, |slope| / value (gain is strictly positive)."""
-        v = self.value(phi, sensitivity)
-        d = self.slope(phi, sensitivity)
-        return abs(d) / v if not _is_array(phi) else np.abs(d) / v
+        return abs(self.slope(phi, sensitivity)) / self.value(phi, sensitivity)
 
 
 @dataclass(frozen=True)
@@ -167,7 +178,7 @@ class ExponentialGain(GainCurve):
 
 
 @dataclass(frozen=True)
-class CustomGain(GainCurve):
+class CustomGain(GainCurve, _CustomCurve):
     """Gain from a user-supplied value callable (phi, s) -> rho.
 
     The slope falls back to a central finite difference when no analytic
@@ -179,16 +190,20 @@ class CustomGain(GainCurve):
     value_fn: Callable = field(compare=False)
     slope_fn: Callable | None = field(default=None, compare=False)
 
+    def __post_init__(self):
+        probe = (np.array([0.5, 1.0]), 1.0)
+        value = _custom_callable(self.value_fn, probe)
+        slope = (_custom_callable(self.slope_fn, probe) if self.slope_fn is not None else
+                 lambda phi, s: _central_diff(lambda x: value(x, s), phi, 0.0, math.inf))
+        vars(self).update(_value=value, _slope=slope)
+
     def value(self, phi, sensitivity):
         _check_gain_args(phi, sensitivity)
-        return _map_maybe_array(self.value_fn, phi, sensitivity)
+        return self._value(phi, sensitivity)
 
     def slope(self, phi, sensitivity):
         _check_gain_args(phi, sensitivity)
-        if self.slope_fn is not None:
-            return _map_maybe_array(self.slope_fn, phi, sensitivity)
-        return _central_diff(lambda x: _map_maybe_array(self.value_fn, x, sensitivity),
-                             phi, 0.0, math.inf)
+        return self._slope(phi, sensitivity)
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +211,7 @@ class CustomGain(GainCurve):
 # ---------------------------------------------------------------------------
 
 def _check_capacity(capacity) -> None:
-    if capacity <= 0:
+    if not capacity > 0:
         raise DomainError(f"capacity must be positive, got {capacity}")
 
 
@@ -248,26 +263,21 @@ class CapacitySharing(CongestionCurve):
 
     def congestion(self, throughput, capacity):
         _check_capacity(capacity)
-        bad = np.any(throughput < 0) if _is_array(throughput) else throughput < 0
-        if bad:
-            raise DomainError("throughput must be nonnegative")
+        _require(throughput >= 0, "throughput must be nonnegative")
         return throughput / capacity
 
     def congestion_slope(self, throughput, capacity):
         _check_capacity(capacity)
-        return (1.0 / capacity if not _is_array(throughput)
-                else np.full_like(throughput, 1.0 / capacity))
+        return 0.0 * throughput + 1.0 / capacity     # in throughput's shape, as floats
 
     def implied_throughput(self, phi, capacity):
         _check_capacity(capacity)
-        bad = np.any(phi < 0) if _is_array(phi) else phi < 0
-        if bad:
-            raise DomainError("congestion level must be nonnegative")
+        _require(phi >= 0, "congestion level must be nonnegative")
         return phi * capacity
 
     def throughput_slope(self, phi, capacity, throughput=None):
         _check_capacity(capacity)
-        return capacity if not _is_array(phi) else np.full_like(phi, capacity)
+        return 0.0 * phi + capacity
 
     def capacity_slope(self, phi, capacity, throughput=None):
         _check_capacity(capacity)
@@ -280,12 +290,8 @@ class MM1Queue(CongestionCurve):
 
     def congestion(self, throughput, capacity):
         _check_capacity(capacity)
-        if _is_array(throughput):
-            if np.any(throughput < 0) or np.any(throughput >= capacity):
-                raise DomainError("M/M/1 requires 0 <= throughput < capacity")
-        elif throughput < 0 or throughput >= capacity:
-            raise DomainError(
-                f"M/M/1 requires 0 <= throughput < capacity, got lam={throughput}, mu={capacity}")
+        _require((throughput >= 0) & (throughput < capacity), "M/M/1 requires 0 <= "
+                 "throughput < capacity, got lam={}, mu={}", throughput, capacity)
         return 1.0 / (capacity - throughput)
 
     def congestion_slope(self, throughput, capacity):
@@ -295,9 +301,7 @@ class MM1Queue(CongestionCurve):
     def implied_throughput(self, phi, capacity):
         _check_capacity(capacity)
         floor = 1.0 / capacity
-        bad = np.any(phi < floor) if _is_array(phi) else phi < floor
-        if bad:
-            raise DomainError(f"M/M/1 congestion cannot fall below 1/capacity = {floor}")
+        _require(phi >= floor, "M/M/1 congestion cannot fall below 1/capacity = {}", floor)
         return capacity - 1.0 / phi
 
     def throughput_limit(self, capacity):
@@ -310,34 +314,39 @@ class MM1Queue(CongestionCurve):
 
     def capacity_slope(self, phi, capacity, throughput=None):
         _check_capacity(capacity)
-        return 1.0 if not _is_array(phi) else np.ones_like(phi)
+        return 0.0 * phi + 1.0
 
 
 @dataclass(frozen=True)
-class CustomCongestion(CongestionCurve):
+class CustomCongestion(CongestionCurve, _CustomCurve):
     """Congestion law from a user-supplied (throughput, capacity) callable.
 
     Only monotonicity is required of the callable: the slopes are the
     central differences of the forward map that ``CongestionCurve`` defines,
-    and the inverse is bisected for unless an analytic ``inverse_fn`` is given.
+    and the inverse is bisected for unless an analytic ``inverse_fn`` is given
+    (no solver calls the inverse, so it is not probed: arrays are mapped).
     """
 
     congestion_fn: Callable = field(compare=False)
     inverse_fn: Callable | None = field(default=None, compare=False)
 
+    def __post_init__(self):
+        inverse = self._bisect_inverse if self.inverse_fn is None else self.inverse_fn
+        vars(self).update(_inverse=_custom_callable(inverse), _congestion=_custom_callable(
+            self.congestion_fn, (np.array([0.25, 0.5]), 1.0)))
+
     def congestion(self, throughput, capacity):
         _check_capacity(capacity)
         try:
-            return _map_maybe_array(self.congestion_fn, throughput, capacity)
+            return self._congestion(throughput, capacity)
         except (ArithmeticError, ValueError) as exc:
             raise DomainError(f"congestion law undefined at throughput {throughput}: {exc}") from exc
 
     def implied_throughput(self, phi, capacity):
         _check_capacity(capacity)
-        if self.inverse_fn is not None:
-            return _map_maybe_array(self.inverse_fn, phi, capacity)
-        if _is_array(phi):
-            return np.array([self.implied_throughput(float(v), capacity) for v in phi])
+        return self._inverse(phi, capacity)
+
+    def _bisect_inverse(self, phi: float, capacity: float) -> float:
         floor = self.congestion_fn(0.0, capacity)
         if phi < floor:
             raise DomainError(f"congestion {phi} below zero-throughput floor {floor}")
@@ -347,16 +356,14 @@ class CustomCongestion(CongestionCurve):
         def reaches(lam):       # a throughput outside the callable's domain is too high
             try:
                 return self.congestion_fn(lam, capacity) >= phi
-            except (DomainError, ValueError, ZeroDivisionError, OverflowError):
+            except (ArithmeticError, ValueError):
                 return True
 
         lo, hi = 0.0, 1.0
-        for _ in range(200):
-            if reaches(hi):
-                break
+        while not reaches(hi):
             lo, hi = hi, hi * 2.0
-        else:
-            raise DomainError(f"no throughput induces congestion {phi}")
+            if hi > 2.0 ** 199:
+                raise DomainError(f"no throughput induces congestion {phi}")
         mid = 0.5 * (lo + hi)
         while lo < mid < hi and hi - lo > 1e-15 * max(1.0, hi):
             lo, hi = (lo, mid) if reaches(mid) else (mid, hi)
@@ -375,37 +382,37 @@ class DemandCurve:
     [0, support), zero from the support bound on.  ``hazard`` is
     -slope/value, ``surplus`` the integral of the demand from the price to
     the support bound, and ``per_unit_surplus`` their ratio surplus/value.
+    A family supplies ``_value``, ``_slope`` and ``_surplus`` for prices
+    (float or array) in [0, support].
     """
 
     support: float
 
     def value(self, price):
-        raise NotImplementedError
+        return self._below_support(self._value, price)
 
     def slope(self, price):
-        raise NotImplementedError
+        return self._below_support(self._slope, price)
 
-    def _check_price(self, price) -> None:
-        bad = np.any(price < 0) if _is_array(price) else price < 0
-        if bad:
-            raise DomainError("price must be nonnegative")
+    def surplus(self, price):
+        return self._below_support(self._surplus, price)
 
     def _check_interior(self, price) -> None:
-        self._check_price(price)
-        bad = np.any(price >= self.support) if _is_array(price) else price >= self.support
-        if bad:
-            raise DomainError(
-                f"price must lie below the demand support bound {self.support}")
+        """Price below the support bound (value, slope and surplus check price >= 0)."""
+        _require(price < self.support,
+                 "price must lie below the demand support bound {}", self.support)
+
+    def _below_support(self, fn: Callable, price):
+        """fn(price) on [0, support) and 0 from the support bound on; fn sees no price above it."""
+        _require(price >= 0, "price must be nonnegative")
+        if isinstance(price, np.ndarray):
+            return np.where(price < self.support, fn(np.minimum(price, self.support)), 0.0)
+        return fn(price) if price < self.support else 0.0
 
     def hazard(self, price):
         """Decay rate -slope/value; defined only where demand is positive."""
         self._check_interior(price)
-        v = self.value(price)
-        d = self.slope(price)
-        return -d / v
-
-    def surplus(self, price):
-        raise NotImplementedError
+        return -self.slope(price) / self.value(price)
 
     def per_unit_surplus(self, price):
         """Average surplus per unit of demand, surplus / value."""
@@ -418,8 +425,34 @@ class DemandCurve:
         return self.value(price) / self.surplus(price)
 
 
+class _PowerDemand(DemandCurve):
+    """Demand 1 - x**k on [0, 1], with surplus (1 - x) - c * (1 - x**k1) / d.
+
+    ``_shape`` maps the parameter named ``_parameter`` to (k, k1 = k + 1, c, d
+    with c / d = 1 / k1), each in the rounding order of the family's closed form.
+    """
+
+    def __post_init__(self):
+        value = getattr(self, self._parameter)
+        _require(value > 0, "{} must be positive, got {}", self._parameter, value)
+        k, k1, c, d = self._shape(value)
+        # the slope's limit at x = 0, where x**(k - 1) diverges for k < 1
+        at_zero = -k if k == 1.0 else (0.0 if k > 1.0 else -math.inf)
+        vars(self).update(_k=k, _k1=k1, _c=c, _d=d, _slope_at_zero=at_zero)
+
+    def _value(self, x):
+        return 1.0 - x ** self._k
+
+    def _slope(self, x):
+        k = self._k     # x + (x == 0) keeps 0 ** (k - 1) out; _where puts the limit there
+        return _where(x > 0.0, -k * (x + (x == 0.0)) ** (k - 1.0), self._slope_at_zero)
+
+    def _surplus(self, x):
+        return (1.0 - x) - self._c * (1.0 - x ** self._k1) / self._d
+
+
 @dataclass(frozen=True)
-class UserPowerDemand(DemandCurve):
+class UserPowerDemand(_PowerDemand):
     """User-side demand m(p) = 1 - p**(1/alpha) on [0, 1].
 
     Larger alpha thins the population at every price, which models a more
@@ -428,44 +461,12 @@ class UserPowerDemand(DemandCurve):
 
     alpha: float = 1.0
     support: float = field(default=1.0, init=False)
-
-    def __post_init__(self):
-        if self.alpha <= 0:
-            raise DomainError(f"alpha must be positive, got {self.alpha}")
-
-    def value(self, price):
-        self._check_price(price)
-        e = 1.0 / self.alpha
-        if _is_array(price):
-            return np.where(price < 1.0, 1.0 - np.power(np.minimum(price, 1.0), e), 0.0)
-        return 1.0 - price ** e if price < 1.0 else 0.0
-
-    def slope(self, price):
-        self._check_price(price)
-        e = 1.0 / self.alpha
-        if _is_array(price):
-            with np.errstate(divide="ignore"):
-                return np.where(price < 1.0, -e * np.power(price, e - 1.0), 0.0)
-        if price >= 1.0:
-            return 0.0
-        if price == 0.0:
-            return -e if e == 1.0 else (0.0 if e > 1.0 else -math.inf)
-        return -e * price ** (e - 1.0)
-
-    def surplus(self, price):
-        self._check_price(price)
-        a = self.alpha
-        k = (a + 1.0) / a
-        if _is_array(price):
-            p = np.minimum(price, 1.0)
-            return (1.0 - p) - a / (a + 1.0) * (1.0 - np.power(p, k))
-        if price >= 1.0:
-            return 0.0
-        return (1.0 - price) - a / (a + 1.0) * (1.0 - price ** k)
+    _parameter = "alpha"
+    _shape = staticmethod(lambda a: (1.0 / a, (a + 1.0) / a, a / (a + 1.0), 1.0))
 
 
 @dataclass(frozen=True)
-class CpPowerDemand(DemandCurve):
+class CpPowerDemand(_PowerDemand):
     """Content-side demand n(q) = 1 - q**beta on [0, 1].
 
     Larger beta raises the desirable throughput at every price, which models
@@ -474,43 +475,12 @@ class CpPowerDemand(DemandCurve):
 
     beta: float = 1.0
     support: float = field(default=1.0, init=False)
-
-    def __post_init__(self):
-        if self.beta <= 0:
-            raise DomainError(f"beta must be positive, got {self.beta}")
-
-    def value(self, price):
-        self._check_price(price)
-        b = self.beta
-        if _is_array(price):
-            return np.where(price < 1.0, 1.0 - np.power(np.minimum(price, 1.0), b), 0.0)
-        return 1.0 - price ** b if price < 1.0 else 0.0
-
-    def slope(self, price):
-        self._check_price(price)
-        b = self.beta
-        if _is_array(price):
-            with np.errstate(divide="ignore"):
-                return np.where(price < 1.0, -b * np.power(price, b - 1.0), 0.0)
-        if price >= 1.0:
-            return 0.0
-        if price == 0.0:
-            return -b if b == 1.0 else (0.0 if b > 1.0 else -math.inf)
-        return -b * price ** (b - 1.0)
-
-    def surplus(self, price):
-        self._check_price(price)
-        b = self.beta
-        if _is_array(price):
-            p = np.minimum(price, 1.0)
-            return (1.0 - p) - (1.0 - np.power(p, b + 1.0)) / (b + 1.0)
-        if price >= 1.0:
-            return 0.0
-        return (1.0 - price) - (1.0 - price ** (b + 1.0)) / (b + 1.0)
+    _parameter = "beta"
+    _shape = staticmethod(lambda b: (b, b + 1.0, 1.0, b + 1.0))
 
 
 @dataclass(frozen=True)
-class CustomDemand(DemandCurve):
+class CustomDemand(DemandCurve, _CustomCurve):
     """Demand from a user-supplied value callable on [0, support].
 
     The support bound must be declared explicitly; it cannot be inferred
@@ -525,41 +495,14 @@ class CustomDemand(DemandCurve):
     surplus_fn: Callable | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        if self.support <= 0:
-            raise DomainError(f"support must be positive, got {self.support}")
-
-    def value(self, price):
-        self._check_price(price)
-        if _is_array(price):
-            out = _map_maybe_array(self.value_fn, np.minimum(price, self.support))
-            return np.where(price < self.support, out, 0.0)
-        return float(self.value_fn(price)) if price < self.support else 0.0
-
-    def slope(self, price):
-        self._check_price(price)
-        if self.slope_fn is not None:
-            if _is_array(price):
-                out = _map_maybe_array(self.slope_fn, np.minimum(price, self.support))
-                return np.where(price < self.support, out, 0.0)
-            return float(self.slope_fn(price)) if price < self.support else 0.0
-        if _is_array(price):
-            return np.array([self.slope(float(v)) for v in price])
-        if price >= self.support:
-            return 0.0
-        return _central_diff(self.value_fn, price, 0.0, self.support)
-
-    def surplus(self, price):
-        self._check_price(price)
-        if self.surplus_fn is not None:
-            if _is_array(price):
-                out = _map_maybe_array(self.surplus_fn, np.minimum(price, self.support))
-                return np.where(price < self.support, out, 0.0)
-            return float(self.surplus_fn(price)) if price < self.support else 0.0
-        if _is_array(price):
-            return np.array([self.surplus(float(v)) for v in price])
-        if price >= self.support:
-            return 0.0
-        return adaptive_simpson(self.value_fn, price, self.support)
+        _require(self.support > 0, "support must be positive, got {}", self.support)
+        probe = (np.array([0.25, 0.5]) * self.support,)
+        value = _custom_callable(self.value_fn, probe)
+        slope = (_custom_callable(self.slope_fn, probe) if self.slope_fn is not None else
+                 lambda x: _central_diff(value, x, 0.0, self.support))
+        surplus = _custom_callable(self.surplus_fn, probe) if self.surplus_fn is not None else (
+            _custom_callable(lambda x: adaptive_simpson(value, x, self.support)))
+        vars(self).update(_value=value, _slope=slope, _surplus=surplus)
 
 
 # ---------------------------------------------------------------------------
@@ -579,10 +522,8 @@ class MarketModel:
     sensitivity: float = 1.0
 
     def __post_init__(self):
-        if self.capacity <= 0:
-            raise DomainError(f"capacity must be positive, got {self.capacity}")
-        if self.sensitivity <= 0:
-            raise DomainError(f"sensitivity must be positive, got {self.sensitivity}")
+        _check_capacity(self.capacity)
+        _require(self.sensitivity > 0, "sensitivity must be positive, got {}", self.sensitivity)
         price_ceiling = self.user_demand.support + self.cp_demand.support
         if not 0.0 <= self.cost < price_ceiling:
             raise DomainError(

@@ -1,6 +1,8 @@
 """Curve primitives: values, derivatives, hazards, surpluses, invariants."""
 
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -8,7 +10,9 @@ import pytest
 from netpricing import (CapacitySharing, CpPowerDemand, CustomCongestion,
                         CustomDemand, CustomGain, DomainError, ExponentialGain,
                         MarketModel, MM1Queue, ReciprocalGain, UserPowerDemand,
-                        baseline_model, finite_difference)
+                        baseline_model, comparative_statics, evaluate_objectives,
+                        finite_difference, growth_rates, optimize_profit,
+                        solve_equilibrium)
 from netpricing.curves import PARAMETERS, parameter_value, with_parameter
 
 GAINS = [ReciprocalGain(), ExponentialGain()]
@@ -330,3 +334,139 @@ def test_parameter_table_round_trip():
         user_demand=CustomDemand(lambda p: 1.0 - p), cp_demand=CpPowerDemand())
     with pytest.raises(DomainError, match="power-family user demand"):
         with_parameter(custom, "alpha", 2.0)
+
+
+# ---------------------------------------------------------------------------
+# floats and arrays
+# ---------------------------------------------------------------------------
+
+def _scalar_only_gain(phi, s):
+    return math.exp(-s * (0.5 * phi + 0.1 * phi * phi))
+
+
+def _scalar_only_law(lam, mu):
+    return math.expm1(lam) / mu
+
+
+def _scalar_only_demand(q):
+    return math.exp(-3.0 * q) - math.exp(-3.0)
+
+
+# Custom callables use only + - * / when they broadcast, and math functions
+# when they do not, so both paths round alike.  numpy's power may differ from
+# the C library's pow in the last ulp, which cancellation in the power-demand
+# surplus magnifies near the support bound, so evaluated prices below the
+# bound stay at or under 0.6 of it.
+_GAINS = [ReciprocalGain(), ExponentialGain(), CustomGain(_scalar_only_gain),
+          CustomGain(lambda phi, s: 1.0 / (1.0 + s * phi + 0.1 * phi * phi)),
+          CustomGain(lambda phi, s: 1.0 / (1.0 + s * phi),
+                     slope_fn=lambda phi, s: -s / ((1.0 + s * phi) * (1.0 + s * phi)))]
+_LAWS = [CapacitySharing(), MM1Queue(), CustomCongestion(_scalar_only_law),
+         CustomCongestion(lambda lam, mu: (lam + 0.2 * lam * lam) / mu),
+         CustomCongestion(lambda lam, mu: lam / mu, inverse_fn=lambda phi, mu: phi * mu)]
+_DEMANDS = [UserPowerDemand(alpha=0.5), UserPowerDemand(alpha=2.5), CpPowerDemand(beta=0.2),
+            CpPowerDemand(beta=1.0), CpPowerDemand(beta=3.0), CustomDemand(_scalar_only_demand),
+            CustomDemand(lambda q: (1.0 - q) * (1.0 - q)),
+            CustomDemand(lambda x: 2.0 - x, support=2.0, slope_fn=lambda x: -1.0 + 0.0 * x,
+                         surplus_fn=lambda x: 0.5 * (2.0 - x) * (2.0 - x))]
+_BUILTIN_LAW = (CapacitySharing, MM1Queue)
+
+
+def _float_array_cases():
+    """(curve, method, valid inputs, extra arguments, an out-of-domain input or None)."""
+    phis = [0.0, 0.3, 1.0, 2.5, 7.0]
+    for gain in _GAINS:
+        for method in ("value", "slope", "elasticity", "hazard"):
+            yield gain, method, phis, (1.3,), -0.5
+    mu = 2.0
+    for law in _LAWS:
+        builtin = isinstance(law, _BUILTIN_LAW)
+        lams, phis = [0.0, 0.3, 1.0, 1.9], [0.5, 0.8, 2.0, 10.0]     # phi >= 1 / mu
+        yield law, "congestion", lams, (mu,), -0.1 if builtin else None
+        yield law, "congestion_slope", lams, (mu,), -0.1 if isinstance(law, MM1Queue) else None
+        bisects = isinstance(law, CustomCongestion) and law.inverse_fn is None
+        yield law, "implied_throughput", phis, (mu,), -0.1 if builtin or bisects else None
+        yield law, "throughput_slope", phis, (mu,), None
+        yield law, "capacity_slope", phis, (mu,), None
+    for demand in _DEMANDS:
+        b = demand.support
+        for method in ("value", "slope", "surplus"):
+            yield demand, method, [0.0, 0.1 * b, 0.37 * b, 0.6 * b, b, 1.4 * b], (), -0.1
+        for method in ("hazard", "per_unit_surplus", "surplus_hazard"):
+            yield demand, method, [0.0, 0.1 * b, 0.37 * b, 0.6 * b], (), b
+
+
+@pytest.mark.parametrize("curve, method, xs, args, bad", [
+    pytest.param(*case, id=f"{type(case[0]).__name__}-{case[1]}-{i}")
+    for i, case in enumerate(_float_array_cases())])
+def test_array_inputs_match_float_inputs(curve, method, xs, args, bad):
+    fn = getattr(curve, method)
+    scalars = [fn(x, *args) for x in xs]
+    assert all(type(v) is float for v in scalars)
+    out = fn(np.array(xs), *args)
+    assert isinstance(out, np.ndarray) and out.shape == (len(xs),)
+    np.testing.assert_allclose(out, scalars, rtol=1e-14, atol=1e-15)
+    if bad is not None:
+        with pytest.raises(DomainError):
+            fn(bad, *args)
+        with pytest.raises(DomainError):
+            fn(np.array([xs[1], bad]), *args)
+
+
+def test_constant_slopes_of_integer_arrays_are_floats():
+    ints = np.array([1, 2])
+    for out, expected in ((CapacitySharing().congestion_slope(ints, 2.0), 0.5),
+                          (CapacitySharing().throughput_slope(ints, 2.5), 2.5),
+                          (MM1Queue().capacity_slope(ints, 3.0), 1.0)):
+        assert out.dtype == np.float64
+        np.testing.assert_array_equal(out, [expected, expected])
+
+
+def test_custom_callable_is_probed_once():
+    array_shapes = []
+
+    def value(phi, s):
+        if isinstance(phi, np.ndarray):
+            array_shapes.append(phi.shape)
+        return _scalar_only_gain(phi, s)
+
+    optimize_profit(baseline_model(gain=CustomGain(value)))
+    assert array_shapes == [(2,)]
+
+
+def test_custom_curves_pickle_by_their_callables():
+    xs = np.array([0.1, 0.4])
+    for curve, method, args in ((CustomGain(_scalar_only_gain), "slope", (1.3,)),
+                                (CustomCongestion(_scalar_only_law), "congestion_slope", (2.0,)),
+                                (CustomDemand(_scalar_only_demand, support=0.9), "surplus", ())):
+        copy = pickle.loads(pickle.dumps(curve))
+        assert dataclasses.astuple(copy) == dataclasses.astuple(curve)
+        np.testing.assert_array_equal(getattr(copy, method)(xs, *args),
+                                      getattr(curve, method)(xs, *args))
+
+
+def _float_fields(result, path):
+    """(path, value) of every float-annotated field, through nested dataclasses."""
+    for f in dataclasses.fields(result):
+        value = getattr(result, f.name)
+        if dataclasses.is_dataclass(value):
+            yield from _float_fields(value, f"{path}.{f.name}")
+        elif "float" in f.type:
+            yield f"{path}.{f.name}", value
+
+
+@pytest.mark.parametrize("gain", GAINS)
+@pytest.mark.parametrize("congestion", CONGESTIONS)
+@pytest.mark.parametrize("beta", [1.0, 0.2])
+def test_results_hold_python_floats(gain, congestion, beta):
+    model = baseline_model(gain=gain, congestion=congestion, beta=beta)
+    results = {"equilibrium": solve_equilibrium(model, 0.4, 0.5),
+               "objectives": evaluate_objectives(model, 0.4, 0.5),
+               "degenerate_objectives": evaluate_objectives(model, 1.0, 0.5),
+               "statics": comparative_statics(model, 0.4, 0.5),
+               "growth_rates": growth_rates(model)}
+    fields = [leaf for name, result in results.items() for leaf in _float_fields(result, name)]
+    assert len(fields) > 100
+    leaks = [(path, type(value)) for path, value in fields
+             if value is not None and type(value) is not float]
+    assert leaks == []
