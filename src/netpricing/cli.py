@@ -22,7 +22,7 @@ from .errors import ConfigError, NumericalError, VerificationError
 from .experiments import (emit_csv, format_value, run_sweep, verify_optima,
                           verify_sweep)
 from .optimize import growth_rates
-from .oracle import fixed_point_equilibrium
+from .oracle import fixed_point_equilibrium, reoptimization_gap
 from .sensitivity import optimal_price_sensitivity
 
 FIXED_POINT_AGREEMENT = 1e-10
@@ -168,6 +168,11 @@ def _cmd_sensitivity(args) -> int:
             raise VerificationError(
                 f"conclusive sign predictions failed: {', '.join(mismatched)}")
         print("verify: all conclusive sign predictions hold")
+        gap, agrees = reoptimization_gap(model, report)
+        print(f"verify: re-optimization derivative gap = {gap:.3e}")
+        if not agrees:
+            raise VerificationError(
+                f"implicit-function and re-optimized price derivatives disagree by {gap:.3e}")
     return 0
 
 

@@ -325,6 +325,9 @@ class CustomCongestion(CongestionCurve, _CustomCurve):
     central differences of the forward map that ``CongestionCurve`` defines,
     and the inverse is bisected for unless an analytic ``inverse_fn`` is given
     (no solver calls the inverse, so it is not probed: arrays are mapped).
+    As for the builtin laws, a negative or NaN throughput and a congestion
+    below the zero-throughput floor raise ``DomainError`` before either
+    callable is reached.
     """
 
     congestion_fn: Callable = field(compare=False)
@@ -337,20 +340,19 @@ class CustomCongestion(CongestionCurve, _CustomCurve):
 
     def congestion(self, throughput, capacity):
         _check_capacity(capacity)
+        _require(throughput >= 0, "throughput must be nonnegative")
         try:
             return self._congestion(throughput, capacity)
         except (ArithmeticError, ValueError) as exc:
             raise DomainError(f"congestion law undefined at throughput {throughput}: {exc}") from exc
 
     def implied_throughput(self, phi, capacity):
-        _check_capacity(capacity)
+        floor = self.congestion_floor(capacity)
+        _require(phi >= floor, "congestion {} below zero-throughput floor {}", phi, floor)
         return self._inverse(phi, capacity)
 
     def _bisect_inverse(self, phi: float, capacity: float) -> float:
-        floor = self.congestion_fn(0.0, capacity)
-        if phi < floor:
-            raise DomainError(f"congestion {phi} below zero-throughput floor {floor}")
-        if phi == floor:
+        if phi == self.congestion_fn(0.0, capacity):
             return 0.0
 
         def reaches(lam):       # a throughput outside the callable's domain is too high

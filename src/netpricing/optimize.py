@@ -17,7 +17,10 @@ gradient points out of the box is held exactly there, so corner optima
 central difference of the analytic gradient and every step is backtracked on
 the objective.  Prices are accepted once the free gradient is below
 ``GRAD_TOL`` or a step moves them less than ``STEP_TOL``; reaching
-``NEWTON_MAX_STEPS`` raises ``ConvergenceError``.
+``NEWTON_MAX_STEPS`` raises ``ConvergenceError``.  The objectives
+(``profit_objective``, ``welfare_objective``) and ``differenced_hessian``
+are public: the price sensitivities differentiate the same first-order
+conditions.
 
 First-order-condition residuals: the KKT residual of hazard equalization
 over the prices not held at a box edge, and, for interior optima only, the
@@ -50,6 +53,25 @@ _COARSE_POINTS = 101
 _SCAN_POINTS = 2001
 
 
+def differenced_hessian(objective, x: np.ndarray, free: np.ndarray,
+                        lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Symmetrized central difference of the objective's gradient on the free
+    coordinates, at a relative step of ``HESSIAN_STEP`` clipped to [lo, hi]."""
+    idx = np.flatnonzero(free)
+    hess = np.empty((idx.size, idx.size))
+    for col, j in enumerate(idx):
+        h = HESSIAN_STEP * max(1.0, abs(x[j]))
+        up, down = x.copy(), x.copy()
+        up[j], down[j] = min(x[j] + h, hi[j]), max(x[j] - h, lo[j])
+        hess[:, col] = (objective(up)[1][idx] - objective(down)[1][idx]) / (up[j] - down[j])
+    return 0.5 * (hess + hess.T)
+
+
+def is_negative_definite(hess: np.ndarray) -> bool:
+    """Whether a symmetric matrix is finite with only negative eigenvalues."""
+    return bool(np.all(np.isfinite(hess)) and np.all(np.linalg.eigvalsh(hess) < 0.0))
+
+
 def _newton_direction(objective, x: np.ndarray, g: np.ndarray, free: np.ndarray,
                       lo: np.ndarray, hi: np.ndarray, width: float) -> np.ndarray:
     """Newton ascent direction on the free coordinates.
@@ -58,16 +80,9 @@ def _newton_direction(objective, x: np.ndarray, g: np.ndarray, free: np.ndarray,
     signs when the differenced Hessian is not negative definite there; the
     signs stay defined where a hazard, and so the gradient, diverges.
     """
-    idx = np.flatnonzero(free)
-    hess = np.empty((idx.size, idx.size))
-    for col, j in enumerate(idx):
-        h = HESSIAN_STEP * max(1.0, abs(x[j]))
-        up, down = x.copy(), x.copy()
-        up[j], down[j] = min(x[j] + h, hi[j]), max(x[j] - h, lo[j])
-        hess[:, col] = (objective(up)[1][idx] - objective(down)[1][idx]) / (up[j] - down[j])
-    hess = 0.5 * (hess + hess.T)
-    g_free = g[idx]
-    if np.all(np.isfinite(hess)) and np.all(np.linalg.eigvalsh(hess) < 0.0):
+    hess = differenced_hessian(objective, x, free, lo, hi)
+    g_free = g[free]
+    if is_negative_definite(hess):
         return np.linalg.solve(hess, -g_free)
     return np.sign(g_free) * width
 
@@ -139,6 +154,7 @@ class OptimumReport:
     equilibrium: Equilibrium
     diagnostics: OptimumDiagnostics
     boundary: bool              # optimum pinned at the search box edge; FOC residuals not guaranteed
+    held: bool                  # a price is fixed or exactly at a search-set edge; its FOC need not hold
     iterations: int             # Newton steps taken; 0 when nothing is searched
 
 
@@ -172,37 +188,47 @@ def _profit_diagnostics(model: MarketModel, p: float, q: float, eq: Equilibrium,
     )
 
 
-def optimize_profit(model: MarketModel) -> OptimumReport:
-    """Two-sided profit maximizer over the clamped price box."""
-    p_hi = model.user_demand.support * _CLAMP
-    q_hi = model.cp_demand.support * _CLAMP
+def profit_box(model: MarketModel) -> tuple[float, float]:
+    """Upper corner (p_hi, q_hi) of the clamped profit price box; (0, 0) is its lower one."""
+    return model.user_demand.support * _CLAMP, model.cp_demand.support * _CLAMP
 
+
+def profit_objective(model: MarketModel):
+    """x = (p, q) -> (U, (dU/dp, dU/dq), report): what ``optimize_profit`` maximizes."""
     def objective(x):
         report = evaluate_objectives(model, float(x[0]), float(x[1]))
         g = report.gradients
         return report.profit, np.array([g.profit_price_user, g.profit_price_cp]), report
+    return objective
 
+
+def optimize_profit(model: MarketModel) -> OptimumReport:
+    """Two-sided profit maximizer over the clamped price box."""
+    p_hi, q_hi = profit_box(model)
     start = _coarse_profit_grid(model, p_hi, q_hi)
     width = max(p_hi, q_hi) / (_COARSE_POINTS - 1)
-    x, report, steps = _projected_newton(objective, start, (0.0, 0.0), (p_hi, q_hi), width)
+    x, report, steps = _projected_newton(profit_objective(model), start, (0.0, 0.0),
+                                         (p_hi, q_hi), width)
     p, q = float(x[0]), float(x[1])
     eq = report.equilibrium
     boundary = (min(p, p_hi - p) < BOUNDARY_EPS) or (min(q, q_hi - q) < BOUNDARY_EPS)
+    held = (p in (0.0, p_hi), q in (0.0, q_hi))
     return OptimumReport(
         kind="profit_two_sided",
         prices=PricePair(p, q),
         objective=report.profit,
         equilibrium=eq,
-        diagnostics=_profit_diagnostics(model, p, q, eq, (p in (0.0, p_hi), q in (0.0, q_hi))),
+        diagnostics=_profit_diagnostics(model, p, q, eq, held),
         boundary=boundary,
+        held=any(held),
         iterations=steps,
     )
 
 
-def _welfare_segment(model: MarketModel) -> tuple[float, float]:
+def welfare_segment(model: MarketModel) -> tuple[float, float]:
+    """Range [lo, hi] of the user price p on the zero-profit segment q = cost - p."""
     c = model.cost
-    p_hi_cap = model.user_demand.support * _CLAMP
-    q_hi_cap = model.cp_demand.support * _CLAMP
+    p_hi_cap, q_hi_cap = profit_box(model)
     if not 0.0 < c < p_hi_cap + q_hi_cap:
         raise DomainError("zero-profit pricing needs 0 < cost < combined support")
     lo, hi = max(0.0, c - q_hi_cap), min(c, p_hi_cap)
@@ -229,9 +255,9 @@ def _welfare_diagnostics(model: MarketModel, p: float, q: float, eq: Equilibrium
     )
 
 
-def optimize_welfare(model: MarketModel) -> OptimumReport:
-    """Welfare maximizer on the zero-profit segment p + q = cost."""
-    lo, hi = _welfare_segment(model)
+def welfare_objective(model: MarketModel):
+    """x = (p,) -> (W_m + W_n, (dW/dp - dW/dq,), report) along q = cost - p:
+    what ``optimize_welfare`` maximizes."""
     c = model.cost
 
     def objective(x):
@@ -239,7 +265,13 @@ def optimize_welfare(model: MarketModel) -> OptimumReport:
         g = report.gradients
         return (report.surplus_welfare,
                 np.array([g.welfare_price_user - g.welfare_price_cp]), report)
+    return objective
 
+
+def optimize_welfare(model: MarketModel) -> OptimumReport:
+    """Welfare maximizer on the zero-profit segment p + q = cost."""
+    lo, hi = welfare_segment(model)
+    c = model.cost
     p_axis = np.linspace(lo, hi, _SCAN_POINTS)
     m_vals = model.user_demand.value(p_axis)
     n_vals = model.cp_demand.value(model.cost - p_axis)
@@ -251,19 +283,22 @@ def optimize_welfare(model: MarketModel) -> OptimumReport:
         scan = np.where((m_vals > 0) & (n_vals > 0), (s_m + s_n) * lam, 0.0)
     start = float(p_axis[int(np.argmax(scan))])
     width = (hi - lo) / (_SCAN_POINTS - 1)
-    x, report, steps = _projected_newton(objective, [start], [lo], [hi], width)
+    x, report, steps = _projected_newton(welfare_objective(model), [start], [lo], [hi],
+                                         width)
     p = float(x[0])
     q = c - p
 
     eq = report.equilibrium
     boundary = min(p - lo, hi - p) < BOUNDARY_EPS
+    held = p in (lo, hi)
     return OptimumReport(
         kind="welfare_two_sided",
         prices=PricePair(p, q),
         objective=report.surplus_welfare,
         equilibrium=eq,
-        diagnostics=_welfare_diagnostics(model, p, q, eq, p in (lo, hi)),
+        diagnostics=_welfare_diagnostics(model, p, q, eq, held),
         boundary=boundary,
+        held=held,
         iterations=steps,
     )
 
@@ -275,7 +310,7 @@ def optimize_one_sided(model: MarketModel, kind: str) -> OptimumReport:
     pinned by the zero-profit constraint at (cost, 0).
     """
     if kind == "profit":
-        p_hi = model.user_demand.support * _CLAMP
+        p_hi = profit_box(model)[0]
 
         def objective(x):
             report = evaluate_objectives(model, float(x[0]), 0.0)
@@ -300,6 +335,7 @@ def optimize_one_sided(model: MarketModel, kind: str) -> OptimumReport:
             equilibrium=eq,
             diagnostics=_profit_diagnostics(model, p, 0.0, eq, (p in (0.0, p_hi), True)),
             boundary=min(p, p_hi - p) < BOUNDARY_EPS,
+            held=True,          # q is fixed at 0
             iterations=steps,
         )
     if kind == "welfare":
@@ -319,6 +355,7 @@ def optimize_one_sided(model: MarketModel, kind: str) -> OptimumReport:
                 elasticity=eq.elasticity,
             ),
             boundary=True,      # the constraint leaves no interior freedom
+            held=True,
             iterations=0,
         )
     raise DomainError(f"unknown one-sided kind {kind!r}")

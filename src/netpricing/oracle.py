@@ -8,7 +8,10 @@ Three independent routes live here:
 * ``fixed_point_equilibrium``: damped fixed-point iteration on the
   congestion map, an alternative to the Newton equilibrium solver;
 * ``finite_difference``: central (optionally five-point) differencing for
-  gradient cross-checks.
+  gradient cross-checks;
+* ``reoptimized_price_derivatives``: central differences of re-optimized
+  prices, the reference for the implicit-function price sensitivities
+  (``reoptimization_gap`` compares a sensitivity report with it).
 
 These ship in the library, not the test tree, so the CLI can re-verify any
 result against them (``--verify``).
@@ -20,13 +23,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import MarketModel
+from .curves import MarketModel, parameter_value, with_parameter
 from .equilibrium import solve_many
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, NumericalError
+from .optimize import optimize_profit, optimize_welfare
+from .sensitivity import SensitivityReport
 
 FIXED_POINT_THETA = 0.5
 FIXED_POINT_MAX_ITER = 100_000
 FIXED_POINT_REL_TOL = 1e-12
+REOPTIMIZATION_AGREEMENT = 1e-4     # relative to the largest |price derivative|
 _CHUNK = 250_000
 
 
@@ -163,3 +169,34 @@ def finite_difference(f, x: float, rel_step: float = 1e-5,
     if five_point:
         return (-f(x + 2 * h) + 8 * f(x + h) - 8 * f(x - h) + f(x - 2 * h)) / (12 * h)
     return (f(x + h) - f(x - h)) / (2 * h)
+
+
+def reoptimized_price_derivatives(model: MarketModel, parameter: str,
+                                  step: float) -> tuple[float, float, float, float]:
+    """(dp*/dx, dq*/dx, dp_o/dx, dq_o/dx) by re-optimizing at x -/+ ``step``.
+
+    Four optima, central-differenced; the profit optima must be interior on
+    both sides of the stencil.
+    """
+    base = parameter_value(model, parameter)
+    lo_model = with_parameter(model, parameter, base - step)
+    hi_model = with_parameter(model, parameter, base + step)
+    profit_lo, profit_hi = optimize_profit(lo_model), optimize_profit(hi_model)
+    welfare_lo, welfare_hi = optimize_welfare(lo_model), optimize_welfare(hi_model)
+    if profit_lo.boundary or profit_hi.boundary:
+        raise NumericalError("profit optimum is not interior across the stencil")
+
+    def slopes(lo, hi):
+        return ((hi.prices.user - lo.prices.user) / (2 * step),
+                (hi.prices.cp - lo.prices.cp) / (2 * step))
+    return slopes(profit_lo, profit_hi) + slopes(welfare_lo, welfare_hi)
+
+
+def reoptimization_gap(model: MarketModel, report: SensitivityReport) -> tuple[float, bool]:
+    """Largest gap between the report's four price derivatives and
+    ``reoptimized_price_derivatives`` at the report's own step, and whether it
+    is within ``REOPTIMIZATION_AGREEMENT`` times the largest |derivative|."""
+    derivs = report.profit_price_derivs + report.welfare_price_derivs
+    reference = reoptimized_price_derivatives(model, report.parameter, report.step)
+    gap = max(abs(a - b) for a, b in zip(derivs, reference))
+    return gap, gap <= REOPTIMIZATION_AGREEMENT * max(abs(d) for d in derivs)

@@ -1,9 +1,23 @@
 """How the optimal prices move as capacity or congestion sensitivity moves.
 
-Derivatives are taken by re-optimizing at parameter * (1 +/- step) and
-central-differencing the resulting prices; the optimizers solve their
-first-order conditions to a gradient of 1e-10, which pins prices many orders
-below the default relative step of 1e-3, so differencing noise is negligible.
+Derivatives come from the implicit function theorem at each base optimum,
+as the paper derives its corollaries: differentiate the first-order
+conditions instead of re-optimizing.
+
+* profit: g(p, q; x) = (dU/dp, dU/dq) = 0 at (p*, q*), so
+  d(p*, q*)/dx = -H^-1 dg/dx, with H the optimizer's differenced Hessian
+  and dg/dx a central difference of the analytic gradient in x at the fixed
+  optimal prices (relative step 1e-3: one equilibrium solve on each side,
+  where re-optimizing would take one optimum);
+* welfare: f(p; x) = dW/dp - dW/dq = 0 along q = cost - p, so
+  dp_o/dx = -f_x / f_p and dq_o/dx = -dp_o/dx.  A welfare optimum held at a
+  segment end stays there (no sensitivity parameter moves the ends, which
+  depend only on cost and the supports), so both derivatives are 0.
+
+The theorem needs an interior profit optimum and a nonsingular curvature
+there: a boundary profit optimum, a Hessian that is not negative definite
+and an f_p >= 0 raise ``NumericalError``.  ``oracle.reoptimized_price_derivatives``
+re-optimizes at x -/+ the same step as the brute-force reference.
 
 The direction of the throughput-elasticity response to congestion decides
 the qualitative predictions.  The relevant slope is taken along the
@@ -26,7 +40,8 @@ conclusive):
   derivative carries sign(hazard gap), the content side its negative.
 
 On the negative trace-slope branch the sensitivity rules are not asserted;
-observed signs are still reported.
+observed signs are still reported.  The welfare rules assume an interior
+welfare optimum: at one held at a segment end they are inconclusive.
 """
 
 from __future__ import annotations
@@ -38,7 +53,9 @@ import numpy as np
 from .curves import MarketModel, parameter_value, with_parameter
 from .equilibrium import solve_equilibrium
 from .errors import DomainError, NumericalError
-from .optimize import OptimumReport, optimize_profit, optimize_welfare
+from .optimize import (OptimumReport, differenced_hessian, is_negative_definite,
+                       optimize_profit, optimize_welfare, profit_box,
+                       profit_objective, welfare_objective, welfare_segment)
 
 TRACE_REL_STEP = 1e-3
 PARAM_REL_STEP = 1e-3
@@ -94,6 +111,7 @@ class OptimumContext:
     user_hazard_slope: float
     cp_hazard_slope: float
     elasticity_slope: float     # trace slope at this optimum
+    interior: bool              # False when a price is held at an edge of its search set
 
 
 @dataclass(frozen=True)
@@ -142,6 +160,7 @@ def _context(model: MarketModel, report: OptimumReport) -> OptimumContext:
         user_hazard_slope=_hazard_slope(model.user_demand, p),
         cp_hazard_slope=_hazard_slope(model.cp_demand, q),
         elasticity_slope=elasticity_slope_vs_congestion(model, p, q),
+        interior=not report.held,
     )
 
 
@@ -173,7 +192,8 @@ def _capacity_checks(dp_star, dq_star, dp_ring, dq_ring, profit_ctx,
     ))
     slope_w = welfare_ctx.elasticity_slope
     gap = welfare_ctx.user_hazard - welfare_ctx.cp_hazard
-    conclusive_w = abs(slope_w) > CONCLUSIVE_EPS and abs(gap) > CONCLUSIVE_EPS
+    conclusive_w = (welfare_ctx.interior and abs(slope_w) > CONCLUSIVE_EPS
+                    and abs(gap) > CONCLUSIVE_EPS)
     expected_w = {"dp_ring": _sign(gap) * _sign(slope_w),
                   "dq_ring": -_sign(gap) * _sign(slope_w)}
     observed_w = {"dp_ring": _sign(dp_ring), "dq_ring": _sign(dq_ring)}
@@ -205,7 +225,8 @@ def _sensitivity_checks(dp_star, dq_star, dp_ring, dq_ring, profit_ctx,
         signs_satisfied=(expected == observed) if positive_branch else None,
     ))
     gap = welfare_ctx.user_hazard - welfare_ctx.cp_hazard
-    positive_branch_w = (welfare_ctx.elasticity_slope > CONCLUSIVE_EPS
+    positive_branch_w = (welfare_ctx.interior
+                         and welfare_ctx.elasticity_slope > CONCLUSIVE_EPS
                          and abs(gap) > CONCLUSIVE_EPS)
     expected_w = {"dp_ring": _sign(gap), "dq_ring": -_sign(gap)}
     observed_w = {"dp_ring": _sign(dp_ring), "dq_ring": _sign(dq_ring)}
@@ -220,27 +241,48 @@ def _sensitivity_checks(dp_star, dq_star, dp_ring, dq_ring, profit_ctx,
     return checks
 
 
+def _implicit_derivatives(objective_of, model: MarketModel, stencil, step: float,
+                          x: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                          name: str) -> list[float]:
+    """-H^-1 dg/dx at the stationary point x of ``objective_of(model)``.
+
+    ``stencil`` holds the models with the parameter at base -/+ step; g is
+    evaluated in both at the same prices x.
+    """
+    hess = differenced_hessian(objective_of(model), x, np.ones(x.size, dtype=bool), lo, hi)
+    if not is_negative_definite(hess):
+        raise NumericalError(f"{name} Hessian {hess.tolist()} is not negative definite")
+    g_lo, g_hi = (objective_of(m)(x)[1] for m in stencil)
+    return np.linalg.solve(hess, -(g_hi - g_lo) / (2 * step)).tolist()
+
+
 def optimal_price_sensitivity(model: MarketModel, parameter: str,
                               rel_step: float = PARAM_REL_STEP) -> SensitivityReport:
-    """Central-difference derivatives of re-optimized prices in ``parameter``."""
+    """Derivatives of the optimal prices in ``parameter`` by the implicit function theorem."""
     base = parameter_value(model, parameter)
     step = rel_step * abs(base)
     if step == 0.0:
         raise DomainError("parameter step collapsed to zero")
+    stencil = (with_parameter(model, parameter, base - step),
+               with_parameter(model, parameter, base + step))
 
     profit_base = optimize_profit(model)
-    welfare_base = optimize_welfare(model)
-    lo_model = with_parameter(model, parameter, base - step)
-    hi_model = with_parameter(model, parameter, base + step)
-    profit_lo, profit_hi = optimize_profit(lo_model), optimize_profit(hi_model)
-    welfare_lo, welfare_hi = optimize_welfare(lo_model), optimize_welfare(hi_model)
-    if any(r.boundary for r in (profit_base, profit_lo, profit_hi)):
-        raise NumericalError("profit optimum is not interior across the stencil")
+    if profit_base.boundary:
+        raise NumericalError("profit optimum is not interior")
+    dp_star, dq_star = _implicit_derivatives(
+        profit_objective, model, stencil, step,
+        np.array([profit_base.prices.user, profit_base.prices.cp]),
+        np.zeros(2), np.array(profit_box(model)), "profit")
 
-    dp_star = (profit_hi.prices.user - profit_lo.prices.user) / (2 * step)
-    dq_star = (profit_hi.prices.cp - profit_lo.prices.cp) / (2 * step)
-    dp_ring = (welfare_hi.prices.user - welfare_lo.prices.user) / (2 * step)
-    dq_ring = (welfare_hi.prices.cp - welfare_lo.prices.cp) / (2 * step)
+    welfare_base = optimize_welfare(model)
+    dp_ring = dq_ring = 0.0
+    if not welfare_base.held:
+        # the Hessian's stencil stays on the segment, as in the optimizer
+        lo, hi = welfare_segment(model)
+        dp_ring, = _implicit_derivatives(
+            welfare_objective, model, stencil, step, np.array([welfare_base.prices.user]),
+            np.array([lo]), np.array([hi]), "welfare")
+        dq_ring = -dp_ring
 
     profit_ctx = _context(model, profit_base)
     welfare_ctx = _context(model, welfare_base)

@@ -111,6 +111,30 @@ def test_sensitivity_verify_passes(capsys):
     assert "all conclusive sign predictions hold" in capsys.readouterr().out
 
 
+def test_sensitivity_verify_at_a_held_welfare_optimum(capsys):
+    assert main(["sensitivity", "--set", "sweep.parameter=capacity",
+                 "--set", "cp_demand.beta=3", "--set", "cost=0.3", "--verify"]) == 0
+    out = capsys.readouterr().out
+    assert "dp_welfare = 0\ndq_welfare = 0\n" in out
+    assert "welfare_prices_vs_capacity: inconclusive" in out
+
+
+def test_sensitivity_verify_catches_a_wrong_derivative(monkeypatch, capsys):
+    import netpricing.cli as cli_mod
+    exact = cli_mod.optimal_price_sensitivity
+
+    def skewed(model, parameter):
+        report = exact(model, parameter)
+        dp, dq = report.profit_price_derivs
+        return dataclasses.replace(report, profit_price_derivs=(dp * 1.001, dq))
+    monkeypatch.setattr(cli_mod, "optimal_price_sensitivity", skewed)
+    assert main(["sensitivity", "--set", "sweep.parameter=mu",
+                 "--set", "cp_demand.beta=2", "--verify"]) == 3
+    captured = capsys.readouterr()
+    assert "all conclusive sign predictions hold" in captured.out
+    assert "re-optimized price derivatives disagree" in captured.err
+
+
 def test_verification_mismatch_exits_3(monkeypatch, capsys):
     import netpricing.cli as cli_mod
     monkeypatch.setattr(cli_mod, "fixed_point_equilibrium",

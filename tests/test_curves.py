@@ -369,7 +369,6 @@ _DEMANDS = [UserPowerDemand(alpha=0.5), UserPowerDemand(alpha=2.5), CpPowerDeman
             CustomDemand(lambda q: (1.0 - q) * (1.0 - q)),
             CustomDemand(lambda x: 2.0 - x, support=2.0, slope_fn=lambda x: -1.0 + 0.0 * x,
                          surplus_fn=lambda x: 0.5 * (2.0 - x) * (2.0 - x))]
-_BUILTIN_LAW = (CapacitySharing, MM1Queue)
 
 
 def _float_array_cases():
@@ -380,12 +379,11 @@ def _float_array_cases():
             yield gain, method, phis, (1.3,), -0.5
     mu = 2.0
     for law in _LAWS:
-        builtin = isinstance(law, _BUILTIN_LAW)
         lams, phis = [0.0, 0.3, 1.0, 1.9], [0.5, 0.8, 2.0, 10.0]     # phi >= 1 / mu
-        yield law, "congestion", lams, (mu,), -0.1 if builtin else None
-        yield law, "congestion_slope", lams, (mu,), -0.1 if isinstance(law, MM1Queue) else None
-        bisects = isinstance(law, CustomCongestion) and law.inverse_fn is None
-        yield law, "implied_throughput", phis, (mu,), -0.1 if builtin or bisects else None
+        yield law, "congestion", lams, (mu,), -0.1
+        yield law, "congestion_slope", lams, (mu,), (
+            None if isinstance(law, CapacitySharing) else -0.1)
+        yield law, "implied_throughput", phis, (mu,), -0.1
         yield law, "throughput_slope", phis, (mu,), None
         yield law, "capacity_slope", phis, (mu,), None
     for demand in _DEMANDS:
@@ -411,6 +409,26 @@ def test_array_inputs_match_float_inputs(curve, method, xs, args, bad):
             fn(bad, *args)
         with pytest.raises(DomainError):
             fn(np.array([xs[1], bad]), *args)
+
+
+def test_custom_congestion_domain_matches_builtins():
+    naive = CustomCongestion(lambda lam, mu: lam / mu)
+    for bad in (-0.1, math.nan, np.array([0.1, math.nan])):
+        for law in (CapacitySharing(), naive):
+            with pytest.raises(DomainError, match="throughput must be nonnegative"):
+                law.congestion(bad, 1.0)
+    # an analytic inverse is never handed a congestion below the floor Phi(0, mu)
+    calls = []
+
+    def inverse(phi, mu):
+        calls.append(phi)
+        return (phi - 0.5) * mu
+    offset = CustomCongestion(lambda lam, mu: lam / mu + 0.5, inverse_fn=inverse)
+    assert offset.implied_throughput(0.7, 2.0) == pytest.approx(0.4)
+    for bad in (0.4, math.nan, np.array([0.6, 0.3])):
+        with pytest.raises(DomainError, match="below zero-throughput floor 0.5"):
+            offset.implied_throughput(bad, 2.0)
+    assert calls == [0.7]
 
 
 def test_constant_slopes_of_integer_arrays_are_floats():

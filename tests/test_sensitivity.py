@@ -4,13 +4,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+import netpricing.sensitivity as sensitivity_mod
 from netpricing import (CapacitySharing, CustomGain, ExponentialGain,
                         MarketModel, MM1Queue, ReciprocalGain, UserPowerDemand,
                         CpPowerDemand, baseline_model,
                         elasticity_slope_vs_congestion, finite_difference,
                         optimal_price_sensitivity, optimize_profit)
+from netpricing.curves import PARAMETERS
 from netpricing.errors import DomainError, NumericalError
+from netpricing.oracle import reoptimization_gap
 
 
 def video_gain() -> CustomGain:
@@ -177,6 +181,68 @@ def test_custom_demand_model_rejects_shape_sweep():
         cp_demand=CpPowerDemand(beta=1.0), cost=0.5)
     with pytest.raises(DomainError):
         optimal_price_sensitivity(model, "alpha")
+
+
+def test_welfare_rules_inconclusive_at_a_held_welfare_optimum():
+    # the welfare optimum sits at p = 0, the segment end: the welfare sign
+    # rule assumes an interior optimum, and the prices do not move at all
+    report = optimal_price_sensitivity(baseline_model(beta=3.0, cost=0.3), "capacity")
+    assert report.welfare_context.price_user == 0.0
+    assert not report.welfare_context.interior and report.profit_context.interior
+    assert report.welfare_price_derivs == (0.0, 0.0)
+    profit_check, welfare_check = report.predictions
+    assert profit_check.conclusive and profit_check.signs_satisfied
+    assert not welfare_check.conclusive and welfare_check.signs_satisfied is None
+
+
+def test_boundary_profit_optimum_raises():
+    # a convex content demand puts q* = 0 exactly, where the FOC does not hold
+    with pytest.raises(NumericalError, match="not interior"):
+        optimal_price_sensitivity(baseline_model(beta=0.2), "capacity")
+
+
+def test_curvature_that_is_not_negative_raises(monkeypatch):
+    model = baseline_model(beta=2.0)
+    monkeypatch.setattr(sensitivity_mod, "is_negative_definite", lambda hess: False)
+    with pytest.raises(NumericalError, match="profit Hessian"):
+        optimal_price_sensitivity(model, "capacity")
+    monkeypatch.setattr(sensitivity_mod, "is_negative_definite",
+                        lambda hess: hess.shape != (1, 1))
+    with pytest.raises(NumericalError, match="welfare Hessian"):
+        optimal_price_sensitivity(model, "capacity")
+
+
+# ---------------------------------------------------------------------------
+# the implicit-function derivatives against re-optimization
+# ---------------------------------------------------------------------------
+
+def test_one_optimum_of_each_kind_per_call(monkeypatch):
+    calls = []
+    for name in ("optimize_profit", "optimize_welfare"):
+        def counted(model, _name=name, _optimize=getattr(sensitivity_mod, name)):
+            calls.append(_name)
+            return _optimize(model)
+        monkeypatch.setattr(sensitivity_mod, name, counted)
+    optimal_price_sensitivity(baseline_model(beta=2.0), "capacity")
+    assert sorted(calls) == ["optimize_profit", "optimize_welfare"]
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(gain=st.sampled_from([ReciprocalGain(), ExponentialGain()]),
+       law=st.sampled_from(["sharing", "mm1"]),
+       parameter=st.sampled_from(PARAMETERS),
+       alpha=st.floats(0.5, 2.0), beta=st.floats(0.5, 2.5), cost=st.floats(0.2, 1.2),
+       capacity_share=st.floats(0.0, 1.0), sensitivity=st.floats(0.5, 3.0))
+def test_implicit_derivatives_match_reoptimization(gain, law, parameter, alpha, beta, cost,
+                                                   capacity_share, sensitivity):
+    congestion, (mu_lo, mu_hi) = ((CapacitySharing(), (0.5, 4.0)) if law == "sharing"
+                                  else (MM1Queue(), (1.5, 8.0)))
+    model = baseline_model(gain=gain, congestion=congestion, alpha=alpha, beta=beta,
+                           cost=cost, capacity=mu_lo + capacity_share * (mu_hi - mu_lo),
+                           sensitivity=sensitivity)
+    assume(not optimize_profit(model).boundary)
+    gap, agrees = reoptimization_gap(model, optimal_price_sensitivity(model, parameter))
+    assert agrees, gap
 
 
 # ---------------------------------------------------------------------------
