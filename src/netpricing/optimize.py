@@ -17,7 +17,13 @@ gradient points out of the box is held exactly there, so corner optima
 central difference of the analytic gradient and every step is backtracked on
 the objective.  Prices are accepted once the free gradient is below
 ``GRAD_TOL`` or a step moves them less than ``STEP_TOL``; reaching
-``NEWTON_MAX_STEPS`` raises ``ConvergenceError``.  The objectives
+``NEWTON_MAX_STEPS`` raises ``ConvergenceError``.  With one coordinate
+(welfare, one-sided profit) Newton also keeps the bracket in which the
+derivative changed sign: a step that would leave it bisects it instead, and
+the price is accepted once the bracket is narrower than ``STEP_TOL``.  This
+holds a root that sits in a sliver far narrower than the Hessian's stencil
+(a welfare optimum within 1e-9 of p = 0 under a user demand with alpha
+just below 1).  The objectives
 (``profit_objective``, ``welfare_objective``) and ``differenced_hessian``
 are public: the price sensitivities differentiate the same first-order
 conditions.
@@ -96,6 +102,7 @@ def _projected_newton(objective, x0, lo, hi, width: float):
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     x = np.asarray(x0, dtype=float)
     f, g, report = objective(x)
+    a, b = -math.inf, math.inf      # one coordinate: where the gradient changed sign
     for steps in range(NEWTON_MAX_STEPS):
         free = ~(((x <= lo) & (g <= 0.0)) | ((x >= hi) & (g >= 0.0)))
         if not free.any() or np.max(np.abs(g[free])) <= GRAD_TOL:
@@ -104,6 +111,17 @@ def _projected_newton(objective, x0, lo, hi, width: float):
         d[free] = _newton_direction(objective, x, g, free, lo, hi, width)
         if not np.all(np.isfinite(d)):
             raise ConvergenceError(f"no finite ascent direction at {x.tolist()}")
+        bisect = False
+        if x.size == 1:
+            # x is now an end of the bracket and d points into it
+            if g[0] > 0.0:
+                a = x[0]
+            else:
+                b = x[0]
+            if b - a < STEP_TOL:
+                return x, report, steps
+            if not a < x[0] + d[0] < b:
+                d[0], bisect = 0.5 * (a + b) - x[0], True
         t = 1.0
         while True:
             x_new = np.clip(x + t * d, lo, hi)
@@ -111,7 +129,7 @@ def _projected_newton(objective, x0, lo, hi, width: float):
                 return x, report, steps
             f_new, g_new, report_new = objective(x_new)
             # objective differences below round-off carry no information
-            if f_new >= f - ROUNDOFF * abs(f):
+            if bisect or f_new >= f - ROUNDOFF * abs(f):
                 break
             t *= 0.5
         x, f, g, report = x_new, f_new, g_new, report_new

@@ -41,7 +41,10 @@ conclusive):
 
 On the negative trace-slope branch the sensitivity rules are not asserted;
 observed signs are still reported.  The welfare rules assume an interior
-welfare optimum: at one held at a segment end they are inconclusive.
+welfare optimum: at one held at a segment end they are inconclusive.  An
+inconclusive rule names the premise that failed: the held welfare optimum,
+the falling-elasticity branch, or a trace slope or hazard gap within
+``CONCLUSIVE_EPS`` of zero ("premise below resolution").
 """
 
 from __future__ import annotations
@@ -124,15 +127,19 @@ class SignRuleCheck:
     """
 
     name: str
-    conclusive: bool
+    inconclusive_reason: str | None     # the premise that failed; None when conclusive
     expected: dict[str, int]
     observed: dict[str, int]
     ratio_residual: float | None
     signs_satisfied: bool | None
 
+    @property
+    def conclusive(self) -> bool:
+        return self.inconclusive_reason is None
+
     def describe(self) -> str:
         if not self.conclusive:
-            return f"{self.name}: inconclusive (premise below resolution)"
+            return f"{self.name}: inconclusive ({self.inconclusive_reason})"
         verdict = "ok" if self.signs_satisfied else "MISMATCH"
         extra = "" if self.ratio_residual is None else f", ratio residual {self.ratio_residual:.2e}"
         return f"{self.name}: {verdict} expected={self.expected} observed={self.observed}{extra}"
@@ -174,36 +181,52 @@ def _ratio_residual(dp: float, dq: float, ctx: OptimumContext) -> float:
     return abs(left - right) / scale
 
 
+def _failed_premise(slope: float, gap: float | None = None, interior: bool = True,
+                    rising_only: bool = False) -> str | None:
+    """Why a sign rule's premise fails, or None when it holds conclusively.
+
+    ``gap`` is the hazard gap of a welfare rule, ``interior`` whether its
+    optimum is interior, and ``rising_only`` marks a rule stated for a rising
+    trace slope only.
+    """
+    if not interior:
+        return "welfare optimum held at a segment end"
+    if rising_only and slope < -CONCLUSIVE_EPS:
+        return "falling-elasticity branch"
+    if abs(slope) <= CONCLUSIVE_EPS or (gap is not None and abs(gap) <= CONCLUSIVE_EPS):
+        return "premise below resolution"
+    return None
+
+
 def _capacity_checks(dp_star, dq_star, dp_ring, dq_ring, profit_ctx,
                      welfare_ctx) -> list[SignRuleCheck]:
     checks = []
     slope = profit_ctx.elasticity_slope
-    conclusive = abs(slope) > CONCLUSIVE_EPS
+    reason = _failed_premise(slope)
     expected = {"dp_star": _sign(slope), "dq_star": _sign(slope)}
     observed = {"dp_star": _sign(dp_star), "dq_star": _sign(dq_star)}
     ratio = _ratio_residual(dp_star, dq_star, profit_ctx)
     checks.append(SignRuleCheck(
         name="profit_prices_vs_capacity",
-        conclusive=conclusive,
+        inconclusive_reason=reason,
         expected=expected,
         observed=observed,
         ratio_residual=ratio,
-        signs_satisfied=(expected == observed) if conclusive else None,
+        signs_satisfied=(expected == observed) if reason is None else None,
     ))
     slope_w = welfare_ctx.elasticity_slope
     gap = welfare_ctx.user_hazard - welfare_ctx.cp_hazard
-    conclusive_w = (welfare_ctx.interior and abs(slope_w) > CONCLUSIVE_EPS
-                    and abs(gap) > CONCLUSIVE_EPS)
+    reason_w = _failed_premise(slope_w, gap, welfare_ctx.interior)
     expected_w = {"dp_ring": _sign(gap) * _sign(slope_w),
                   "dq_ring": -_sign(gap) * _sign(slope_w)}
     observed_w = {"dp_ring": _sign(dp_ring), "dq_ring": _sign(dq_ring)}
     checks.append(SignRuleCheck(
         name="welfare_prices_vs_capacity",
-        conclusive=conclusive_w,
+        inconclusive_reason=reason_w,
         expected=expected_w,
         observed=observed_w,
         ratio_residual=None,
-        signs_satisfied=(expected_w == observed_w) if conclusive_w else None,
+        signs_satisfied=(expected_w == observed_w) if reason_w is None else None,
     ))
     return checks
 
@@ -212,31 +235,30 @@ def _sensitivity_checks(dp_star, dq_star, dp_ring, dq_ring, profit_ctx,
                         welfare_ctx) -> list[SignRuleCheck]:
     checks = []
     # stated for the rising-elasticity branch only
-    positive_branch = profit_ctx.elasticity_slope > CONCLUSIVE_EPS
+    reason = _failed_premise(profit_ctx.elasticity_slope, rising_only=True)
     expected = {"dp_star": 1, "dq_star": 1}
     observed = {"dp_star": _sign(dp_star), "dq_star": _sign(dq_star)}
     ratio = _ratio_residual(dp_star, dq_star, profit_ctx)
     checks.append(SignRuleCheck(
         name="profit_prices_vs_sensitivity",
-        conclusive=positive_branch,
-        expected=expected if positive_branch else {},
+        inconclusive_reason=reason,
+        expected=expected if reason is None else {},
         observed=observed,
         ratio_residual=ratio,
-        signs_satisfied=(expected == observed) if positive_branch else None,
+        signs_satisfied=(expected == observed) if reason is None else None,
     ))
     gap = welfare_ctx.user_hazard - welfare_ctx.cp_hazard
-    positive_branch_w = (welfare_ctx.interior
-                         and welfare_ctx.elasticity_slope > CONCLUSIVE_EPS
-                         and abs(gap) > CONCLUSIVE_EPS)
+    reason_w = _failed_premise(welfare_ctx.elasticity_slope, gap, welfare_ctx.interior,
+                               rising_only=True)
     expected_w = {"dp_ring": _sign(gap), "dq_ring": -_sign(gap)}
     observed_w = {"dp_ring": _sign(dp_ring), "dq_ring": _sign(dq_ring)}
     checks.append(SignRuleCheck(
         name="welfare_prices_vs_sensitivity",
-        conclusive=positive_branch_w,
-        expected=expected_w if positive_branch_w else {},
+        inconclusive_reason=reason_w,
+        expected=expected_w if reason_w is None else {},
         observed=observed_w,
         ratio_residual=None,
-        signs_satisfied=(expected_w == observed_w) if positive_branch_w else None,
+        signs_satisfied=(expected_w == observed_w) if reason_w is None else None,
     ))
     return checks
 

@@ -149,6 +149,13 @@ def test_optimize_verify_against_dense_grid(capsys):
     assert "verify: max price gap" in capsys.readouterr().out
 
 
+def test_optimize_verify_with_a_welfare_optimum_next_to_p_zero(capsys):
+    assert main(["optimize", "--set", "user_demand.alpha=0.99",
+                 "--set", "cp_demand.beta=1.67", "--set", "cost=0.225",
+                 "--set", "capacity=2.44", "--set", "sensitivity=0.82", "--verify"]) == 0
+    assert "verify: max price gap" in capsys.readouterr().out
+
+
 def test_optimize_honours_verify_from_config(capsys):
     assert main(["optimize", "--set", "verify=true"]) == 0
     assert "verify: max price gap" in capsys.readouterr().out

@@ -202,6 +202,22 @@ def test_welfare_beats_dense_segment_scan():
     assert abs(report.prices.user - best.price_user) <= best.cell_user
 
 
+def test_welfare_root_in_a_sliver_next_to_the_segment_end():
+    # dW/dp - dW/dq falls from +0.17 at p = 0 to about -0.006 at p = 1e-10;
+    # Newton steps from the differenced Hessian overshoot that sliver, so the
+    # one-coordinate search bisects the bracket where the derivative changes sign
+    model = MarketModel(
+        gain=ReciprocalGain(), congestion=CapacitySharing(),
+        user_demand=UserPowerDemand(alpha=0.99), cp_demand=CpPowerDemand(beta=1.67),
+        cost=0.225, capacity=2.44, sensitivity=0.82)
+    report = optimize_welfare(model)
+    assert 0.0 < report.prices.user < 1e-9 and not report.held
+    slope = optimize.welfare_objective(model)
+    assert slope([0.0])[1][0] > 0.0 > slope([1e-9])[1][0]
+    best = grid_optimize(model, "welfare", GridSpec(2001, 3))
+    assert report.objective >= best.value - 1e-12
+
+
 # ---------------------------------------------------------------------------
 # one-sided benchmarks and growth rates
 # ---------------------------------------------------------------------------

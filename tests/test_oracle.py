@@ -4,12 +4,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from netpricing import (CapacitySharing, ExponentialGain, GridSpec, MM1Queue,
-                        ReciprocalGain, UserPowerDemand, baseline_model,
-                        finite_difference, fixed_point_equilibrium,
+import netpricing.oracle as oracle_mod
+from netpricing import (CapacitySharing, CpPowerDemand, CustomCongestion,
+                        CustomDemand, CustomGain, ExponentialGain, GridSpec,
+                        MarketModel, MM1Queue, ReciprocalGain, UserPowerDemand,
+                        baseline_model, finite_difference, fixed_point_equilibrium,
                         grid_optimize, solve_equilibrium)
-from netpricing.errors import DomainError
+from netpricing.equilibrium import solve_many
+from netpricing.errors import DomainError, NumericalError
+
+BUILTIN_LAWS = {"sharing": CapacitySharing(), "mm1": MM1Queue()}
+_ROWS_PER_BLOCK = 128
 
 
 def test_fixed_point_closed_forms():
@@ -79,16 +86,130 @@ def test_grid_respects_explicit_ranges_and_validates():
         grid_optimize(baseline_model(), "nonsense")
 
 
-def test_grid_chunking_invariance():
-    import netpricing.oracle as oracle_mod
+# ---------------------------------------------------------------------------
+# the pruned profit argmax against an exhaustive evaluation
+# ---------------------------------------------------------------------------
+
+def exhaustive_profit_optimum(model, grid):
+    """Solve every point of the profit grid and keep the first maximum in
+    row-major order, as ``np.argmax`` does; rows go in blocks to bound memory.
+
+    Returns the fields of ``GridOptimum`` other than the solve count.
+    """
+    clamp = 1.0 - 1e-9
+    p_axis = np.linspace(*(grid.range_user or (0.0, model.user_demand.support * clamp)),
+                         grid.points_user)
+    q_axis = np.linspace(*(grid.range_cp or (0.0, model.cp_demand.support * clamp)),
+                         grid.points_cp)
+    m_vals, n_vals = model.user_demand.value(p_axis), model.cp_demand.value(q_axis)
+    best_value, best_k = -math.inf, 0
+    for row0 in range(0, p_axis.size, _ROWS_PER_BLOCK):
+        rows = slice(row0, row0 + _ROWS_PER_BLOCK)
+        _, lam = solve_many(model.gain, model.congestion,
+                            np.outer(m_vals[rows], n_vals).reshape(-1),
+                            model.capacity, model.sensitivity)
+        values = (p_axis[rows, None] + q_axis[None, :] - model.cost).reshape(-1) * lam
+        k = int(np.argmax(values))
+        if values[k] > best_value:
+            best_value, best_k = float(values[k]), row0 * q_axis.size + k
+    i, j = divmod(best_k, q_axis.size)
+    return (float(p_axis[i]), float(q_axis[j]), best_value,
+            float(p_axis[1] - p_axis[0]), float(q_axis[1] - q_axis[0]))
+
+
+def assert_exact(model, grid):
+    """``grid_optimize`` equals the exhaustive argmax bit for bit (signed zeros
+    included); returns its result."""
+    best = grid_optimize(model, "profit", grid)
+    got = (best.price_user, best.price_cp, best.value, best.cell_user, best.cell_cp)
+    want = exhaustive_profit_optimum(model, grid)
+    assert [x.hex() for x in got] == [x.hex() for x in want]
+    return best
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(gain=st.sampled_from([ReciprocalGain(), ExponentialGain()]),
+       law=st.sampled_from(sorted(BUILTIN_LAWS)),
+       alpha=st.floats(0.3, 3.0), beta=st.floats(0.2, 3.0), cost=st.floats(0.0, 1.95),
+       capacity=st.floats(0.3, 6.0), sensitivity=st.floats(0.3, 3.0),
+       points=st.tuples(st.sampled_from([3, 4, 51, 201]), st.sampled_from([3, 5, 101, 257])),
+       window=st.one_of(st.none(), st.tuples(st.floats(0.0, 0.9), st.floats(0.0, 0.9))))
+def test_pruned_profit_argmax_is_exhaustive(gain, law, alpha, beta, cost, capacity,
+                                            sensitivity, points, window):
+    model = baseline_model(gain=gain, congestion=BUILTIN_LAWS[law], alpha=alpha, beta=beta,
+                           cost=cost, capacity=capacity, sensitivity=sensitivity)
+    ranges = {} if window is None else {"range_user": (window[0], window[0] + 0.1),
+                                        "range_cp": (window[1], window[1] + 0.1)}
+    assert_exact(model, GridSpec(*points, **ranges))
+
+
+@pytest.mark.parametrize("grid", [
+    GridSpec(3, 3),
+    GridSpec(3, 401),
+    GridSpec(301, 3, range_user=(0.2, 0.3)),
+    GridSpec(101, 101, range_user=(0.5, 0.7), range_cp=(0.0, 0.05)),
+])
+def test_pruned_profit_argmax_on_sub_ranges_and_three_point_axes(grid):
+    assert_exact(baseline_model(beta=2.0, capacity=0.8), grid)
+
+
+def test_pruned_profit_argmax_with_scalar_custom_curves():
+    # a gain that only takes floats, and a law whose inverse is bisected for
+    gain = CustomGain(lambda phi, s: math.exp(-s * (0.5 * phi + 0.1 * phi * phi)))
+    law = CustomCongestion(lambda lam, mu: (lam + 0.2 * lam * lam) / mu)
+    assert_exact(baseline_model(gain=gain, beta=2.0), GridSpec(101, 101))
+    assert_exact(baseline_model(congestion=law, capacity=0.7), GridSpec(101, 101))
+
+
+def test_cost_above_every_margin_prunes_nothing():
+    # every profit is negative, so the incumbent is too and every point is solved
+    grid = GridSpec(301, 301, range_user=(0.0, 0.5), range_cp=(0.0, 0.5))
+    best = assert_exact(baseline_model(cost=1.5), grid)
+    assert best.value < 0.0
+    incumbent_points = 101 * 101
+    assert best.solved_points == oracle_mod.TABLE_STEPS + 1 + incumbent_points + 301 * 301
+
+
+def test_grid_without_demand_prunes_nothing():
+    # no user demand above p = 0.5: every throughput, and so the largest
+    # demand product, is 0, and the first point's profit is -0.0
+    model = MarketModel(
+        gain=ReciprocalGain(), congestion=CapacitySharing(),
+        user_demand=CustomDemand(lambda p: np.maximum(0.5 - p, 0.0)),
+        cp_demand=CpPowerDemand(beta=1.0), cost=0.7)
+    grid = GridSpec(5, 5, range_user=(0.6, 0.9))
+    best = assert_exact(model, grid)
+    assert best.value.hex() == "-0x0.0p+0"
+    assert best.solved_points == oracle_mod.TABLE_STEPS + 1 + 2 * 25
+
+
+def test_non_monotone_throughput_table_raises(monkeypatch):
+    calls = []
+
+    def dented(gain, congestion, mn, capacity, sensitivity):
+        phi, lam = solve_many(gain, congestion, mn, capacity, sensitivity)
+        if not calls:            # the first solve is the throughput table
+            lam[lam.size // 2] = 0.0
+        calls.append(lam.size)
+        return phi, lam
+    monkeypatch.setattr(oracle_mod, "solve_many", dented)
+    with pytest.raises(NumericalError, match="not monotone"):
+        grid_optimize(baseline_model(), "profit", GridSpec(101, 101))
+    assert calls == [oracle_mod.TABLE_STEPS + 1]
+
+
+@pytest.mark.parametrize("gain", [ReciprocalGain(), ExponentialGain()])
+@pytest.mark.parametrize("law", sorted(BUILTIN_LAWS))
+def test_baseline_grids_solve_under_one_percent(gain, law):
+    grid = GridSpec(2001, 2001)
+    best = assert_exact(baseline_model(gain=gain, congestion=BUILTIN_LAWS[law]), grid)
+    assert best.solved_points < 0.01 * 2001 * 2001
+
+
+def test_grid_chunking_invariance(monkeypatch):
     model = baseline_model(beta=2.0, capacity=0.8)
     spec = GridSpec(201, 201)
     full = grid_optimize(model, "profit", spec)
-    original = oracle_mod._CHUNK
-    try:
-        oracle_mod._CHUNK = 1000   # force many chunks
-        chunked = grid_optimize(model, "profit", spec)
-    finally:
-        oracle_mod._CHUNK = original
-    assert (full.price_user, full.price_cp, full.value) == (
-        chunked.price_user, chunked.price_cp, chunked.value)
+    for chunk in (1, 1000, 250_000):       # one row, some rows, every row at once
+        monkeypatch.setattr(oracle_mod, "_CHUNK", chunk)
+        assert grid_optimize(model, "profit", spec) == full

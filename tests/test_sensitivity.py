@@ -138,6 +138,9 @@ def test_sensitivity_parameter_negative_branch_not_asserted():
     profit_check, welfare_check = report.predictions
     assert not profit_check.conclusive and profit_check.signs_satisfied is None
     assert not welfare_check.conclusive
+    assert profit_check.describe() == (
+        "profit_prices_vs_sensitivity: inconclusive (falling-elasticity branch)")
+    assert welfare_check.inconclusive_reason == "falling-elasticity branch"
     # observed signs are still reported
     assert set(profit_check.observed) == {"dp_star", "dq_star"}
     # the derivative proportion identity does not depend on the branch: the
@@ -193,6 +196,20 @@ def test_welfare_rules_inconclusive_at_a_held_welfare_optimum():
     profit_check, welfare_check = report.predictions
     assert profit_check.conclusive and profit_check.signs_satisfied
     assert not welfare_check.conclusive and welfare_check.signs_satisfied is None
+    assert welfare_check.describe() == (
+        "welfare_prices_vs_capacity: inconclusive (welfare optimum held at a segment end)")
+
+
+def test_welfare_rule_below_resolution_at_a_zero_hazard_gap():
+    # symmetric demands put the welfare optimum at p = q, where the hazard
+    # gap that signs the welfare rule is zero
+    report = optimal_price_sensitivity(baseline_model(), "capacity")
+    assert report.welfare_context.user_hazard == report.welfare_context.cp_hazard
+    assert report.welfare_context.interior
+    profit_check, welfare_check = report.predictions
+    assert profit_check.conclusive and profit_check.inconclusive_reason is None
+    assert welfare_check.describe() == (
+        "welfare_prices_vs_capacity: inconclusive (premise below resolution)")
 
 
 def test_boundary_profit_optimum_raises():
