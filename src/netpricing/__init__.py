@@ -9,12 +9,12 @@ from .curves import (CapacitySharing, CpPowerDemand, CustomCongestion,
                      CustomDemand, CustomGain, ExponentialGain, MarketModel,
                      MM1Queue, ReciprocalGain, UserPowerDemand, baseline_model)
 from .equilibrium import (ComparativeStatics, Equilibrium, comparative_statics,
-                          solve_equilibrium, throughput_elasticity)
+                          solve_equilibrium)
 from .errors import (BracketError, ConfigError, ConvergenceError,
                      DegenerateBaselineError, DomainError, NumericalError,
                      VerificationError)
-from .experiments import (SweepResult, SweepRow, emit_csv, price_trend_sweep,
-                          run_sweep, verify_optima, verify_sweep)
+from .experiments import (SweepResult, SweepRow, emit_csv, run_sweep, verify_optima,
+                          verify_sweep)
 from .objectives import ObjectiveGradients, ObjectiveReport, evaluate_objectives
 from .optimize import (GrowthRates, OptimumReport, PricePair, growth_rates,
                        optimize_one_sided, optimize_profit, optimize_welfare)
@@ -38,6 +38,6 @@ __all__ = [
     "emit_csv", "evaluate_objectives", "finite_difference",
     "fixed_point_equilibrium", "grid_optimize", "growth_rates", "load_config",
     "optimal_price_sensitivity", "optimize_one_sided", "optimize_profit",
-    "optimize_welfare", "parse_config", "price_trend_sweep", "run_sweep",
-    "solve_equilibrium", "throughput_elasticity", "verify_optima", "verify_sweep",
+    "optimize_welfare", "parse_config", "run_sweep", "solve_equilibrium",
+    "verify_optima", "verify_sweep",
 ]

@@ -13,8 +13,8 @@ Newton starts from lam0 = m n rho(Phi(hi / 2)) and bisects instead of any
 step that would leave the sign bracket.  A root where dPhi/dlam is not
 positive and finite (a flat stretch of a custom law) raises ``BracketError``.
 
-``throughput_elasticity`` is the relative congestion elasticity of demand
-versus supply,
+``Equilibrium.elasticity`` is the throughput elasticity, the relative
+congestion elasticity of demand versus supply,
 
     eps = (1 + m*n*|d rho/d phi| / (d Lambda/d phi))**-1  in (0, 1],
 
@@ -172,13 +172,6 @@ def solve_equilibrium(model: MarketModel, price_user: float, price_cp: float) ->
         cp_level=n,
         degenerate=degenerate,
     )
-
-
-def throughput_elasticity(model: MarketModel, eq: Equilibrium) -> float:
-    """Recompute the throughput elasticity at a solved equilibrium."""
-    return _elasticity_at(model.gain, model.congestion,
-                          eq.user_level * eq.cp_level, eq.congestion,
-                          eq.throughput, model.capacity, model.sensitivity)
 
 
 @dataclass(frozen=True)

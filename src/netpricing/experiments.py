@@ -12,7 +12,6 @@ CSV output is RFC-4180 style: comma separated, header row, LF line endings,
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -112,12 +111,6 @@ def run_sweep(cfg: ScenarioConfig) -> SweepResult:
     return SweepResult(parameter=parameter, columns=columns, rows=rows)
 
 
-def price_trend_sweep(cfg: ScenarioConfig) -> SweepResult:
-    """Sweep restricted to the four optimal-price columns."""
-    cfg = dataclasses.replace(cfg, output_columns="prices")
-    return run_sweep(cfg)
-
-
 def format_value(v: float | str | None) -> str:
     if v is None:
         return ""
@@ -179,21 +172,25 @@ def _check_against_grid(price_user: float, price_cp: float, objective: float,
     return max(gap_p, gap_q), max(0.0, shortfall)
 
 
+def _verify_model(model: MarketModel, grid: GridSpec, label: str,
+                  profit: tuple[float, float, float],
+                  welfare: tuple[float, float, float]) -> VerificationOutcome:
+    """Check one model's profit and welfare optima, each (p, q, objective),
+    against the grid oracle; ``label`` starts each error message."""
+    gaps = [_check_against_grid(*found, grid_optimize(model, objective, grid),
+                                f"{label}{objective} optimum")
+            for objective, found in (("profit", profit), ("welfare", welfare))]
+    return VerificationOutcome(max(g for g, _ in gaps), max(s for _, s in gaps))
+
+
 def verify_optima(model: MarketModel, profit_report: OptimumReport,
                   welfare_report: OptimumReport,
                   grid: GridSpec | None = None) -> VerificationOutcome:
-    """Cross-check refined optima against the exhaustive grid oracle."""
-    grid = grid or GridSpec()
-    price_gap = 0.0
-    shortfall = 0.0
-    for report, objective, label in ((profit_report, "profit", "profit optimum"),
-                                     (welfare_report, "welfare", "welfare optimum")):
-        best = grid_optimize(model, objective, grid)
-        g, s = _check_against_grid(report.prices.user, report.prices.cp,
-                                   report.objective, best, label)
-        price_gap = max(price_gap, g)
-        shortfall = max(shortfall, s)
-    return VerificationOutcome(price_gap, shortfall)
+    """Cross-check refined optima against the grid oracle."""
+    return _verify_model(
+        model, grid or GridSpec(), "",
+        (profit_report.prices.user, profit_report.prices.cp, profit_report.objective),
+        (welfare_report.prices.user, welfare_report.prices.cp, welfare_report.objective))
 
 
 def verify_sweep(cfg: ScenarioConfig, result: SweepResult,
@@ -201,18 +198,12 @@ def verify_sweep(cfg: ScenarioConfig, result: SweepResult,
     """Re-run the grid oracle on every successful sweep row."""
     base_model = build_model(cfg)
     grid = grid or GridSpec()
-    price_gap = 0.0
-    shortfall = 0.0
-    for row in result.rows:
-        if row.error is not None or row.p_star is None:
-            continue
-        model = with_parameter(base_model, result.parameter, row.param_value)
-        for objective, prices, value in (
-                ("profit", (row.p_star, row.q_star), row.profit_two_sided),
-                ("welfare", (row.p_welfare, row.q_welfare), row.welfare_two_sided)):
-            best = grid_optimize(model, objective, grid)
-            g, s = _check_against_grid(*prices, value, best,
-                                       f"row {row.param_value}: {objective} optimum")
-            price_gap = max(price_gap, g)
-            shortfall = max(shortfall, s)
-    return VerificationOutcome(price_gap, shortfall)
+    outcomes = [
+        _verify_model(with_parameter(base_model, result.parameter, row.param_value), grid,
+                      f"row {row.param_value}: ",
+                      (row.p_star, row.q_star, row.profit_two_sided),
+                      (row.p_welfare, row.q_welfare, row.welfare_two_sided))
+        for row in result.rows if row.error is None and row.p_star is not None]
+    return VerificationOutcome(
+        max((o.max_price_gap for o in outcomes), default=0.0),
+        max((o.max_value_shortfall for o in outcomes), default=0.0))

@@ -56,7 +56,7 @@ import numpy as np
 from .curves import MarketModel, parameter_value, with_parameter
 from .equilibrium import solve_equilibrium
 from .errors import DomainError, NumericalError
-from .optimize import (OptimumReport, differenced_hessian, is_negative_definite,
+from .optimize import (_CLAMP, OptimumReport, differenced_hessian, is_negative_definite,
                        optimize_profit, optimize_welfare, profit_box,
                        profit_objective, welfare_objective, welfare_segment)
 
@@ -91,7 +91,7 @@ def elasticity_slope_vs_congestion(model: MarketModel, price_user: float,
 def _hazard_slope(demand, price: float) -> float:
     h = HAZARD_FD_STEP * max(1.0, abs(price))
     lo = max(0.0, price - h)
-    hi = min(demand.support * (1.0 - 1e-9), price + h)
+    hi = min(demand.support * _CLAMP, price + h)
     return (demand.hazard(hi) - demand.hazard(lo)) / (hi - lo)
 
 

@@ -8,8 +8,7 @@ import pytest
 from netpricing import (BracketError, CapacitySharing, CustomCongestion,
                         CustomGain, DomainError, ExponentialGain, MM1Queue,
                         ReciprocalGain, baseline_model, comparative_statics,
-                        evaluate_objectives, finite_difference, solve_equilibrium,
-                        throughput_elasticity)
+                        evaluate_objectives, finite_difference, solve_equilibrium)
 from netpricing.equilibrium import (PREDICTED_STATIC_SIGNS, solve_for_demands,
                                     solve_many)
 
@@ -256,7 +255,11 @@ def test_no_congestion_limit():
 def test_throughput_elasticity_recompute_matches():
     model = baseline_model(capacity=1.3)
     eq = solve_equilibrium(model, 0.25, 0.35)
-    assert throughput_elasticity(model, eq) == pytest.approx(eq.elasticity, rel=1e-14)
+    # 1 / (1 + m n |rho'(phi)| / Lambda'(phi)), with Lambda' = 1 / (dPhi/dlam)
+    mn = eq.user_level * eq.cp_level
+    demand_slope = mn * abs(model.gain.slope(eq.congestion, model.sensitivity))
+    phi_lam = model.congestion.congestion_slope(eq.throughput, model.capacity)
+    assert 1.0 / (1.0 + demand_slope * phi_lam) == pytest.approx(eq.elasticity, rel=1e-14)
 
 
 # ---------------------------------------------------------------------------

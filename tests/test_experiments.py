@@ -4,9 +4,10 @@ import dataclasses
 
 import pytest
 
-from netpricing import (ScenarioConfig, SweepResult, emit_csv, parse_config,
-                        price_trend_sweep, run_sweep, verify_sweep)
-from netpricing.errors import ConfigError
+from netpricing import (PricePair, ScenarioConfig, SweepResult, baseline_model, emit_csv,
+                        optimize_profit, optimize_welfare, parse_config, run_sweep,
+                        verify_optima, verify_sweep)
+from netpricing.errors import ConfigError, VerificationError
 from netpricing.experiments import ALL_COLUMNS, PRICE_COLUMNS, format_value, parse_csv
 from netpricing.oracle import GridSpec
 
@@ -43,7 +44,7 @@ def test_sweep_error_rows_do_not_abort():
 
 
 def test_price_trend_sweep_restricts_columns():
-    result = price_trend_sweep(small_sweep_config())
+    result = run_sweep(small_sweep_config(output_columns="prices"))
     assert result.columns == PRICE_COLUMNS
 
 
@@ -105,3 +106,19 @@ def test_verify_sweep_against_small_grid():
     result = run_sweep(cfg)
     outcome = verify_sweep(cfg, result, grid=GridSpec(401, 401))
     assert outcome.max_value_shortfall <= 1e-8
+
+
+def test_verification_errors_name_the_row_and_the_optimum():
+    grid = GridSpec(101, 101)
+    cfg = small_sweep_config()
+    result = run_sweep(cfg)
+    rows = list(result.rows)
+    rows[1] = dataclasses.replace(rows[1], welfare_two_sided=0.0)
+    with pytest.raises(VerificationError,
+                       match=r"^row 1\.0: welfare optimum: refined objective 0 falls"):
+        verify_sweep(cfg, dataclasses.replace(result, rows=tuple(rows)), grid)
+    model = baseline_model()
+    profit = optimize_profit(model)
+    moved = dataclasses.replace(profit, prices=PricePair(0.1, profit.prices.cp))
+    with pytest.raises(VerificationError, match=r"^profit optimum: refined prices \(0\.1, "):
+        verify_optima(model, moved, optimize_welfare(model), grid)

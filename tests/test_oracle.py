@@ -6,14 +6,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import netpricing.oracle as oracle_mod
+import netpricing.optimize as optimize_mod
 from netpricing import (CapacitySharing, CpPowerDemand, CustomCongestion,
                         CustomDemand, CustomGain, ExponentialGain, GridSpec,
                         MarketModel, MM1Queue, ReciprocalGain, UserPowerDemand,
                         baseline_model, finite_difference, fixed_point_equilibrium,
-                        grid_optimize, solve_equilibrium)
+                        grid_optimize, optimize_profit, optimize_welfare,
+                        solve_equilibrium)
 from netpricing.equilibrium import solve_many
 from netpricing.errors import DomainError, NumericalError
+from netpricing.experiments import verify_optima
 
 BUILTIN_LAWS = {"sharing": CapacitySharing(), "mm1": MM1Queue()}
 _ROWS_PER_BLOCK = 128
@@ -61,8 +63,6 @@ def test_finite_difference_known_values():
     # d/dp (1 - sqrt(p)) at 0.25 = -(1/2) * 0.25^(-1/2) = -1
     assert finite_difference(demand.value, 0.25, rel_step=1e-6) == pytest.approx(
         -1.0, abs=1e-6)
-    assert finite_difference(lambda x: x ** 3, 2.0, five_point=True) == pytest.approx(
-        12.0, rel=1e-9)
 
 
 def test_grid_profit_symmetric_baseline():
@@ -74,6 +74,19 @@ def test_grid_welfare_symmetric_baseline():
     best = grid_optimize(baseline_model(), "welfare", GridSpec(2001, 2001))
     assert abs(best.price_user - 0.35) <= best.cell_user
     assert best.price_cp == pytest.approx(0.7 - best.price_user, abs=1e-15)
+
+
+def test_grid_welfare_is_zero_where_a_demand_vanishes():
+    # no user demand above p = 0.5, so the segment's upper part has no
+    # surplus per unit; the scan must score it 0, not nan
+    model = MarketModel(
+        gain=ReciprocalGain(), congestion=CapacitySharing(),
+        user_demand=CustomDemand(lambda p: np.maximum(0.5 - p, 0.0)),
+        cp_demand=CpPowerDemand(beta=1.0), cost=0.9)
+    best = grid_optimize(model, "welfare")
+    assert math.isfinite(best.value) and best.value > 0.0
+    assert min(model.demands(best.price_user, best.price_cp)) > 0.0
+    verify_optima(model, optimize_profit(model), optimize_welfare(model))
 
 
 def test_grid_respects_explicit_ranges_and_validates():
@@ -127,12 +140,13 @@ def assert_exact(model, grid):
     return best
 
 
-@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
 @given(gain=st.sampled_from([ReciprocalGain(), ExponentialGain()]),
        law=st.sampled_from(sorted(BUILTIN_LAWS)),
        alpha=st.floats(0.3, 3.0), beta=st.floats(0.2, 3.0), cost=st.floats(0.0, 1.95),
        capacity=st.floats(0.3, 6.0), sensitivity=st.floats(0.3, 3.0),
-       points=st.tuples(st.sampled_from([3, 4, 51, 201]), st.sampled_from([3, 5, 101, 257])),
+       points=st.tuples(st.sampled_from([3, 4, 51, 201, 362, 401]),
+                        st.sampled_from([3, 5, 17, 101, 257])),
        window=st.one_of(st.none(), st.tuples(st.floats(0.0, 0.9), st.floats(0.0, 0.9))))
 def test_pruned_profit_argmax_is_exhaustive(gain, law, alpha, beta, cost, capacity,
                                             sensitivity, points, window):
@@ -167,7 +181,7 @@ def test_cost_above_every_margin_prunes_nothing():
     best = assert_exact(baseline_model(cost=1.5), grid)
     assert best.value < 0.0
     incumbent_points = 101 * 101
-    assert best.solved_points == oracle_mod.TABLE_STEPS + 1 + incumbent_points + 301 * 301
+    assert best.solved_points == optimize_mod.TABLE_STEPS + 1 + incumbent_points + 301 * 301
 
 
 def test_grid_without_demand_prunes_nothing():
@@ -177,10 +191,30 @@ def test_grid_without_demand_prunes_nothing():
         gain=ReciprocalGain(), congestion=CapacitySharing(),
         user_demand=CustomDemand(lambda p: np.maximum(0.5 - p, 0.0)),
         cp_demand=CpPowerDemand(beta=1.0), cost=0.7)
-    grid = GridSpec(5, 5, range_user=(0.6, 0.9))
-    best = assert_exact(model, grid)
+    best = assert_exact(model, GridSpec(5, 5, range_user=(0.6, 0.9)))
     assert best.value.hex() == "-0x0.0p+0"
-    assert best.solved_points == oracle_mod.TABLE_STEPS + 1 + 2 * 25
+    assert best.solved_points == 25
+    # a grid large enough for the bound builds the table, which is flat at 0
+    best = assert_exact(model, GridSpec(401, 257, range_user=(0.6, 0.9)))
+    assert best.value.hex() == "-0x0.0p+0"
+    assert best.solved_points == optimize_mod.TABLE_STEPS + 1 + 101 * 129 + 401 * 257
+
+
+@pytest.mark.parametrize("grid, solved", [
+    (GridSpec(101, 101), 101 * 101),
+    (GridSpec(1001, 3), 1001 * 3),
+    (GridSpec(362, 17), 362 * 17),          # = TABLE_STEPS + 1 + 121 * 17 incumbent points
+])
+def test_grid_no_larger_than_the_bound_is_solved_whole(grid, solved):
+    # the bound would solve the table and the incumbent points anyway
+    best = assert_exact(baseline_model(beta=2.0), grid)
+    assert best.solved_points == solved
+
+
+def test_grid_one_point_past_the_size_rule_is_bounded():
+    best = assert_exact(baseline_model(beta=2.0), GridSpec(363, 17))
+    bound_solves = optimize_mod.TABLE_STEPS + 1 + 121 * 17
+    assert bound_solves < best.solved_points < bound_solves + 363 * 17
 
 
 def test_non_monotone_throughput_table_raises(monkeypatch):
@@ -192,10 +226,10 @@ def test_non_monotone_throughput_table_raises(monkeypatch):
             lam[lam.size // 2] = 0.0
         calls.append(lam.size)
         return phi, lam
-    monkeypatch.setattr(oracle_mod, "solve_many", dented)
+    monkeypatch.setattr(optimize_mod, "solve_many", dented)
     with pytest.raises(NumericalError, match="not monotone"):
-        grid_optimize(baseline_model(), "profit", GridSpec(101, 101))
-    assert calls == [oracle_mod.TABLE_STEPS + 1]
+        grid_optimize(baseline_model(), "profit", GridSpec(201, 201))
+    assert calls == [optimize_mod.TABLE_STEPS + 1]
 
 
 @pytest.mark.parametrize("gain", [ReciprocalGain(), ExponentialGain()])
@@ -211,5 +245,5 @@ def test_grid_chunking_invariance(monkeypatch):
     spec = GridSpec(201, 201)
     full = grid_optimize(model, "profit", spec)
     for chunk in (1, 1000, 250_000):       # one row, some rows, every row at once
-        monkeypatch.setattr(oracle_mod, "_CHUNK", chunk)
+        monkeypatch.setattr(optimize_mod, "_CHUNK", chunk)
         assert grid_optimize(model, "profit", spec) == full
