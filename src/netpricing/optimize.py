@@ -16,23 +16,22 @@ The two global-stage routines also serve the ``--verify`` grid oracle
 (``oracle.grid_optimize``); the exhaustive argmax in ``tests/test_oracle.py``
 is the independent reference for both.  ``profit_argmax`` returns the first
 grid maximum in row-major order (smallest user price, then smallest content
-price), value included, exactly as solving every point would.  A grid with
-no more points than ``TABLE_STEPS`` + 1 plus its incumbent points (below)
-is solved point by point, as the optimizers' grids are; a larger one, such
-as the oracle's 2001^2 grid, is pruned by branch and bound.  The
-throughput lam depends on the prices only through the demand product
-m(p) n(q), and it rises with it: at fixed lam, h(lam) = lam - m n
-rho(Phi(lam, mu)) falls as m n rises, so the unique root moves right.  One
-vectorized solve tabulates lam at ``TABLE_STEPS`` + 1 evenly spaced products
-T_k on [0, max m * max n] (a table that falls anywhere raises
-``NumericalError``), and a point's profit is at most max(p + q - cost, 0) *
-lam(T_k), T_k the first node at or above its m n, times 1 + ``BOUND_SLACK``
-for solver error and the rounding of k.  The best exact profit on about 101
-x 101 of the grid's own points is the incumbent.  A point whose bound falls
-below it is strictly below the grid maximum, so skipping it cannot move the
-first-occurrence argmax; only the points whose bound reaches it are solved.
-On a 2001^2 grid that is about 0.4% of the points on the builtin baseline
-models, table and incumbent included.
+price), value included, exactly as solving every point would, by branch and
+bound.  The throughput lam depends on the prices only through the demand
+product m(p) n(q), and it rises with it: at fixed lam, h(lam) = lam - m n
+rho(Phi(lam, mu)) falls as m n rises, so the unique root moves right.  lam
+is tabulated at N + 1 evenly spaced products T_k on [0, max m * max n], N
+the smallest power of two at least twice the longer axis (a table that falls
+anywhere raises ``NumericalError``), and a point's profit is at most
+max(p + q - cost, 0) * lam(T_k), T_k the first node at or above its m n,
+times 1 + ``BOUND_SLACK`` for solver error and the rounding of k.  The best
+profit on every ``_INCUMBENT_STRIDE``-th point of each axis, solved with
+the table in one call, is the incumbent.  A point whose bound falls below it
+is strictly below the grid maximum, so skipping it cannot move the argmax;
+only the points whose bound reaches it are solved: about 4% of a 101^2 grid
+and 0.4% of a 2001^2 grid on the builtin baselines, table and incumbent
+included.  A grid no larger than the table plus its incumbent points, such
+as every one-axis grid, is solved whole.
 
 Newton is projected onto the price box: a coordinate at an edge whose
 gradient points out of the box is held exactly there, so corner optima
@@ -80,9 +79,8 @@ BOUNDARY_EPS = 1e-6
 _CLAMP = 1.0 - 1e-9
 _COARSE_POINTS = 101
 _SCAN_POINTS = 2001
-TABLE_STEPS = 4096                  # intervals of the throughput bound table
 BOUND_SLACK = 1e-8                  # relative slack of the profit bound: 10x NEWTON_REL_TOL
-_INCUMBENT_POINTS = 101             # about this many incumbent points per axis
+_INCUMBENT_STRIDE = 20              # every this many grid points per axis is an incumbent point
 _CHUNK = 65_536                     # grid points bounded per pass step
 
 
@@ -201,6 +199,7 @@ class OptimumReport:
     boundary: bool              # optimum pinned at the search box edge; FOC residuals not guaranteed
     held: bool                  # a price is fixed or exactly at a search-set edge; its FOC need not hold
     iterations: int             # Newton steps taken; 0 when nothing is searched
+    grid_solves: int            # equilibria solved by the global stage (grid or scan)
 
 
 def _profit_diagnostics(model: MarketModel, p: float, q: float, eq: Equilibrium,
@@ -241,50 +240,46 @@ def profit_argmax(model: MarketModel, p_axis: np.ndarray,
         return solve_many(model.gain, model.congestion, mn,
                           model.capacity, model.sensitivity)[1]
 
-    si = max(1, (p_axis.size - 1) // (_INCUMBENT_POINTS - 1))
-    sj = max(1, (cols - 1) // (_INCUMBENT_POINTS - 1))
-    if p_axis.size * cols <= TABLE_STEPS + 1 + p_axis[::si].size * q_axis[::sj].size:
-        values = ((p_axis[:, None] + q_axis[None, :] - cost).reshape(-1)
-                  * throughput(np.outer(m_vals, n_vals).reshape(-1)))
-        k = int(np.argmax(values))
-        return k // cols, k % cols, float(values[k]), values.size
+    steps = 1 << (2 * max(p_axis.size, cols) - 1).bit_length()     # table intervals
+    p_inc, q_inc = p_axis[::_INCUMBENT_STRIDE], q_axis[::_INCUMBENT_STRIDE]
+    if p_axis.size * cols <= steps + 1 + p_inc.size * q_inc.size:
+        flat, lam = np.arange(p_axis.size * cols), np.empty(0)
+    else:
+        top = float(np.max(m_vals) * np.max(n_vals))
+        lam = throughput(np.concatenate((np.linspace(0.0, top, steps + 1), np.outer(
+            m_vals[::_INCUMBENT_STRIDE], n_vals[::_INCUMBENT_STRIDE]).reshape(-1))))
+        if np.any(np.diff(lam[:steps + 1]) < 0.0):
+            raise NumericalError("equilibrium throughput is not monotone in the demand "
+                                 "product; the congestion equilibrium may not be unique")
+        table = lam[:steps + 1] * (1.0 + BOUND_SLACK)
+        scale = steps / top if top > 0.0 else 0.0
+        incumbent = float(np.max((p_inc[:, None] + q_inc[None, :] - cost).reshape(-1)
+                                 * lam[steps + 1:]))
 
-    top = float(np.max(m_vals) * np.max(n_vals))
-    table = throughput(np.linspace(0.0, top, TABLE_STEPS + 1))
-    if np.any(np.diff(table) < 0.0):
-        raise NumericalError("equilibrium throughput is not monotone in the demand "
-                             "product; the congestion equilibrium may not be unique")
-    table *= 1.0 + BOUND_SLACK
-    scale = TABLE_STEPS / top if top > 0.0 else 0.0
+        def profit_bound(p, q, mn):
+            return np.maximum(p + q - cost, 0.0) * table.take(
+                np.ceil(mn * scale).astype(np.intp), mode="clip")
 
-    def profit_bound(p, q, mn):
-        return np.maximum(p + q - cost, 0.0) * table.take(
-            np.ceil(mn * scale).astype(np.intp), mode="clip")
-
-    mn = np.outer(m_vals[::si], n_vals[::sj])
-    margin = p_axis[::si, None] + q_axis[None, ::sj] - cost
-    incumbent = float(np.max(margin * throughput(mn.reshape(-1)).reshape(mn.shape)))
-
-    # a point whose bound is below the incumbent is strictly below the grid
-    # maximum, so dropping it cannot move the first-occurrence argmax.  Each
-    # chunk of rows first bounds whole columns by its largest user price and
-    # user demand (rounding is monotone, so no point bound exceeds its
-    # column's), then bounds the points of the columns that remain.
-    rows_per_chunk = max(1, _CHUNK // cols)
-    kept = []
-    for row0 in range(0, p_axis.size, rows_per_chunk):
-        p_rows = p_axis[row0:row0 + rows_per_chunk]
-        m_rows = m_vals[row0:row0 + rows_per_chunk]
-        column = profit_bound(np.max(p_rows), q_axis, np.max(m_rows) * n_vals)
-        live = np.flatnonzero(column >= incumbent)
-        bound = profit_bound(p_rows[:, None], q_axis[live], np.outer(m_rows, n_vals[live]))
-        r, c = np.nonzero(bound >= incumbent)
-        kept.append((row0 + r) * cols + live[c])
-    flat = np.concatenate(kept)
+        # a point whose bound is below the incumbent is strictly below the grid
+        # maximum, so dropping it cannot move the first-occurrence argmax.  Each
+        # chunk of rows first bounds whole columns by its largest user price and
+        # user demand (rounding is monotone, so no point bound exceeds its
+        # column's), then bounds the points of the columns that remain.
+        rows_per_chunk = max(1, _CHUNK // cols)
+        kept = []
+        for row0 in range(0, p_axis.size, rows_per_chunk):
+            p_rows = p_axis[row0:row0 + rows_per_chunk]
+            m_rows = m_vals[row0:row0 + rows_per_chunk]
+            column = profit_bound(np.max(p_rows), q_axis, np.max(m_rows) * n_vals)
+            live = np.flatnonzero(column >= incumbent)
+            bound = profit_bound(p_rows[:, None], q_axis[live], np.outer(m_rows, n_vals[live]))
+            r, c = np.nonzero(bound >= incumbent)
+            kept.append((row0 + r) * cols + live[c])
+        flat = np.concatenate(kept)
     i, j = np.divmod(flat, cols)
     values = (p_axis[i] + q_axis[j] - cost) * throughput(m_vals[i] * n_vals[j])
     k = int(np.argmax(values))
-    return int(i[k]), int(j[k]), float(values[k]), table.size + mn.size + flat.size
+    return int(i[k]), int(j[k]), float(values[k]), lam.size + flat.size
 
 
 def profit_objective(model: MarketModel):
@@ -301,7 +296,7 @@ def optimize_profit(model: MarketModel) -> OptimumReport:
     p_hi, q_hi = profit_box(model)
     p_axis = np.linspace(0.0, p_hi, _COARSE_POINTS)
     q_axis = np.linspace(0.0, q_hi, _COARSE_POINTS)
-    i, j, _, _ = profit_argmax(model, p_axis, q_axis)
+    i, j, _, solved = profit_argmax(model, p_axis, q_axis)
     start = (p_axis[i], q_axis[j])
     width = max(p_hi, q_hi) / (_COARSE_POINTS - 1)
     x, report, steps = _projected_newton(profit_objective(model), start, (0.0, 0.0),
@@ -319,6 +314,7 @@ def optimize_profit(model: MarketModel) -> OptimumReport:
         boundary=boundary,
         held=any(held),
         iterations=steps,
+        grid_solves=solved,
     )
 
 
@@ -336,7 +332,7 @@ def welfare_segment(model: MarketModel) -> tuple[float, float]:
 
 def welfare_scan(model: MarketModel, points: int) -> tuple[np.ndarray, np.ndarray]:
     """``points`` evenly spaced user prices on ``welfare_segment`` and the
-    welfare (s_m + s_n) * lam at each; 0 where either side's demand is 0."""
+    welfare (s_m + s_n) * lam at each; 0, with no surplus taken, where a demand is 0."""
     lo, hi = welfare_segment(model)
     p_axis = np.linspace(lo, hi, points)
     q_axis = model.cost - p_axis
@@ -344,10 +340,10 @@ def welfare_scan(model: MarketModel, points: int) -> tuple[np.ndarray, np.ndarra
     n_vals = model.cp_demand.value(q_axis)
     _, lam = solve_many(model.gain, model.congestion, m_vals * n_vals,
                         model.capacity, model.sensitivity)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        s_m = model.user_demand.per_unit_surplus(p_axis)
-        s_n = model.cp_demand.per_unit_surplus(q_axis)
-        values = np.where((m_vals > 0) & (n_vals > 0), (s_m + s_n) * lam, 0.0)
+    values = np.zeros_like(lam)
+    both = (m_vals > 0) & (n_vals > 0)
+    values[both] = (model.user_demand.per_unit_surplus(p_axis[both])
+                    + model.cp_demand.per_unit_surplus(q_axis[both])) * lam[both]
     return p_axis, values
 
 
@@ -406,6 +402,7 @@ def optimize_welfare(model: MarketModel) -> OptimumReport:
         boundary=boundary,
         held=held,
         iterations=steps,
+        grid_solves=p_axis.size,
     )
 
 
@@ -423,7 +420,8 @@ def optimize_one_sided(model: MarketModel, kind: str) -> OptimumReport:
             return report.profit, np.array([report.gradients.profit_price_user]), report
 
         p_axis = np.linspace(0.0, p_hi, _SCAN_POINTS)
-        start = float(p_axis[profit_argmax(model, p_axis, np.zeros(1))[0]])
+        i, _, _, solved = profit_argmax(model, p_axis, np.zeros(1))
+        start = float(p_axis[i])
         width = p_hi / (_SCAN_POINTS - 1)
         x, report, steps = _projected_newton(objective, [start], [0.0], [p_hi], width)
         p = float(x[0])
@@ -438,6 +436,7 @@ def optimize_one_sided(model: MarketModel, kind: str) -> OptimumReport:
             boundary=min(p, p_hi - p) < BOUNDARY_EPS,
             held=True,          # q is fixed at 0
             iterations=steps,
+            grid_solves=solved,
         )
     if kind == "welfare":
         p = model.cost
@@ -458,6 +457,7 @@ def optimize_one_sided(model: MarketModel, kind: str) -> OptimumReport:
             boundary=True,      # the constraint leaves no interior freedom
             held=True,
             iterations=0,
+            grid_solves=0,
         )
     raise DomainError(f"unknown one-sided kind {kind!r}")
 

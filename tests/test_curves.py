@@ -234,7 +234,7 @@ def test_concave_family_hazards_increase(demand):
     xs = np.linspace(1e-4, 1.0 - 1e-6, 400)
     hazards = [demand.hazard(float(x)) for x in xs]
     assert all(b > a for a, b in zip(hazards, hazards[1:]))
-    surplus_hazards = [demand.surplus_hazard(float(x)) for x in xs]
+    surplus_hazards = [demand.value(float(x)) / demand.surplus(float(x)) for x in xs]
     assert all(b > a for a, b in zip(surplus_hazards, surplus_hazards[1:]))
 
 

@@ -218,6 +218,40 @@ def test_welfare_root_in_a_sliver_next_to_the_segment_end():
     assert report.objective >= best.value - 1e-12
 
 
+def test_welfare_scan_takes_surpluses_only_where_both_demands_are_positive():
+    # no user demand above p = 0.5; a scalar-only value callable without a
+    # surplus callable makes every surplus an adaptive Simpson of value calls
+    calls = []
+
+    def user_value(p):
+        calls.append(p)
+        return max(0.5 - p, 0.0)
+    model = MarketModel(
+        gain=ReciprocalGain(), congestion=CapacitySharing(),
+        user_demand=CustomDemand(user_value), cp_demand=CpPowerDemand(beta=1.0), cost=0.9)
+    calls.clear()
+    p_axis, values = optimize.welfare_scan(model, 201)
+    scan_calls = len(calls)
+    # the scan's calls: the demand levels, then the surpluses at positive demand
+    calls.clear()
+    positive = model.user_demand.value(p_axis) > 0.0
+    model.user_demand.per_unit_surplus(p_axis[positive])
+    assert scan_calls == len(calls)
+    assert 0 < positive.sum() < p_axis.size
+    assert np.array_equal(values > 0.0, positive)
+
+
+@pytest.mark.parametrize("gain", [ReciprocalGain(), ExponentialGain()])
+@pytest.mark.parametrize("law", [CapacitySharing(), MM1Queue()])
+def test_optima_report_their_grid_solves(gain, law):
+    # the 101 x 101 profit grid is pruned, not solved whole (10,201 points)
+    model = baseline_model(gain=gain, congestion=law)
+    assert 0 < optimize_profit(model).grid_solves < 1000
+    assert optimize_welfare(model).grid_solves == 2001
+    assert optimize_one_sided(model, "profit").grid_solves == 2001
+    assert optimize_one_sided(model, "welfare").grid_solves == 0
+
+
 # ---------------------------------------------------------------------------
 # one-sided benchmarks and growth rates
 # ---------------------------------------------------------------------------

@@ -103,17 +103,10 @@ def test_grid_respects_explicit_ranges_and_validates():
 # the pruned profit argmax against an exhaustive evaluation
 # ---------------------------------------------------------------------------
 
-def exhaustive_profit_optimum(model, grid):
-    """Solve every point of the profit grid and keep the first maximum in
-    row-major order, as ``np.argmax`` does; rows go in blocks to bound memory.
-
-    Returns the fields of ``GridOptimum`` other than the solve count.
-    """
-    clamp = 1.0 - 1e-9
-    p_axis = np.linspace(*(grid.range_user or (0.0, model.user_demand.support * clamp)),
-                         grid.points_user)
-    q_axis = np.linspace(*(grid.range_cp or (0.0, model.cp_demand.support * clamp)),
-                         grid.points_cp)
+def exhaustive_argmax(model, p_axis, q_axis):
+    """Solve every point of the profit grid p_axis x q_axis and keep the first
+    maximum (i, j, value) in row-major order, as ``np.argmax`` does; rows go
+    in blocks to bound memory."""
     m_vals, n_vals = model.user_demand.value(p_axis), model.cp_demand.value(q_axis)
     best_value, best_k = -math.inf, 0
     for row0 in range(0, p_axis.size, _ROWS_PER_BLOCK):
@@ -126,7 +119,19 @@ def exhaustive_profit_optimum(model, grid):
         if values[k] > best_value:
             best_value, best_k = float(values[k]), row0 * q_axis.size + k
     i, j = divmod(best_k, q_axis.size)
-    return (float(p_axis[i]), float(q_axis[j]), best_value,
+    return i, j, best_value
+
+
+def exhaustive_profit_optimum(model, grid):
+    """The fields of ``GridOptimum`` other than the solve count, from
+    ``exhaustive_argmax`` on the grid."""
+    clamp = 1.0 - 1e-9
+    p_axis = np.linspace(*(grid.range_user or (0.0, model.user_demand.support * clamp)),
+                         grid.points_user)
+    q_axis = np.linspace(*(grid.range_cp or (0.0, model.cp_demand.support * clamp)),
+                         grid.points_cp)
+    i, j, value = exhaustive_argmax(model, p_axis, q_axis)
+    return (float(p_axis[i]), float(q_axis[j]), value,
             float(p_axis[1] - p_axis[0]), float(q_axis[1] - q_axis[0]))
 
 
@@ -167,6 +172,23 @@ def test_pruned_profit_argmax_on_sub_ranges_and_three_point_axes(grid):
     assert_exact(baseline_model(beta=2.0, capacity=0.8), grid)
 
 
+@pytest.mark.parametrize("gain", [ReciprocalGain(), ExponentialGain()])
+@pytest.mark.parametrize("law", sorted(BUILTIN_LAWS))
+def test_optimizers_own_grids_are_exhaustive(gain, law):
+    # optimize_profit's 101 x 101 grid (pruned) and optimize_one_sided's
+    # 2001 points of p at q = 0 (solved whole)
+    model = baseline_model(gain=gain, congestion=BUILTIN_LAWS[law], beta=1.6, cost=0.5)
+    p_hi, q_hi = optimize_mod.profit_box(model)
+    solved = []
+    for p_axis, q_axis in [(np.linspace(0.0, p_hi, 101), np.linspace(0.0, q_hi, 101)),
+                           (np.linspace(0.0, p_hi, 2001), np.zeros(1))]:
+        i, j, value, count = optimize_mod.profit_argmax(model, p_axis, q_axis)
+        want_i, want_j, want_value = exhaustive_argmax(model, p_axis, q_axis)
+        assert (i, j, value.hex()) == (want_i, want_j, want_value.hex())
+        solved.append(count)
+    assert solved[0] < 1000 and solved[1] == 2001
+
+
 def test_pruned_profit_argmax_with_scalar_custom_curves():
     # a gain that only takes floats, and a law whose inverse is bisected for
     gain = CustomGain(lambda phi, s: math.exp(-s * (0.5 * phi + 0.1 * phi * phi)))
@@ -180,8 +202,9 @@ def test_cost_above_every_margin_prunes_nothing():
     grid = GridSpec(301, 301, range_user=(0.0, 0.5), range_cp=(0.0, 0.5))
     best = assert_exact(baseline_model(cost=1.5), grid)
     assert best.value < 0.0
-    incumbent_points = 101 * 101
-    assert best.solved_points == optimize_mod.TABLE_STEPS + 1 + incumbent_points + 301 * 301
+    # a table of 1024 intervals (the first power of two >= 2 * 301) and
+    # every 20th point of each axis as the incumbent
+    assert best.solved_points == 1024 + 1 + 16 * 16 + 301 * 301
 
 
 def test_grid_without_demand_prunes_nothing():
@@ -191,19 +214,19 @@ def test_grid_without_demand_prunes_nothing():
         gain=ReciprocalGain(), congestion=CapacitySharing(),
         user_demand=CustomDemand(lambda p: np.maximum(0.5 - p, 0.0)),
         cp_demand=CpPowerDemand(beta=1.0), cost=0.7)
+    # the table is flat at 0, so no point is pruned
     best = assert_exact(model, GridSpec(5, 5, range_user=(0.6, 0.9)))
     assert best.value.hex() == "-0x0.0p+0"
-    assert best.solved_points == 25
-    # a grid large enough for the bound builds the table, which is flat at 0
+    assert best.solved_points == 16 + 1 + 1 * 1 + 5 * 5
     best = assert_exact(model, GridSpec(401, 257, range_user=(0.6, 0.9)))
     assert best.value.hex() == "-0x0.0p+0"
-    assert best.solved_points == optimize_mod.TABLE_STEPS + 1 + 101 * 129 + 401 * 257
+    assert best.solved_points == 1024 + 1 + 21 * 13 + 401 * 257
 
 
 @pytest.mark.parametrize("grid, solved", [
-    (GridSpec(101, 101), 101 * 101),
-    (GridSpec(1001, 3), 1001 * 3),
-    (GridSpec(362, 17), 362 * 17),          # = TABLE_STEPS + 1 + 121 * 17 incumbent points
+    (GridSpec(3, 3), 3 * 3),                # < 8 + 1 + 1 * 1: 8 table intervals
+    (GridSpec(87, 3), 87 * 3),              # < 256 + 1 + 5 * 1
+    (GridSpec(174, 3), 174 * 3),            # = 512 + 1 + 9 * 1 incumbent points
 ])
 def test_grid_no_larger_than_the_bound_is_solved_whole(grid, solved):
     # the bound would solve the table and the incumbent points anyway
@@ -212,9 +235,9 @@ def test_grid_no_larger_than_the_bound_is_solved_whole(grid, solved):
 
 
 def test_grid_one_point_past_the_size_rule_is_bounded():
-    best = assert_exact(baseline_model(beta=2.0), GridSpec(363, 17))
-    bound_solves = optimize_mod.TABLE_STEPS + 1 + 121 * 17
-    assert bound_solves < best.solved_points < bound_solves + 363 * 17
+    best = assert_exact(baseline_model(beta=2.0), GridSpec(175, 3))
+    bound_solves = 512 + 1 + 9 * 1
+    assert bound_solves < best.solved_points < bound_solves + 175 * 3
 
 
 def test_non_monotone_throughput_table_raises(monkeypatch):
@@ -222,14 +245,14 @@ def test_non_monotone_throughput_table_raises(monkeypatch):
 
     def dented(gain, congestion, mn, capacity, sensitivity):
         phi, lam = solve_many(gain, congestion, mn, capacity, sensitivity)
-        if not calls:            # the first solve is the throughput table
+        if not calls:            # the first solve: the table, then the incumbent
             lam[lam.size // 2] = 0.0
         calls.append(lam.size)
         return phi, lam
     monkeypatch.setattr(optimize_mod, "solve_many", dented)
     with pytest.raises(NumericalError, match="not monotone"):
         grid_optimize(baseline_model(), "profit", GridSpec(201, 201))
-    assert calls == [optimize_mod.TABLE_STEPS + 1]
+    assert calls == [512 + 1 + 11 * 11]
 
 
 @pytest.mark.parametrize("gain", [ReciprocalGain(), ExponentialGain()])
