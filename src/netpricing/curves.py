@@ -10,10 +10,21 @@ A priced, congestible network platform is assembled from four curves:
 * two demand curves, one per market side: user demand ``m(p)`` and
   content-side demand ``n(q)``, each with hazard rate and surplus integral.
 
+Every curve also states its second derivatives, which the optimizers'
+Newton Hessians, the implicit-function sensitivities and the elasticity
+trace slope use: the gain's ``curvature`` rho'', the congestion law's
+``congestion_curvature`` Phi_lamlam, ``congestion_capacity_slope`` Phi_mu and
+``congestion_cross_slope`` Phi_lammu, and the demand's ``curvature`` m''.
+
 Builtin families are closed-form throughout.  The ``Custom*`` variants accept
 arbitrary value callables and derive slopes, inverses, hazards, and surplus
 integrals numerically (central differences at relative step 1e-6, adaptive
-Simpson quadrature at absolute tolerance 1e-10).
+Simpson quadrature at absolute tolerance 1e-10).  A custom second derivative
+is the central difference of an analytic slope callable when one is given,
+and otherwise a three-point second difference of the value callable at
+relative step 1e-4 (``SECOND_REL_STEP``; differencing a differenced slope
+would lose about four more digits).  Which fallback a curve uses is chosen
+once, at construction.
 
 Each curve method states its formula once, in operators that take a float
 or a numpy array; a float stays in float arithmetic, far cheaper than numpy
@@ -37,6 +48,7 @@ import numpy as np
 from .errors import DomainError
 
 FD_REL_STEP = 1e-6
+SECOND_REL_STEP = 1e-4
 QUAD_ABS_TOL = 1e-10
 QUAD_MAX_DEPTH = 50
 
@@ -81,6 +93,24 @@ def _central_diff(f: Callable, x, lo: float, hi: float, rel_step: float = FD_REL
     b = _where(x + h > hi, x, x + h)
     _require(a != b, "finite-difference interval collapsed to a point")
     return (f(b) - f(a)) / (b - a)
+
+
+def _second_diff(f: Callable, x, lo: float, hi: float, rel_step: float = SECOND_REL_STEP):
+    """Three-point second difference of f at x (float or array); near an edge of
+    [lo, hi] the stencil is shifted inside it."""
+    h = rel_step * _where(abs(x) > 1.0, abs(x), 1.0)
+    c = _where(x - h < lo, lo + h, _where(x + h > hi, hi - h, x))
+    return (f(c + h) - 2.0 * f(c) + f(c - h)) / (h * h)
+
+
+def _mixed_diff(f: Callable, x, y: float, rel_step: float = SECOND_REL_STEP):
+    """Four-point difference of d^2 f(x, y) / dx dy for x >= 0 and y > 0; the x
+    stencil is shifted off a negative x, the y step is relative to y."""
+    hx = rel_step * _where(abs(x) > 1.0, abs(x), 1.0)
+    hy = rel_step * y
+    c = _where(x - hx < 0.0, hx, x)
+    return ((f(c + hx, y + hy) - f(c + hx, y - hy) - f(c - hx, y + hy) + f(c - hx, y - hy))
+            / (4.0 * hx * hy))
 
 
 def adaptive_simpson(f: Callable[[float], float], a: float, b: float,
@@ -140,6 +170,10 @@ class GainCurve:
         """d value / d phi (nonpositive)."""
         raise NotImplementedError
 
+    def curvature(self, phi, sensitivity):
+        """d slope / d phi."""
+        raise NotImplementedError
+
     def elasticity(self, phi, sensitivity):
         """Congestion elasticity phi * |slope| / value; 0 in the phi -> 0 limit."""
         v = self.value(phi, sensitivity)
@@ -163,6 +197,10 @@ class ReciprocalGain(GainCurve):
         _check_gain_args(phi, sensitivity)
         return -sensitivity / (sensitivity * phi + 1.0) ** 2
 
+    def curvature(self, phi, sensitivity):
+        _check_gain_args(phi, sensitivity)
+        return 2.0 * sensitivity * sensitivity / (sensitivity * phi + 1.0) ** 3
+
 
 @dataclass(frozen=True)
 class ExponentialGain(GainCurve):
@@ -176,15 +214,21 @@ class ExponentialGain(GainCurve):
         _check_gain_args(phi, sensitivity)
         return -math.log(sensitivity + 1.0) * (sensitivity + 1.0) ** (-phi)
 
+    def curvature(self, phi, sensitivity):
+        _check_gain_args(phi, sensitivity)
+        return math.log(sensitivity + 1.0) ** 2 * (sensitivity + 1.0) ** (-phi)
+
 
 @dataclass(frozen=True)
 class CustomGain(GainCurve, _CustomCurve):
     """Gain from a user-supplied value callable (phi, s) -> rho.
 
     The slope falls back to a central finite difference when no analytic
-    slope callable is supplied.  The decreasing-to-zero tail cannot be
-    decided from point evaluations; it is only probed numerically (see the
-    test suite), so a custom curve violating it fails late, at solve time.
+    slope callable is supplied; the curvature differences the slope callable
+    when there is one and the value callable otherwise.  The
+    decreasing-to-zero tail cannot be decided from point evaluations; it is
+    only probed numerically (see the test suite), so a custom curve
+    violating it fails late, at solve time.
     """
 
     value_fn: Callable = field(compare=False)
@@ -193,9 +237,18 @@ class CustomGain(GainCurve, _CustomCurve):
     def __post_init__(self):
         probe = (np.array([0.5, 1.0]), 1.0)
         value = _custom_callable(self.value_fn, probe)
-        slope = (_custom_callable(self.slope_fn, probe) if self.slope_fn is not None else
-                 lambda phi, s: _central_diff(lambda x: value(x, s), phi, 0.0, math.inf))
-        vars(self).update(_value=value, _slope=slope)
+        if self.slope_fn is None:
+            def slope(phi, s):
+                return _central_diff(lambda x: value(x, s), phi, 0.0, math.inf)
+
+            def curvature(phi, s):
+                return _second_diff(lambda x: value(x, s), phi, 0.0, math.inf)
+        else:
+            slope = _custom_callable(self.slope_fn, probe)
+
+            def curvature(phi, s):
+                return _central_diff(lambda x: slope(x, s), phi, 0.0, math.inf)
+        vars(self).update(_value=value, _slope=slope, _curvature=curvature)
 
     def value(self, phi, sensitivity):
         _check_gain_args(phi, sensitivity)
@@ -204,6 +257,10 @@ class CustomGain(GainCurve, _CustomCurve):
     def slope(self, phi, sensitivity):
         _check_gain_args(phi, sensitivity)
         return self._slope(phi, sensitivity)
+
+    def curvature(self, phi, sensitivity):
+        _check_gain_args(phi, sensitivity)
+        return self._curvature(phi, sensitivity)
 
 
 # ---------------------------------------------------------------------------
@@ -221,10 +278,13 @@ class CongestionCurve:
     ``congestion`` is increasing in throughput and decreasing in capacity;
     ``implied_throughput`` is its inverse in the throughput argument, hence
     strictly increasing in both the congestion level and the capacity.  The
-    slopes default to central differences of the forward map ``congestion``
-    (the builtin laws override them in closed form); those of the inverse
-    take the throughput at ``phi`` when the caller knows it, which spares
-    the numerical inversion.
+    first and second partials of the forward map ``congestion`` in throughput
+    and capacity default to differences of it (the builtin laws override them
+    in closed form): central differences for the first, a three-point second
+    difference for ``congestion_curvature`` and a four-point one for
+    ``congestion_cross_slope``.  The slopes of the inverse take the
+    throughput at ``phi`` when the caller knows it, which spares the
+    numerical inversion.
     """
 
     def congestion(self, throughput, capacity):
@@ -233,6 +293,18 @@ class CongestionCurve:
     def congestion_slope(self, throughput, capacity):
         """d congestion / d throughput (positive)."""
         return _central_diff(lambda x: self.congestion(x, capacity), throughput, 0.0, math.inf)
+
+    def congestion_curvature(self, throughput, capacity):
+        """d^2 congestion / d throughput^2."""
+        return _second_diff(lambda x: self.congestion(x, capacity), throughput, 0.0, math.inf)
+
+    def congestion_capacity_slope(self, throughput, capacity):
+        """d congestion / d capacity (nonpositive)."""
+        return _central_diff(lambda mu: self.congestion(throughput, mu), capacity, 0.0, math.inf)
+
+    def congestion_cross_slope(self, throughput, capacity):
+        """d^2 congestion / d throughput d capacity."""
+        return _mixed_diff(self.congestion, throughput, capacity)
 
     def implied_throughput(self, phi, capacity):
         raise NotImplementedError
@@ -253,8 +325,7 @@ class CongestionCurve:
     def capacity_slope(self, phi, capacity, throughput=None):
         """d implied_throughput / d capacity = -Phi_mu / Phi_lam (positive)."""
         lam = self.implied_throughput(phi, capacity) if throughput is None else throughput
-        phi_mu = _central_diff(lambda mu: self.congestion(lam, mu), capacity, 0.0, math.inf)
-        return -phi_mu / self.congestion_slope(lam, capacity)
+        return -self.congestion_capacity_slope(lam, capacity) / self.congestion_slope(lam, capacity)
 
 
 @dataclass(frozen=True)
@@ -269,6 +340,18 @@ class CapacitySharing(CongestionCurve):
     def congestion_slope(self, throughput, capacity):
         _check_capacity(capacity)
         return 0.0 * throughput + 1.0 / capacity     # in throughput's shape, as floats
+
+    def congestion_curvature(self, throughput, capacity):
+        _check_capacity(capacity)
+        return 0.0 * throughput
+
+    def congestion_capacity_slope(self, throughput, capacity):
+        _check_capacity(capacity)
+        return -throughput / (capacity * capacity)
+
+    def congestion_cross_slope(self, throughput, capacity):
+        _check_capacity(capacity)
+        return 0.0 * throughput - 1.0 / (capacity * capacity)
 
     def implied_throughput(self, phi, capacity):
         _check_capacity(capacity)
@@ -298,6 +381,18 @@ class MM1Queue(CongestionCurve):
         phi = self.congestion(throughput, capacity)
         return phi * phi
 
+    def congestion_curvature(self, throughput, capacity):
+        phi = self.congestion(throughput, capacity)
+        return 2.0 * phi * phi * phi
+
+    def congestion_capacity_slope(self, throughput, capacity):
+        phi = self.congestion(throughput, capacity)
+        return -phi * phi
+
+    def congestion_cross_slope(self, throughput, capacity):
+        phi = self.congestion(throughput, capacity)
+        return -2.0 * phi * phi * phi
+
     def implied_throughput(self, phi, capacity):
         _check_capacity(capacity)
         floor = 1.0 / capacity
@@ -321,8 +416,9 @@ class MM1Queue(CongestionCurve):
 class CustomCongestion(CongestionCurve, _CustomCurve):
     """Congestion law from a user-supplied (throughput, capacity) callable.
 
-    Only monotonicity is required of the callable: the slopes are the
-    central differences of the forward map that ``CongestionCurve`` defines,
+    Only monotonicity is required of the callable: the slopes and second
+    derivatives are the differences of the forward map that
+    ``CongestionCurve`` defines,
     and the inverse is bisected for unless an analytic ``inverse_fn`` is given
     (no solver calls the inverse, so it is not probed: arrays are mapped).
     As for the builtin laws, a negative or NaN throughput and a congestion
@@ -381,11 +477,12 @@ class DemandCurve:
     """One market side's demand as a function of its per-unit price.
 
     ``value`` is the demand level: nonnegative, strictly decreasing on
-    [0, support), zero from the support bound on.  ``hazard`` is
-    -slope/value, ``surplus`` the integral of the demand from the price to
-    the support bound, and ``per_unit_surplus`` their ratio surplus/value.
-    A family supplies ``_value``, ``_slope`` and ``_surplus`` for prices
-    (float or array) in [0, support].
+    [0, support), zero from the support bound on.  ``curvature`` is the
+    second derivative m''.  ``hazard`` is -slope/value, ``surplus`` the
+    integral of the demand from the price to the support bound, and
+    ``per_unit_surplus`` their ratio surplus/value.  A family supplies
+    ``_value``, ``_slope``, ``_curvature`` and ``_surplus`` for prices (float
+    or array) in [0, support].
     """
 
     support: float
@@ -395,6 +492,9 @@ class DemandCurve:
 
     def slope(self, price):
         return self._below_support(self._slope, price)
+
+    def curvature(self, price):
+        return self._below_support(self._curvature, price)
 
     def surplus(self, price):
         return self._below_support(self._surplus, price)
@@ -438,9 +538,14 @@ class _PowerDemand(DemandCurve):
         value = getattr(self, self._parameter)
         _require(value > 0, "{} must be positive, got {}", self._parameter, value)
         k, k1, c, d = self._shape(value)
-        # the slope's limit at x = 0, where x**(k - 1) diverges for k < 1
+        # the limits at x = 0 of the slope, where x**(k - 1) diverges for k < 1,
+        # and of the curvature, where x**(k - 2) diverges for k < 2
         at_zero = -k if k == 1.0 else (0.0 if k > 1.0 else -math.inf)
-        vars(self).update(_k=k, _k1=k1, _c=c, _d=d, _slope_at_zero=at_zero)
+        coefficient = -k * (k - 1.0)
+        curvature_at_zero = (coefficient if k == 2.0 else 0.0 if k > 2.0 or k == 1.0
+                             else math.copysign(math.inf, coefficient))
+        vars(self).update(_k=k, _k1=k1, _c=c, _d=d, _slope_at_zero=at_zero,
+                          _curvature_at_zero=curvature_at_zero)
 
     def _value(self, x):
         return 1.0 - x ** self._k
@@ -448,6 +553,11 @@ class _PowerDemand(DemandCurve):
     def _slope(self, x):
         k = self._k     # x + (x == 0) keeps 0 ** (k - 1) out; _where puts the limit there
         return _where(x > 0.0, -k * (x + (x == 0.0)) ** (k - 1.0), self._slope_at_zero)
+
+    def _curvature(self, x):
+        k = self._k
+        return _where(x > 0.0, -k * (k - 1.0) * (x + (x == 0.0)) ** (k - 2.0),
+                      self._curvature_at_zero)
 
     def _surplus(self, x):
         return (1.0 - x) - self._c * (1.0 - x ** self._k1) / self._d
@@ -488,7 +598,8 @@ class CustomDemand(DemandCurve, _CustomCurve):
     The support bound must be declared explicitly; it cannot be inferred
     from point evaluations.  Slope falls back to central differences and the
     surplus integral to adaptive Simpson quadrature unless analytic
-    callables are supplied.
+    callables are supplied; the curvature differences the slope callable
+    when there is one and the value callable otherwise.
     """
 
     value_fn: Callable = field(compare=False)
@@ -500,11 +611,20 @@ class CustomDemand(DemandCurve, _CustomCurve):
         _require(self.support > 0, "support must be positive, got {}", self.support)
         probe = (np.array([0.25, 0.5]) * self.support,)
         value = _custom_callable(self.value_fn, probe)
-        slope = (_custom_callable(self.slope_fn, probe) if self.slope_fn is not None else
-                 lambda x: _central_diff(value, x, 0.0, self.support))
+        if self.slope_fn is None:
+            def slope(x):
+                return _central_diff(value, x, 0.0, self.support)
+
+            def curvature(x):
+                return _second_diff(value, x, 0.0, self.support)
+        else:
+            slope = _custom_callable(self.slope_fn, probe)
+
+            def curvature(x):
+                return _central_diff(slope, x, 0.0, self.support)
         surplus = _custom_callable(self.surplus_fn, probe) if self.surplus_fn is not None else (
             _custom_callable(lambda x: adaptive_simpson(value, x, self.support)))
-        vars(self).update(_value=value, _slope=slope, _surplus=surplus)
+        vars(self).update(_value=value, _slope=slope, _curvature=curvature, _surplus=surplus)
 
 
 # ---------------------------------------------------------------------------

@@ -10,11 +10,34 @@ W_m + W_n, the objective of the zero-profit pricing problem (on its
 constraint set the profit term contributes nothing to tangential
 derivatives).  The matching finite-difference checks therefore difference
 W_m + W_n, while the profit gradients difference U itself.
+
+Second derivatives, for the optimizers' Newton steps and the implicit-function
+sensitivities, are separate calls that reuse a solved equilibrium, so
+``evaluate_objectives`` pays nothing for them.  lam depends on the prices
+only through T = m(p) n(q); differentiating h(lam, T) = lam - T rho(Phi(lam,
+mu)) = 0 twice, with D = 1 - T rho' Phi_lam = 1/eps,
+
+    lam_T  = rho / D,
+    D_T    = -rho' Phi_lam - T (rho'' Phi_lam^2 + rho' Phi_lamlam) lam_T,
+    lam_TT = (rho' Phi_lam lam_T D - rho D_T) / D^2.
+
+``profit_hessian`` is then, with margin M = p + q - c,
+
+    U_pp = 2 lam_T T_p + M (lam_TT T_p^2 + lam_T T_pp),
+    U_pq = lam_T (T_p + T_q) + M (lam_TT T_p T_q + lam_T T_pq),
+
+and U_qq is U_pp with p and q swapped.  ``welfare_segment_curvature`` is
+f'' = W_pp - 2 W_pq + W_qq of W = (s_m + s_n) lam along q = cost - p, taking
+the per-unit surplus derivatives from identities, so a custom demand needs no
+extra quadrature: s' = h s - 1, s'' = s' h + s h' and h' = h^2 - m''/m, h the
+hazard.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .curves import MarketModel
 from .equilibrium import Equilibrium, gap_slope, solve_equilibrium
@@ -100,3 +123,72 @@ def evaluate_objectives(model: MarketModel, price_user: float,
         equilibrium=eq,
         degenerate=False,
     )
+
+
+def _throughput_derivatives(model: MarketModel, eq: Equilibrium) -> tuple[float, float]:
+    """(lam_T, lam_TT): lam's first two derivatives in the demand product T = m n."""
+    t = eq.user_level * eq.cp_level
+    phi, lam = eq.congestion, eq.throughput
+    rho = model.gain.value(phi, model.sensitivity)
+    rho_1 = model.gain.slope(phi, model.sensitivity)
+    rho_2 = model.gain.curvature(phi, model.sensitivity)
+    phi_1 = model.congestion.congestion_slope(lam, model.capacity)
+    phi_2 = model.congestion.congestion_curvature(lam, model.capacity)
+    d = 1.0 - t * rho_1 * phi_1
+    lam_t = rho / d
+    d_t = -rho_1 * phi_1 - t * (rho_2 * phi_1 * phi_1 + rho_1 * phi_2) * lam_t
+    return lam_t, (rho_1 * phi_1 * lam_t * d - rho * d_t) / (d * d)
+
+
+def _demand_terms(model: MarketModel, eq: Equilibrium):
+    """(m', n', m'', n'') at the equilibrium's prices."""
+    p, q = eq.price_user, eq.price_cp
+    return (model.user_demand.slope(p), model.cp_demand.slope(q),
+            model.user_demand.curvature(p), model.cp_demand.curvature(q))
+
+
+def profit_hessian(model: MarketModel, eq: Equilibrium) -> np.ndarray:
+    """[[U_pp, U_pq], [U_pq, U_qq]] at the equilibrium's prices; zero where
+    demand vanishes, as the gradients are."""
+    if eq.degenerate:
+        return np.zeros((2, 2))
+    m, n = eq.user_level, eq.cp_level
+    m_1, n_1, m_2, n_2 = _demand_terms(model, eq)
+    lam_t, lam_tt = _throughput_derivatives(model, eq)
+    margin = eq.price_user + eq.price_cp - model.cost
+    t_p, t_q = m_1 * n, m * n_1
+    u_pp = 2.0 * lam_t * t_p + margin * (lam_tt * t_p * t_p + lam_t * m_2 * n)
+    u_qq = 2.0 * lam_t * t_q + margin * (lam_tt * t_q * t_q + lam_t * m * n_2)
+    u_pq = lam_t * (t_p + t_q) + margin * (lam_tt * t_p * t_q + lam_t * m_1 * n_1)
+    return np.array([[u_pp, u_pq], [u_pq, u_qq]])
+
+
+def welfare_segment_curvature(model: MarketModel, eq: Equilibrium) -> float:
+    """d^2 (W_m + W_n) / dp^2 along q = cost - p at the equilibrium's prices;
+    zero where demand vanishes."""
+    if eq.degenerate:
+        return 0.0
+    p, q = eq.price_user, eq.price_cp
+    m, n, lam = eq.user_level, eq.cp_level, eq.throughput
+    m_1, n_1, m_2, n_2 = _demand_terms(model, eq)
+    lam_t, lam_tt = _throughput_derivatives(model, eq)
+
+    def surplus_terms(demand, price, level, slope, curvature):
+        """(s, s', s''): the per-unit surplus and its derivatives, from the hazard
+        h = -m'/m and its slope h' = h^2 - m''/m."""
+        s = demand.per_unit_surplus(price)
+        h = -slope / level
+        s_1 = h * s - 1.0
+        return s, s_1, s_1 * h + s * (h * h - curvature / level)
+
+    s_m, s_m1, s_m2 = surplus_terms(model.user_demand, p, m, m_1, m_2)
+    s_n, s_n1, s_n2 = surplus_terms(model.cp_demand, q, n, n_1, n_2)
+    total = s_m + s_n
+    t_p, t_q = m_1 * n, m * n_1
+    w_pp = s_m2 * lam + 2.0 * s_m1 * lam_t * t_p + total * (lam_tt * t_p * t_p
+                                                             + lam_t * m_2 * n)
+    w_qq = s_n2 * lam + 2.0 * s_n1 * lam_t * t_q + total * (lam_tt * t_q * t_q
+                                                             + lam_t * m * n_2)
+    w_pq = (s_m1 * lam_t * t_q + s_n1 * lam_t * t_p
+            + total * (lam_tt * t_p * t_q + lam_t * m_1 * n_1))
+    return w_pp - 2.0 * w_pq + w_qq

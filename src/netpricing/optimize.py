@@ -35,20 +35,26 @@ as every one-axis grid, is solved whole.
 
 Newton is projected onto the price box: a coordinate at an edge whose
 gradient points out of the box is held exactly there, so corner optima
-(q* = 0 under a strongly convex content demand) are exact.  The Hessian is a
-central difference of the analytic gradient and every step is backtracked on
+(q* = 0 under a strongly convex content demand) are exact.  The Hessian is
+analytic (``objectives.profit_hessian`` and
+``objectives.welfare_segment_curvature``, from the curves' second
+derivatives), taken from the equilibrium an accepted iterate already solved,
+so a step costs one objective evaluation plus any backtracking trials; a
+profit optimum takes about 4 evaluations and a welfare or one-sided optimum
+about 3.  Where the Hessian is not finite or not negative definite the step
+is one scan cell along the gradient's signs.  Every step is backtracked on
 the objective.  Prices are accepted once the free gradient is below
 ``GRAD_TOL`` or a step moves them less than ``STEP_TOL``; reaching
 ``NEWTON_MAX_STEPS`` raises ``ConvergenceError``.  With one coordinate
 (welfare, one-sided profit) Newton also keeps the bracket in which the
 derivative changed sign: a step that would leave it bisects it instead, and
 the price is accepted once the bracket is narrower than ``STEP_TOL``.  This
-holds a root that sits in a sliver far narrower than the Hessian's stencil
-(a welfare optimum within 1e-9 of p = 0 under a user demand with alpha
-just below 1).  The objectives
-(``profit_objective``, ``welfare_objective``) and ``differenced_hessian``
-are public: the price sensitivities differentiate the same first-order
-conditions.
+holds a root that sits in a sliver far narrower than a Newton step's
+overshoot (a welfare optimum within 1e-9 of p = 0 under a user demand with
+alpha just below 1).  ``OptimumReport.termination`` records which of these
+tests ended the run.  The objectives (``profit_objective``,
+``welfare_objective``) are public: the price sensitivities differentiate the
+same first-order conditions.
 
 First-order-condition residuals: the KKT residual of hazard equalization
 over the prices not held at a box edge, and, for interior optima only, the
@@ -68,12 +74,11 @@ from .curves import MarketModel
 # restore it in this namespace
 from .equilibrium import Equilibrium, solve_for_demands, solve_many  # noqa: F401
 from .errors import ConvergenceError, DegenerateBaselineError, DomainError, NumericalError
-from .objectives import evaluate_objectives
+from .objectives import evaluate_objectives, profit_hessian, welfare_segment_curvature
 
 NEWTON_MAX_STEPS = 50
 GRAD_TOL = 1e-10            # free gradient entries at which prices are stationary
 STEP_TOL = 1e-13            # price move below which prices are resolved
-HESSIAN_STEP = 1e-6         # relative step of the gradient's central difference
 ROUNDOFF = 4.0 * np.finfo(float).eps
 BOUNDARY_EPS = 1e-6
 _CLAMP = 1.0 - 1e-9
@@ -84,45 +89,38 @@ _INCUMBENT_STRIDE = 20              # every this many grid points per axis is an
 _CHUNK = 65_536                     # grid points bounded per pass step
 
 
-def differenced_hessian(objective, x: np.ndarray, free: np.ndarray,
-                        lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Symmetrized central difference of the objective's gradient on the free
-    coordinates, at a relative step of ``HESSIAN_STEP`` clipped to [lo, hi]."""
-    idx = np.flatnonzero(free)
-    hess = np.empty((idx.size, idx.size))
-    for col, j in enumerate(idx):
-        h = HESSIAN_STEP * max(1.0, abs(x[j]))
-        up, down = x.copy(), x.copy()
-        up[j], down[j] = min(x[j] + h, hi[j]), max(x[j] - h, lo[j])
-        hess[:, col] = (objective(up)[1][idx] - objective(down)[1][idx]) / (up[j] - down[j])
-    return 0.5 * (hess + hess.T)
-
-
 def is_negative_definite(hess: np.ndarray) -> bool:
-    """Whether a symmetric matrix is finite with only negative eigenvalues."""
-    return bool(np.all(np.isfinite(hess)) and np.all(np.linalg.eigvalsh(hess) < 0.0))
+    """Whether a symmetric 1 x 1 or 2 x 2 matrix is finite and negative definite,
+    by Sylvester's criterion: a negative first entry and a positive determinant."""
+    entries = hess.tolist()
+    if not all(math.isfinite(v) for row in entries for v in row):
+        return False
+    if len(entries) == 1:
+        return entries[0][0] < 0.0
+    (a, b), (_, c) = entries
+    return a < 0.0 and a * c - b * b > 0.0
 
 
-def _newton_direction(objective, x: np.ndarray, g: np.ndarray, free: np.ndarray,
-                      lo: np.ndarray, hi: np.ndarray, width: float) -> np.ndarray:
-    """Newton ascent direction on the free coordinates.
+def _newton_direction(hess: np.ndarray, g: np.ndarray, width: float) -> np.ndarray:
+    """Newton ascent direction from the Hessian and gradient of the free coordinates.
 
     Falls back to a step of one scan cell (``width``) along the gradient's
-    signs when the differenced Hessian is not negative definite there; the
-    signs stay defined where a hazard, and so the gradient, diverges.
+    signs when the Hessian is not finite and negative definite; the signs
+    stay defined where a hazard, and so the gradient, diverges.
     """
-    hess = differenced_hessian(objective, x, free, lo, hi)
-    g_free = g[free]
     if is_negative_definite(hess):
-        return np.linalg.solve(hess, -g_free)
-    return np.sign(g_free) * width
+        return np.linalg.solve(hess, -g)
+    return np.sign(g) * width
 
 
-def _projected_newton(objective, x0, lo, hi, width: float):
+def _projected_newton(objective, hessian, x0, lo, hi, width: float):
     """Maximize over the box [lo, hi] from x0.
 
     ``objective(x)`` returns the value at the point x, its gradient, and the
-    report the value came from; the result is (x, that report, Newton steps).
+    report the value came from; ``hessian(report)`` returns the Hessian at a
+    report's point and is asked only at accepted iterates.  The result is
+    (x, that report, Newton steps, termination), the termination one of
+    "gradient", "step", "bracket" and "no_free_coordinate".
     """
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     x = np.asarray(x0, dtype=float)
@@ -130,10 +128,12 @@ def _projected_newton(objective, x0, lo, hi, width: float):
     a, b = -math.inf, math.inf      # one coordinate: where the gradient changed sign
     for steps in range(NEWTON_MAX_STEPS):
         free = ~(((x <= lo) & (g <= 0.0)) | ((x >= hi) & (g >= 0.0)))
-        if not free.any() or np.max(np.abs(g[free])) <= GRAD_TOL:
-            return x, report, steps
+        if not free.any():
+            return x, report, steps, "no_free_coordinate"
+        if np.max(np.abs(g[free])) <= GRAD_TOL:
+            return x, report, steps, "gradient"
         d = np.zeros_like(x)
-        d[free] = _newton_direction(objective, x, g, free, lo, hi, width)
+        d[free] = _newton_direction(hessian(report)[np.ix_(free, free)], g[free], width)
         if not np.all(np.isfinite(d)):
             raise ConvergenceError(f"no finite ascent direction at {x.tolist()}")
         bisect = False
@@ -144,14 +144,14 @@ def _projected_newton(objective, x0, lo, hi, width: float):
             else:
                 b = x[0]
             if b - a < STEP_TOL:
-                return x, report, steps
+                return x, report, steps, "bracket"
             if not a < x[0] + d[0] < b:
                 d[0], bisect = 0.5 * (a + b) - x[0], True
         t = 1.0
         while True:
             x_new = np.clip(x + t * d, lo, hi)
             if np.max(np.abs(x_new - x)) <= STEP_TOL:
-                return x, report, steps
+                return x, report, steps, "step"
             f_new, g_new, report_new = objective(x_new)
             # objective differences below round-off carry no information
             if bisect or f_new >= f - ROUNDOFF * abs(f):
@@ -200,6 +200,7 @@ class OptimumReport:
     held: bool                  # a price is fixed or exactly at a search-set edge; its FOC need not hold
     iterations: int             # Newton steps taken; 0 when nothing is searched
     grid_solves: int            # equilibria solved by the global stage (grid or scan)
+    termination: str            # the Newton test that ended the search (``_projected_newton``)
 
 
 def _profit_diagnostics(model: MarketModel, p: float, q: float, eq: Equilibrium,
@@ -299,8 +300,9 @@ def optimize_profit(model: MarketModel) -> OptimumReport:
     i, j, _, solved = profit_argmax(model, p_axis, q_axis)
     start = (p_axis[i], q_axis[j])
     width = max(p_hi, q_hi) / (_COARSE_POINTS - 1)
-    x, report, steps = _projected_newton(profit_objective(model), start, (0.0, 0.0),
-                                         (p_hi, q_hi), width)
+    x, report, steps, termination = _projected_newton(
+        profit_objective(model), lambda r: profit_hessian(model, r.equilibrium),
+        start, (0.0, 0.0), (p_hi, q_hi), width)
     p, q = float(x[0]), float(x[1])
     eq = report.equilibrium
     boundary = (min(p, p_hi - p) < BOUNDARY_EPS) or (min(q, q_hi - q) < BOUNDARY_EPS)
@@ -315,6 +317,7 @@ def optimize_profit(model: MarketModel) -> OptimumReport:
         held=any(held),
         iterations=steps,
         grid_solves=solved,
+        termination=termination,
     )
 
 
@@ -385,8 +388,10 @@ def optimize_welfare(model: MarketModel) -> OptimumReport:
     p_axis, scan = welfare_scan(model, _SCAN_POINTS)
     start = float(p_axis[int(np.argmax(scan))])
     width = (hi - lo) / (_SCAN_POINTS - 1)
-    x, report, steps = _projected_newton(welfare_objective(model), [start], [lo], [hi],
-                                         width)
+    x, report, steps, termination = _projected_newton(
+        welfare_objective(model),
+        lambda r: np.array([[welfare_segment_curvature(model, r.equilibrium)]]),
+        [start], [lo], [hi], width)
     p = float(x[0])
     q = c - p
 
@@ -403,6 +408,7 @@ def optimize_welfare(model: MarketModel) -> OptimumReport:
         held=held,
         iterations=steps,
         grid_solves=p_axis.size,
+        termination=termination,
     )
 
 
@@ -423,7 +429,9 @@ def optimize_one_sided(model: MarketModel, kind: str) -> OptimumReport:
         i, _, _, solved = profit_argmax(model, p_axis, np.zeros(1))
         start = float(p_axis[i])
         width = p_hi / (_SCAN_POINTS - 1)
-        x, report, steps = _projected_newton(objective, [start], [0.0], [p_hi], width)
+        x, report, steps, termination = _projected_newton(
+            objective, lambda r: profit_hessian(model, r.equilibrium)[:1, :1],
+            [start], [0.0], [p_hi], width)
         p = float(x[0])
 
         eq = report.equilibrium
@@ -437,6 +445,7 @@ def optimize_one_sided(model: MarketModel, kind: str) -> OptimumReport:
             held=True,          # q is fixed at 0
             iterations=steps,
             grid_solves=solved,
+            termination=termination,
         )
     if kind == "welfare":
         p = model.cost
@@ -458,6 +467,7 @@ def optimize_one_sided(model: MarketModel, kind: str) -> OptimumReport:
             held=True,
             iterations=0,
             grid_solves=0,
+            termination="no_free_coordinate",
         )
     raise DomainError(f"unknown one-sided kind {kind!r}")
 

@@ -12,11 +12,15 @@
 
 ``grid_optimize`` runs the optimizers' own global-stage routines,
 ``optimize.profit_argmax`` and ``optimize.welfare_scan``, on 2001 points
-per axis by default (finer than the optimizers' 101 x 101 profit grid, the
-same points as their welfare scan): it checks that Newton refinement ends
-within a cell of the best grid point, not how that point was found.  The
-independent reference for both routines is the exhaustive argmax in the
-test tree (``tests/test_oracle.py``), which solves every grid point.
+per profit axis by default, finer than the optimizers' 101 x 101 profit
+grid.  The welfare segment gets 2 * 2001 - 1 = 4001 points: every point of
+the optimizer's 2001-point start scan plus each midpoint, so the check does
+not rest on the grid Newton started from, and a segment end at which an
+optimum is held stays on the grid.  The oracle checks that Newton
+refinement ends within a cell of the best grid point, not how that point
+was found.  The independent reference for both routines is the exhaustive
+argmax in the test tree (``tests/test_oracle.py``), which solves every grid
+point.
 
 These ship in the library, not the test tree, so the CLI can re-verify any
 result against them (``--verify``).
@@ -42,7 +46,11 @@ REOPTIMIZATION_AGREEMENT = 1e-4     # relative to the largest |price derivative|
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Dense search grid: points per axis and optional explicit ranges."""
+    """Dense search grid: points per axis and optional explicit ranges.
+
+    The welfare segment is scanned at ``2 * points_user - 1`` points: those of
+    a ``points_user`` scan and their midpoints (``grid_optimize``).
+    """
 
     points_user: int = 2001
     points_cp: int = 2001
@@ -82,7 +90,8 @@ def grid_optimize(model: MarketModel, objective: str = "profit",
     The first (lexicographically smallest) maximizer wins.  The profit grid
     goes to ``optimize.profit_argmax``; ``objective="welfare"`` solves every
     point of ``optimize.welfare_scan`` on the zero-profit segment
-    p + q = cost, using the user-axis point count.
+    p + q = cost at ``2 * points_user - 1`` points, so that the optimizer's
+    own start scan is not the grid that checks it.
     """
     grid = grid or GridSpec()
     if objective == "profit":
@@ -99,7 +108,7 @@ def grid_optimize(model: MarketModel, objective: str = "profit",
             solved_points=solved,
         )
     if objective == "welfare":
-        p_axis, values = welfare_scan(model, grid.points_user)
+        p_axis, values = welfare_scan(model, 2 * grid.points_user - 1)
         k = int(np.argmax(values))
         cell = float(p_axis[1] - p_axis[0])
         return GridOptimum(

@@ -5,14 +5,20 @@ as the paper derives its corollaries: differentiate the first-order
 conditions instead of re-optimizing.
 
 * profit: g(p, q; x) = (dU/dp, dU/dq) = 0 at (p*, q*), so
-  d(p*, q*)/dx = -H^-1 dg/dx, with H the optimizer's differenced Hessian
-  and dg/dx a central difference of the analytic gradient in x at the fixed
+  d(p*, q*)/dx = -H^-1 dg/dx, with H the analytic Hessian
+  (``objectives.profit_hessian``) at the optimum's own equilibrium and
+  dg/dx a central difference of the analytic gradient in x at the fixed
   optimal prices (relative step 1e-3: one equilibrium solve on each side,
   where re-optimizing would take one optimum);
 * welfare: f(p; x) = dW/dp - dW/dq = 0 along q = cost - p, so
-  dp_o/dx = -f_x / f_p and dq_o/dx = -dp_o/dx.  A welfare optimum held at a
-  segment end stays there (no sensitivity parameter moves the ends, which
-  depend only on cost and the supports), so both derivatives are 0.
+  dp_o/dx = -f_x / f_p, f_p from ``objectives.welfare_segment_curvature``,
+  and dq_o/dx = -dp_o/dx.  A welfare optimum held at a segment end stays
+  there (no sensitivity parameter moves the ends, which depend only on cost
+  and the supports), so both derivatives are 0.
+
+A call solves the two optima and the four equilibria of the dg/dx
+stencils, nothing more: the Hessians, the hazard slopes and the trace
+slopes below are closed forms at the optima's equilibria.
 
 The theorem needs an interior profit optimum and a nonsingular curvature
 there: a boundary profit optimum, a Hessian that is not negative definite
@@ -21,11 +27,20 @@ re-optimizes at x -/+ the same step as the brute-force reference.
 
 The direction of the throughput-elasticity response to congestion decides
 the qualitative predictions.  The relevant slope is taken along the
-capacity-parameterized trace: hold prices and sensitivity fixed, perturb the
-capacity over a five-point stencil, re-solve each equilibrium, and fit
-d(elasticity)/d(congestion) by least squares on the (phi, eps) pairs.  The
-partial at fixed capacity is a different object and would falsify the sign
-rules for capacity-dependent congestion laws.
+capacity-parameterized trace: hold prices and sensitivity fixed and let the
+capacity move, so d eps/d phi = (d eps/d mu) / (d phi/d mu).  With the demand
+product T = m n fixed and D = 1 - T rho' Phi_lam = 1/eps, differentiating
+the equilibrium condition in mu gives
+
+    lam_mu = T rho' Phi_mu / D,        phi_mu = Phi_lam lam_mu + Phi_mu,
+    D_mu   = -T (rho'' phi_mu Phi_lam + rho' (Phi_lamlam lam_mu + Phi_lammu)),
+
+and the slope is (-D_mu / D^2) / phi_mu.  A congestion that does not respond
+to capacity (|mu phi_mu| at most ``TRACE_RESOLUTION`` times phi) leaves the
+slope undefined and raises ``NumericalError``.  The partial at fixed capacity
+is a different object and would falsify the sign rules for
+capacity-dependent congestion laws.  The hazard slopes are closed-form too:
+h' = h^2 - m''/m.
 
 Sign predictions (populated only when their premises are numerically
 conclusive):
@@ -54,45 +69,51 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import MarketModel, parameter_value, with_parameter
-from .equilibrium import solve_equilibrium
+from .equilibrium import Equilibrium, solve_equilibrium
 from .errors import DomainError, NumericalError
-from .optimize import (_CLAMP, OptimumReport, differenced_hessian, is_negative_definite,
-                       optimize_profit, optimize_welfare, profit_box,
-                       profit_objective, welfare_objective, welfare_segment)
+from .objectives import profit_hessian, welfare_segment_curvature
+from .optimize import (OptimumReport, is_negative_definite, optimize_profit,
+                       optimize_welfare, profit_objective, welfare_objective)
 
-TRACE_REL_STEP = 1e-3
 PARAM_REL_STEP = 1e-3
 CONCLUSIVE_EPS = 1e-6
 RATIO_REL_TOL = 1e-2
-HAZARD_FD_STEP = 1e-5
+TRACE_RESOLUTION = 1e-10    # capacity elasticity of congestion below which it does not respond
+
+
+def _trace_slope(model: MarketModel, eq: Equilibrium) -> float:
+    """d eps / d phi along the capacity trace at a solved, non-degenerate equilibrium."""
+    t = eq.user_level * eq.cp_level
+    phi, lam, mu, s = eq.congestion, eq.throughput, model.capacity, model.sensitivity
+    rho_1 = model.gain.slope(phi, s)
+    rho_2 = model.gain.curvature(phi, s)
+    law = model.congestion
+    phi_lam = law.congestion_slope(lam, mu)
+    phi_lamlam = law.congestion_curvature(lam, mu)
+    phi_cap = law.congestion_capacity_slope(lam, mu)
+    phi_cross = law.congestion_cross_slope(lam, mu)
+    d = 1.0 - t * rho_1 * phi_lam
+    lam_mu = t * rho_1 * phi_cap / d
+    phi_mu = phi_lam * lam_mu + phi_cap
+    if not abs(mu * phi_mu) > TRACE_RESOLUTION * phi:
+        raise NumericalError("congestion does not respond to capacity")
+    d_mu = -t * (rho_2 * phi_mu * phi_lam + rho_1 * (phi_lamlam * lam_mu + phi_cross))
+    return -d_mu / (d * d) / phi_mu
 
 
 def elasticity_slope_vs_congestion(model: MarketModel, price_user: float,
-                                   price_cp: float,
-                                   rel_step: float = TRACE_REL_STEP) -> float:
+                                   price_cp: float) -> float:
     """d eps / d phi along the capacity trace at fixed prices and sensitivity."""
     m, n = model.demands(price_user, price_cp)
     if m <= 0.0 or n <= 0.0:
         raise DomainError("elasticity trace needs positive demand on both sides")
-    pairs = []
-    for k in (-2, -1, 0, 1, 2):
-        mu = model.capacity * (1.0 + rel_step * k)
-        eq = solve_equilibrium(with_parameter(model, "capacity", mu), price_user, price_cp)
-        pairs.append((eq.congestion, eq.elasticity))
-    phis = np.array([p for p, _ in pairs])
-    epss = np.array([e for _, e in pairs])
-    if np.max(np.abs(phis - phis[2])) < 1e-10:
-        raise NumericalError("congestion did not respond to the capacity stencil")
-    dphi = phis - phis.mean()
-    deps = epss - epss.mean()
-    return float(np.dot(dphi, deps) / np.dot(dphi, dphi))
+    return _trace_slope(model, solve_equilibrium(model, price_user, price_cp))
 
 
 def _hazard_slope(demand, price: float) -> float:
-    h = HAZARD_FD_STEP * max(1.0, abs(price))
-    lo = max(0.0, price - h)
-    hi = min(demand.support * _CLAMP, price + h)
-    return (demand.hazard(hi) - demand.hazard(lo)) / (hi - lo)
+    """h' = h^2 - m''/m of the hazard h = -m'/m."""
+    h = demand.hazard(price)
+    return h * h - demand.curvature(price) / demand.value(price)
 
 
 def _sign(x: float, eps: float = 0.0) -> int:
@@ -166,7 +187,7 @@ def _context(model: MarketModel, report: OptimumReport) -> OptimumContext:
         cp_hazard=model.cp_demand.hazard(q),
         user_hazard_slope=_hazard_slope(model.user_demand, p),
         cp_hazard_slope=_hazard_slope(model.cp_demand, q),
-        elasticity_slope=elasticity_slope_vs_congestion(model, p, q),
+        elasticity_slope=_trace_slope(model, report.equilibrium),
         interior=not report.held,
     )
 
@@ -263,15 +284,14 @@ def _sensitivity_checks(dp_star, dq_star, dp_ring, dq_ring, profit_ctx,
     return checks
 
 
-def _implicit_derivatives(objective_of, model: MarketModel, stencil, step: float,
-                          x: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-                          name: str) -> list[float]:
-    """-H^-1 dg/dx at the stationary point x of ``objective_of(model)``.
+def _implicit_derivatives(objective_of, hess: np.ndarray, stencil, step: float,
+                          x: np.ndarray, name: str) -> list[float]:
+    """-H^-1 dg/dx at the stationary point x, H the Hessian there.
 
-    ``stencil`` holds the models with the parameter at base -/+ step; g is
-    evaluated in both at the same prices x.
+    ``stencil`` holds the models with the parameter at base -/+ step; the
+    gradient g of ``objective_of(model)`` is evaluated in both at the same
+    prices x.
     """
-    hess = differenced_hessian(objective_of(model), x, np.ones(x.size, dtype=bool), lo, hi)
     if not is_negative_definite(hess):
         raise NumericalError(f"{name} Hessian {hess.tolist()} is not negative definite")
     g_lo, g_hi = (objective_of(m)(x)[1] for m in stencil)
@@ -292,18 +312,16 @@ def optimal_price_sensitivity(model: MarketModel, parameter: str,
     if profit_base.boundary:
         raise NumericalError("profit optimum is not interior")
     dp_star, dq_star = _implicit_derivatives(
-        profit_objective, model, stencil, step,
-        np.array([profit_base.prices.user, profit_base.prices.cp]),
-        np.zeros(2), np.array(profit_box(model)), "profit")
+        profit_objective, profit_hessian(model, profit_base.equilibrium), stencil, step,
+        np.array([profit_base.prices.user, profit_base.prices.cp]), "profit")
 
     welfare_base = optimize_welfare(model)
     dp_ring = dq_ring = 0.0
     if not welfare_base.held:
-        # the Hessian's stencil stays on the segment, as in the optimizer
-        lo, hi = welfare_segment(model)
         dp_ring, = _implicit_derivatives(
-            welfare_objective, model, stencil, step, np.array([welfare_base.prices.user]),
-            np.array([lo]), np.array([hi]), "welfare")
+            welfare_objective,
+            np.array([[welfare_segment_curvature(model, welfare_base.equilibrium)]]),
+            stencil, step, np.array([welfare_base.prices.user]), "welfare")
         dq_ring = -dp_ring
 
     profit_ctx = _context(model, profit_base)

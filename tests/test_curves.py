@@ -488,3 +488,127 @@ def test_results_hold_python_floats(gain, congestion, beta):
     leaks = [(path, type(value)) for path, value in fields
              if value is not None and type(value) is not float]
     assert leaks == []
+
+
+# ---------------------------------------------------------------------------
+# second derivatives against finite differences of the first
+# ---------------------------------------------------------------------------
+
+def _tolerance(curve) -> dict:
+    """Closed forms to 1e-6; a custom curve's second derivative is itself a
+    difference at relative step 1e-4, good to about 1e-5 where the curve is
+    steep (a custom M/M/1 law near its capacity)."""
+    numeric = isinstance(curve, (CustomGain, CustomCongestion, CustomDemand))
+    return {"rel": 1e-4, "abs": 1e-8} if numeric else {"rel": 1e-6, "abs": 1e-9}
+
+
+def _video_value(phi, s):
+    return math.exp(-s * (0.9 * (1.0 - math.exp(-6.0 * phi)) + 0.05 * phi))
+
+
+def _video_slope(phi, s):
+    return -s * (5.4 * math.exp(-6.0 * phi) + 0.05) * _video_value(phi, s)
+
+
+# each curve with its slope in closed form, the base of the reference difference
+SECOND_ORDER_GAINS = [
+    (ReciprocalGain(), ReciprocalGain().slope),
+    (ExponentialGain(), ExponentialGain().slope),
+    (CustomGain(_video_value), _video_slope),
+    (CustomGain(_video_value, slope_fn=_video_slope), _video_slope),
+]
+
+
+@pytest.mark.parametrize("gain, slope", SECOND_ORDER_GAINS,
+                         ids=["reciprocal", "exponential", "custom", "custom_slope"])
+def test_gain_curvature_matches_finite_difference(gain, slope):
+    rng = np.random.default_rng(137)
+    for _ in range(200):
+        phi = float(rng.uniform(0.01, 5.0))
+        s = float(rng.uniform(0.2, 4.0))
+        fd = finite_difference(lambda x: slope(x, s), phi)
+        assert gain.curvature(phi, s) == pytest.approx(fd, **_tolerance(gain))
+
+
+def _quadratic_law(lam, mu):
+    return (lam + 0.2 * lam * lam) / mu
+
+
+def _mm1_law(lam, mu):
+    return 1.0 / (mu - lam)
+
+
+# each law with Phi_lam in closed form, the base of two reference differences
+SECOND_ORDER_LAWS = [
+    (CapacitySharing(), lambda lam, mu: 1.0 / mu),
+    (MM1Queue(), lambda lam, mu: 1.0 / (mu - lam) ** 2),
+    (CustomCongestion(_quadratic_law), lambda lam, mu: (1.0 + 0.4 * lam) / mu),
+    (CustomCongestion(_mm1_law), lambda lam, mu: 1.0 / (mu - lam) ** 2),
+]
+
+
+@pytest.mark.parametrize("law, slope", SECOND_ORDER_LAWS,
+                         ids=["sharing", "mm1", "custom_quadratic", "custom_mm1"])
+def test_congestion_second_derivatives_match_finite_differences(law, slope):
+    rng = np.random.default_rng(139)
+    tol = _tolerance(law)
+    for _ in range(200):
+        mu = float(rng.uniform(1.0, 5.0))
+        lam = float(rng.uniform(0.01, 0.9 * mu))
+        assert law.congestion_curvature(lam, mu) == pytest.approx(
+            finite_difference(lambda x: slope(x, mu), lam), **tol)
+        assert law.congestion_capacity_slope(lam, mu) == pytest.approx(
+            finite_difference(lambda m: law.congestion(lam, m), mu), **tol)
+        assert law.congestion_cross_slope(lam, mu) == pytest.approx(
+            finite_difference(lambda m: slope(lam, m), mu), **tol)
+
+
+def _square(x):
+    return (1.0 - x) ** 2
+
+
+SECOND_ORDER_DEMANDS = [
+    (demand, demand.slope) for demand in (
+        UserPowerDemand(alpha=0.7), UserPowerDemand(alpha=1.0), UserPowerDemand(alpha=2.0),
+        CpPowerDemand(beta=0.7), CpPowerDemand(beta=2.0), CpPowerDemand(beta=2.5))
+] + [
+    (CustomDemand(_square), lambda x: -2.0 * (1.0 - x)),
+    (CustomDemand(lambda x: math.exp(-x) - math.exp(-1.0)), lambda x: -math.exp(-x)),
+    (CustomDemand(_square, slope_fn=lambda x: -2.0 * (1.0 - x)), lambda x: -2.0 * (1.0 - x)),
+]
+
+
+@pytest.mark.parametrize("demand, slope", SECOND_ORDER_DEMANDS,
+                         ids=["user_0.7", "user_1", "user_2", "cp_0.7", "cp_2", "cp_2.5",
+                              "custom_square", "custom_exp", "custom_square_slope"])
+def test_demand_curvature_matches_finite_difference(demand, slope):
+    rng = np.random.default_rng(149)
+    for _ in range(200):
+        x = float(rng.uniform(0.01, 0.95))
+        assert demand.curvature(x) == pytest.approx(
+            finite_difference(slope, x), **_tolerance(demand))
+
+
+def test_demand_curvature_limits_at_zero_price():
+    # m'' = -k (k - 1) x**(k - 2) for 1 - x**k; its limit at x = 0 by k
+    for k, limit in ((0.5, math.inf), (1.0, 0.0), (1.5, -math.inf), (2.0, -2.0), (3.0, 0.0)):
+        assert CpPowerDemand(beta=k).curvature(0.0) == limit
+        assert CpPowerDemand(beta=k).curvature(np.array([0.0, 0.5]))[0] == limit
+    assert UserPowerDemand(alpha=0.5).curvature(0.0) == -2.0
+    assert UserPowerDemand(alpha=1.0).curvature(1.0) == 0.0
+
+
+def test_second_derivatives_of_arrays_match_floats():
+    xs = np.array([0.1, 0.4, 0.8])
+    for gain, _ in SECOND_ORDER_GAINS:
+        np.testing.assert_allclose(gain.curvature(xs, 1.3),
+                                   [gain.curvature(float(x), 1.3) for x in xs], rtol=1e-12)
+    for law, _ in SECOND_ORDER_LAWS:
+        for method in ("congestion_curvature", "congestion_capacity_slope",
+                       "congestion_cross_slope"):
+            got = getattr(law, method)(xs, 2.0)
+            np.testing.assert_allclose(got, [getattr(law, method)(float(x), 2.0) for x in xs],
+                                       rtol=1e-12, err_msg=method)
+    for demand, _ in SECOND_ORDER_DEMANDS:
+        np.testing.assert_allclose(demand.curvature(xs),
+                                   [demand.curvature(float(x)) for x in xs], rtol=1e-12)

@@ -1,11 +1,18 @@
 """Profit/welfare evaluation and analytic-vs-finite-difference gradients."""
 
+import math
+
 import numpy as np
 import pytest
 
-from netpricing import (CapacitySharing, ExponentialGain, MM1Queue,
-                        ReciprocalGain, baseline_model, evaluate_objectives,
-                        finite_difference)
+from netpricing import (CapacitySharing, CpPowerDemand, CustomCongestion, CustomDemand,
+                        CustomGain, ExponentialGain, MarketModel, MM1Queue,
+                        ReciprocalGain, UserPowerDemand, baseline_model,
+                        evaluate_objectives, finite_difference)
+from netpricing.objectives import profit_hessian, welfare_segment_curvature
+from netpricing.optimize import (profit_box, profit_objective, welfare_objective,
+                                 welfare_segment)
+from references import differenced_hessian
 
 import dataclasses
 
@@ -128,3 +135,79 @@ def test_negative_margin_is_legal_and_negative():
     report = evaluate_objectives(baseline_model(), 0.1, 0.1)
     assert report.profit < 0.0
     assert not report.degenerate
+
+
+# ---------------------------------------------------------------------------
+# analytic second derivatives against the differenced Hessian
+# ---------------------------------------------------------------------------
+
+def _hessian_gaps(model, p):
+    """Relative gaps of ``profit_hessian`` at (p, q) and of
+    ``welfare_segment_curvature`` at (p, cost - p) to the differenced Hessians
+    of ``profit_objective`` and ``welfare_objective``; q is p's mirror in the
+    content support."""
+    q = model.cp_demand.support * (1.0 - p / model.user_demand.support)
+    x, box = np.array([p, q]), np.array(profit_box(model))
+    want = differenced_hessian(profit_objective(model), x, np.ones(2, dtype=bool),
+                               np.zeros(2), box)
+    got = profit_hessian(model, evaluate_objectives(model, p, q).equilibrium)
+    profit_gap = np.max(np.abs(got - want)) / np.max(np.abs(want))
+    lo, hi = welfare_segment(model)
+    pw = np.array([lo + (hi - lo) * p / model.user_demand.support])
+    want_w = differenced_hessian(welfare_objective(model), pw, np.ones(1, dtype=bool),
+                                 np.array([lo]), np.array([hi]))[0, 0]
+    got_w = welfare_segment_curvature(
+        model, evaluate_objectives(model, pw[0], model.cost - pw[0]).equilibrium)
+    return profit_gap, abs(got_w - want_w) / abs(want_w)
+
+
+def test_analytic_hessians_match_differenced_hessians_on_random_builtin_models():
+    rng = np.random.default_rng(131)
+    worst = 0.0
+    for _ in range(200):
+        mm1 = bool(rng.random() < 0.5)
+        model = baseline_model(
+            gain=ReciprocalGain() if rng.random() < 0.5 else ExponentialGain(),
+            congestion=MM1Queue() if mm1 else CapacitySharing(),
+            alpha=float(rng.uniform(0.5, 3.0)), beta=float(rng.uniform(0.5, 3.0)),
+            cost=float(rng.uniform(0.2, 1.2)),
+            capacity=float(rng.uniform(2.5, 10.0) if mm1 else rng.uniform(0.5, 5.0)),
+            sensitivity=float(rng.uniform(0.5, 3.0)))
+        gaps = _hessian_gaps(model, float(rng.uniform(0.05, 0.9)))
+        worst = max(worst, *gaps)
+    assert worst <= 1e-6, worst
+
+
+def _custom_curve_models():
+    """The custom-curve models of the test suite: a numeric gain (the video
+    profile of ``test_sensitivity.py``), a custom demand with analytic slope
+    and surplus (the worked example of ``test_optimize.py``), a fully
+    numeric demand and a numeric congestion law (``test_curves.py``)."""
+    def video(phi, s):
+        return np.exp(-s * (0.9 * (1.0 - np.exp(-6.0 * phi)) + 0.05 * phi))
+    worked = CustomDemand(lambda q: (1.0 - q) ** 2, slope_fn=lambda q: -2.0 * (1.0 - q),
+                          surplus_fn=lambda q: (1.0 - q) ** 3 / 3.0)
+    return [
+        MarketModel(gain=CustomGain(video), congestion=MM1Queue(),
+                    user_demand=UserPowerDemand(alpha=1.0), cp_demand=CpPowerDemand(beta=2.0),
+                    cost=0.7, capacity=2.1, sensitivity=1.0),
+        MarketModel(gain=ExponentialGain(), congestion=CapacitySharing(),
+                    user_demand=UserPowerDemand(alpha=1.0), cp_demand=worked,
+                    cost=0.7, capacity=1.0, sensitivity=math.e - 1.0),
+        MarketModel(gain=ReciprocalGain(), congestion=CapacitySharing(),
+                    user_demand=UserPowerDemand(alpha=1.0),
+                    cp_demand=CustomDemand(lambda q: (1.0 - q) ** 2), cost=0.5),
+        baseline_model(congestion=CustomCongestion(lambda lam, mu: (lam + 0.2 * lam * lam) / mu),
+                       capacity=1.5),
+    ]
+
+
+@pytest.mark.parametrize("index", range(4))
+def test_analytic_hessians_match_differenced_hessians_on_custom_curves(index):
+    # a custom second derivative is itself a difference (of the value callable
+    # at relative step 1e-4, or of an analytic slope at 1e-6), good to about
+    # 1e-8; the reference differences a gradient that already carries the
+    # custom slopes' 1e-10 error at step 1e-6, so the gaps reach about 1e-5
+    model = _custom_curve_models()[index]
+    for p in (0.1, 0.3, 0.5, 0.7):
+        assert max(_hessian_gaps(model, p)) <= 1e-4

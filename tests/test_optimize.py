@@ -130,18 +130,23 @@ def test_profit_optimum_on_random_sweep_envelope():
 
 
 def test_projected_newton_holds_edges_and_leaves_non_concave_regions():
+    # each objective's report is its point, from which its Hessian is taken
     def bowl(x):    # maximum outside the box, beyond the corner (1, 0)
         grad = np.array([-2.0 * (x[0] - 2.0), -2.0 * (x[1] + 1.0)])
-        return -(x[0] - 2.0) ** 2 - (x[1] + 1.0) ** 2, grad, None
+        return -(x[0] - 2.0) ** 2 - (x[1] + 1.0) ** 2, grad, x
 
-    x, _, _ = optimize._projected_newton(bowl, [0.5, 0.5], [0.0, 0.0], [1.0, 1.0], 0.1)
+    x, _, _, termination = optimize._projected_newton(
+        bowl, lambda x: -2.0 * np.eye(2), [0.5, 0.5], [0.0, 0.0], [1.0, 1.0], 0.1)
     assert x.tolist() == [1.0, 0.0]
+    assert termination == "no_free_coordinate"
 
     def wave(x):    # convex at the start, concave around the maximum at 0
-        return math.cos(x[0]), np.array([-math.sin(x[0])]), None
+        return math.cos(x[0]), np.array([-math.sin(x[0])]), x
 
-    x, _, _ = optimize._projected_newton(wave, [2.4], [-1.0], [2.5], 0.5)
+    x, _, _, termination = optimize._projected_newton(
+        wave, lambda x: np.array([[-math.cos(x[0])]]), [2.4], [-1.0], [2.5], 0.5)
     assert abs(x[0]) <= 1e-10
+    assert termination == "gradient"
 
 
 def test_newton_iteration_cap_raises(monkeypatch):
@@ -204,8 +209,8 @@ def test_welfare_beats_dense_segment_scan():
 
 def test_welfare_root_in_a_sliver_next_to_the_segment_end():
     # dW/dp - dW/dq falls from +0.17 at p = 0 to about -0.006 at p = 1e-10;
-    # Newton steps from the differenced Hessian overshoot that sliver, so the
-    # one-coordinate search bisects the bracket where the derivative changes sign
+    # Newton steps overshoot that sliver, so the one-coordinate search
+    # bisects the bracket where the derivative changes sign
     model = MarketModel(
         gain=ReciprocalGain(), congestion=CapacitySharing(),
         user_demand=UserPowerDemand(alpha=0.99), cp_demand=CpPowerDemand(beta=1.67),
@@ -250,6 +255,41 @@ def test_optima_report_their_grid_solves(gain, law):
     assert optimize_welfare(model).grid_solves == 2001
     assert optimize_one_sided(model, "profit").grid_solves == 2001
     assert optimize_one_sided(model, "welfare").grid_solves == 0
+
+
+@pytest.mark.parametrize("gain", [ReciprocalGain(), ExponentialGain()])
+@pytest.mark.parametrize("law", [CapacitySharing(), MM1Queue()])
+def test_newton_evaluates_the_objectives_a_few_times(gain, law, monkeypatch):
+    # the Hessians are analytic: a Newton step evaluates the objectives once
+    # plus any backtracking trials (a Hessian differenced from the gradient
+    # would add 4 stencil points per two-price step and 2 per one-price step)
+    model = baseline_model(gain=gain, congestion=law)
+    calls = []
+    evaluate = optimize.evaluate_objectives
+
+    def counted(*args):
+        calls.append(args)
+        return evaluate(*args)
+    monkeypatch.setattr(optimize, "evaluate_objectives", counted)
+    for run, most in ((lambda: optimize_profit(model), 6),
+                      (lambda: optimize_welfare(model), 5),
+                      (lambda: optimize_one_sided(model, "profit"), 5)):
+        calls.clear()
+        assert run().termination == "gradient"
+        assert 0 < len(calls) <= most
+
+
+def test_termination_of_held_and_pinned_optima():
+    # beta = 0.2 holds q* at 0; Newton ends on the free user price's gradient
+    model = baseline_model(beta=0.2)
+    report = optimize_profit(model)
+    assert report.held and report.prices.cp == 0.0
+    assert report.termination == "gradient"
+    # the welfare optimum is held at the segment end q = 0
+    welfare = optimize_welfare(model)
+    assert welfare.held and welfare.termination == "no_free_coordinate"
+    # the one-sided welfare benchmark searches nothing
+    assert optimize_one_sided(model, "welfare").termination == "no_free_coordinate"
 
 
 # ---------------------------------------------------------------------------

@@ -7,14 +7,16 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import netpricing.sensitivity as sensitivity_mod
-from netpricing import (CapacitySharing, CustomGain, ExponentialGain,
+from netpricing import (CapacitySharing, CustomCongestion, CustomGain, ExponentialGain,
                         MarketModel, MM1Queue, ReciprocalGain, UserPowerDemand,
                         CpPowerDemand, baseline_model,
                         elasticity_slope_vs_congestion, finite_difference,
                         optimal_price_sensitivity, optimize_profit)
+from netpricing import optimize as optimize_mod
 from netpricing.curves import PARAMETERS
 from netpricing.errors import DomainError, NumericalError
 from netpricing.oracle import reoptimization_gap
+from references import stencil_trace_slope
 
 
 def video_gain() -> CustomGain:
@@ -70,6 +72,28 @@ def test_trace_slope_positive_for_video_profile():
     assert slope > 1e-4
 
 
+def test_trace_slope_matches_five_point_stencil_fit():
+    # the reference fits five equilibria at capacity steps of 1e-4: at steps
+    # of 1e-3 the fit's own O(h^2) error reaches 1.2e-5 on large-capacity
+    # M/M/1 models, where the closed form agrees with the fit at 1e-4 to
+    # about 1e-8
+    rng = np.random.default_rng(151)
+    models = [video_model(), baseline_model(congestion=CustomCongestion(
+        lambda lam, mu: (lam + 0.2 * lam * lam) / mu), capacity=1.5)]
+    for _ in range(100):
+        mm1 = bool(rng.random() < 0.5)
+        models.append(baseline_model(
+            gain=ReciprocalGain() if rng.random() < 0.5 else ExponentialGain(),
+            congestion=MM1Queue() if mm1 else CapacitySharing(),
+            alpha=float(rng.uniform(0.5, 3.0)), beta=float(rng.uniform(0.5, 3.0)),
+            capacity=float(rng.uniform(2.5, 10.0) if mm1 else rng.uniform(0.5, 5.0)),
+            sensitivity=float(rng.uniform(0.5, 3.0))))
+    for model in models:
+        p, q = float(rng.uniform(0.05, 0.8)), float(rng.uniform(0.05, 0.8))
+        assert elasticity_slope_vs_congestion(model, p, q) == pytest.approx(
+            stencil_trace_slope(model, p, q, rel_step=1e-4), rel=1e-5)
+
+
 def test_trace_slope_rejects_zero_demand():
     with pytest.raises(DomainError):
         elasticity_slope_vs_congestion(baseline_model(), 1.0, 0.3)
@@ -77,7 +101,6 @@ def test_trace_slope_rejects_zero_demand():
 
 def test_trace_slope_degenerate_when_capacity_has_no_effect():
     # a custom congestion law that ignores capacity leaves phi pinned
-    from netpricing import CustomCongestion
     rigid = CustomCongestion(lambda lam, mu: lam, inverse_fn=lambda phi, mu: phi)
     model = baseline_model(congestion=rigid)
     with pytest.raises(NumericalError):
@@ -227,6 +250,30 @@ def test_curvature_that_is_not_negative_raises(monkeypatch):
                         lambda hess: hess.shape != (1, 1))
     with pytest.raises(NumericalError, match="welfare Hessian"):
         optimal_price_sensitivity(model, "capacity")
+
+
+def test_no_trace_solves_and_no_hessian_stencils(monkeypatch):
+    # the Hessians and trace slopes are closed forms at the optima's own
+    # equilibria: a call evaluates the objectives only in the two optimizers
+    # and at the four points of the two dg/dx stencils
+    model = baseline_model(beta=2.0)
+    calls = []
+    evaluate = optimize_mod.evaluate_objectives
+
+    def counted(*args):
+        calls.append(args)
+        return evaluate(*args)
+    monkeypatch.setattr(optimize_mod, "evaluate_objectives", counted)
+    optimize_profit(model)
+    optimize_mod.optimize_welfare(model)
+    optimizers = len(calls)
+
+    def no_solve(*args):
+        raise AssertionError("the elasticity trace solved an equilibrium")
+    monkeypatch.setattr(sensitivity_mod, "solve_equilibrium", no_solve)
+    calls.clear()
+    optimal_price_sensitivity(model, "capacity")
+    assert len(calls) == optimizers + 4
 
 
 # ---------------------------------------------------------------------------
