@@ -5,8 +5,8 @@ takes ``--config PATH`` plus repeatable ``--set key=value`` overrides, an
 optional ``--out PATH`` for CSV output, and ``--verify`` to cross-check
 results against the brute-force oracles.
 
-Exit codes: 0 success, 1 config error, 2 numerical failure, 3 verification
-mismatch.
+Exit codes: 0 success, 1 config error (a config value outside the model's
+domain too), 2 numerical failure, 3 verification mismatch.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .config import ScenarioConfig, apply_overrides, build_model, load_config
 from .equilibrium import solve_equilibrium
-from .errors import ConfigError, NumericalError, VerificationError
+from .errors import ConfigError, DomainError, NumericalError, VerificationError
 from .experiments import (emit_csv, format_value, run_sweep, verify_optima,
                           verify_sweep)
 from .optimize import growth_rates
@@ -188,7 +188,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except ConfigError as exc:
+    except (ConfigError, DomainError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except VerificationError as exc:

@@ -5,15 +5,19 @@ A priced, congestible network platform is assembled from four curves:
 * a throughput gain ``rho(phi, s)`` in ``(0, 1]``, decreasing in the
   congestion level ``phi`` and parameterized by the users' congestion
   sensitivity ``s``;
-* a congestion map ``Phi(lam, mu)`` with inverse ``Lambda(phi, mu)`` giving
-  the throughput a network of capacity ``mu`` carries at congestion ``phi``;
+* a congestion map ``Phi(lam, mu)``, the congestion that throughput ``lam``
+  causes on a network of capacity ``mu``, with inverse ``Lambda(phi, mu)``;
 * two demand curves, one per market side: user demand ``m(p)`` and
   content-side demand ``n(q)``, each with hazard rate and surplus integral.
 
-Every curve also states its second derivatives, which the optimizers'
-Newton Hessians, the implicit-function sensitivities and the elasticity
-trace slope use: the gain's ``curvature`` rho'', the congestion law's
-``congestion_curvature`` Phi_lamlam, ``congestion_capacity_slope`` Phi_mu and
+The equilibrium and everything derived from it are differentiated in
+throughput space (``equilibrium``), from the forward law's partials only:
+the throughput elasticity is eps = 1 / (1 - m n rho'(phi) Phi_lam(lam, mu)),
+and its first-order terms take rho, rho', Phi_lam and the congestion law's
+``congestion_capacity_slope`` Phi_mu.  Every curve also states its second
+derivatives, which the optimizers' Newton Hessians, the implicit-function
+sensitivities and the elasticity trace slope use: the gain's ``curvature``
+rho'', the congestion law's ``congestion_curvature`` Phi_lamlam and
 ``congestion_cross_slope`` Phi_lammu, and the demand's ``curvature`` m''.
 
 Builtin families are closed-form throughout.  The ``Custom*`` variants accept
@@ -180,10 +184,6 @@ class GainCurve:
         d = self.slope(phi, sensitivity)
         return _where(phi > 0, phi * abs(d) / v, 0.0)
 
-    def hazard(self, phi, sensitivity):
-        """Hazard of the gain, |slope| / value (gain is strictly positive)."""
-        return abs(self.slope(phi, sensitivity)) / self.value(phi, sensitivity)
-
 
 @dataclass(frozen=True)
 class ReciprocalGain(GainCurve):
@@ -282,9 +282,8 @@ class CongestionCurve:
     and capacity default to differences of it (the builtin laws override them
     in closed form): central differences for the first, a three-point second
     difference for ``congestion_curvature`` and a four-point one for
-    ``congestion_cross_slope``.  The slopes of the inverse take the
-    throughput at ``phi`` when the caller knows it, which spares the
-    numerical inversion.
+    ``congestion_cross_slope``.  No solver, statics or objective path calls
+    the inverse.
     """
 
     def congestion(self, throughput, capacity):
@@ -317,16 +316,6 @@ class CongestionCurve:
         """Largest throughput the law admits."""
         return math.inf
 
-    def throughput_slope(self, phi, capacity, throughput=None):
-        """d implied_throughput / d phi = 1 / Phi_lam (positive)."""
-        lam = self.implied_throughput(phi, capacity) if throughput is None else throughput
-        return 1.0 / self.congestion_slope(lam, capacity)
-
-    def capacity_slope(self, phi, capacity, throughput=None):
-        """d implied_throughput / d capacity = -Phi_mu / Phi_lam (positive)."""
-        lam = self.implied_throughput(phi, capacity) if throughput is None else throughput
-        return -self.congestion_capacity_slope(lam, capacity) / self.congestion_slope(lam, capacity)
-
 
 @dataclass(frozen=True)
 class CapacitySharing(CongestionCurve):
@@ -357,14 +346,6 @@ class CapacitySharing(CongestionCurve):
         _check_capacity(capacity)
         _require(phi >= 0, "congestion level must be nonnegative")
         return phi * capacity
-
-    def throughput_slope(self, phi, capacity, throughput=None):
-        _check_capacity(capacity)
-        return 0.0 * phi + capacity
-
-    def capacity_slope(self, phi, capacity, throughput=None):
-        _check_capacity(capacity)
-        return phi
 
 
 @dataclass(frozen=True)
@@ -402,14 +383,6 @@ class MM1Queue(CongestionCurve):
     def throughput_limit(self, capacity):
         _check_capacity(capacity)
         return math.nextafter(capacity, 0.0)
-
-    def throughput_slope(self, phi, capacity, throughput=None):
-        _check_capacity(capacity)
-        return 1.0 / (phi * phi)
-
-    def capacity_slope(self, phi, capacity, throughput=None):
-        _check_capacity(capacity)
-        return 0.0 * phi + 1.0
 
 
 @dataclass(frozen=True)

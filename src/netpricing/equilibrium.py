@@ -1,26 +1,36 @@
-"""Congestion equilibrium of the two-sided system and its comparative statics.
+"""Congestion equilibrium of the two-sided system and its derivatives.
 
 At prices (p, q) the demand sides contribute m(p) and n(q); the carried
 throughput lam settles where it equals the throughput demanded at the
 congestion phi = Phi(lam, mu) that it causes:
 
-    h(lam) = lam - m * n * rho(Phi(lam, mu), s) = 0.
+    h(lam; T, mu) = lam - T * rho(Phi(lam, mu), s) = 0,    T = m * n.
 
-The root lies in the bracket [0, min(m n, lam_max)], lam_max the largest
+The root lies in the bracket [0, min(T, lam_max)], lam_max the largest
 throughput the congestion law admits (just below mu for M/M/1): h(0) < 0
-and h'(lam) = 1 - m n rho'(phi) dPhi/dlam >= 1, so the root is unique.
-Newton starts from lam0 = m n rho(Phi(hi / 2)) and bisects instead of any
-step that would leave the sign bracket.  A root where dPhi/dlam is not
+and h'(lam) = D = 1 - T rho'(phi) Phi_lam >= 1, so the root is unique.
+Newton starts from lam0 = T rho(Phi(hi / 2)) and bisects instead of any
+step that would leave the sign bracket.  A root where Phi_lam is not
 positive and finite (a flat stretch of a custom law) raises ``BracketError``.
 
 ``Equilibrium.elasticity`` is the throughput elasticity, the relative
 congestion elasticity of demand versus supply,
 
-    eps = (1 + m*n*|d rho/d phi| / (d Lambda/d phi))**-1  in (0, 1],
+    eps = 1 / D = 1 / (1 - T rho'(phi) Phi_lam(lam, mu))  in (0, 1].
 
-and ``comparative_statics`` evaluates the closed-form responses of the
-equilibrium congestion and throughput to the demand levels, the capacity,
-and the two prices.
+This module is the one place that differentiates h, in throughput space.
+``throughput_response`` gives lam's first-order responses to T and to the
+capacity,
+
+    lam_T = rho eps,        lam_mu = T rho' Phi_mu eps,
+
+which ``comparative_statics`` and the objectives' gradients build on.
+``throughput_curvature`` adds, for the Newton and implicit-function Hessians,
+
+    lam_TT = d(rho eps)/dT = eps (rho' Phi_lam - D_T) lam_T,
+    D_T    = -rho' Phi_lam - T (rho'' Phi_lam^2 + rho' Phi_lamlam) lam_T.
+
+The first-order path calls no second-derivative curve method.
 """
 
 from __future__ import annotations
@@ -139,9 +149,8 @@ def _elasticity_at(gain: GainCurve, congestion: CongestionCurve, mn: float,
                    phi: float, lam: float, capacity: float, sensitivity: float) -> float:
     if mn <= 0.0:
         return 1.0
-    demand_slope = mn * abs(gain.slope(phi, sensitivity))
-    supply_slope = congestion.throughput_slope(phi, capacity, lam)
-    return 1.0 / (1.0 + demand_slope / supply_slope)
+    rho_1 = gain.slope(phi, sensitivity)
+    return 1.0 / (1.0 - mn * rho_1 * congestion.congestion_slope(lam, capacity))
 
 
 def solve_equilibrium(model: MarketModel, price_user: float, price_cp: float) -> Equilibrium:
@@ -201,41 +210,51 @@ PREDICTED_STATIC_SIGNS = {
 }
 
 
-def gap_slope(model: MarketModel, mn: float, phi: float, lam: float) -> float:
-    """d/d phi of Lambda(phi, mu) - m n rho(phi), where Lambda(phi, mu) = lam; positive."""
-    return (model.congestion.throughput_slope(phi, model.capacity, lam)
-            - mn * model.gain.slope(phi, model.sensitivity))
+def throughput_response(model: MarketModel, eq: Equilibrium) -> tuple[float, float]:
+    """(lam_T, lam_mu): lam's responses to the demand product T = m n and to the
+    capacity at a solved, non-degenerate equilibrium."""
+    phi, s, t = eq.congestion, model.sensitivity, eq.user_level * eq.cp_level
+    phi_mu = model.congestion.congestion_capacity_slope(eq.throughput, model.capacity)
+    return (model.gain.value(phi, s) * eq.elasticity,
+            t * model.gain.slope(phi, s) * phi_mu * eq.elasticity)
+
+
+def throughput_curvature(model: MarketModel, eq: Equilibrium) -> tuple[float, float]:
+    """(lam_T, lam_TT): lam's first two derivatives in the demand product T = m n
+    at a solved, non-degenerate equilibrium."""
+    t = eq.user_level * eq.cp_level
+    phi, lam, mu, s = eq.congestion, eq.throughput, model.capacity, model.sensitivity
+    lam_t = throughput_response(model, eq)[0]
+    rho_1 = model.gain.slope(phi, s)
+    phi_1 = model.congestion.congestion_slope(lam, mu)
+    d_t = -rho_1 * phi_1 - t * (model.gain.curvature(phi, s) * phi_1 * phi_1
+                                + rho_1 * model.congestion.congestion_curvature(lam, mu)) * lam_t
+    return lam_t, eq.elasticity * (rho_1 * phi_1 - d_t) * lam_t
 
 
 def comparative_statics(model: MarketModel, price_user: float,
                         price_cp: float) -> ComparativeStatics:
-    """Closed-form equilibrium responses at interior prices."""
+    """Closed-form equilibrium responses at interior prices: dlam/dx = lam_T dT/dx
+    for x in {m, n, p, q}, dphi/dx = Phi_lam dlam/dx, and in the capacity
+    dlam/dmu = lam_mu, dphi/dmu = Phi_lam lam_mu + Phi_mu."""
     eq = solve_equilibrium(model, price_user, price_cp)
     if eq.degenerate:
         raise DomainError("comparative statics need positive demand on both sides")
-    m, n, phi, lam = eq.user_level, eq.cp_level, eq.congestion, eq.throughput
-    dg = gap_slope(model, m * n, phi, lam)
-    supply_slope = model.congestion.throughput_slope(phi, model.capacity, lam)
-    cap_slope = model.congestion.capacity_slope(phi, model.capacity, lam)
-    gain_slope = model.gain.slope(phi, model.sensitivity)
-    user_hazard = model.user_demand.hazard(price_user)
-    cp_hazard = model.cp_demand.hazard(price_cp)
-
-    dphi_dm = lam / (m * dg)
-    dphi_dn = lam / (n * dg)
-    dphi_dmu = -cap_slope / dg
-    dphi_dp = -lam * user_hazard / dg
-    dphi_dq = -lam * cp_hazard / dg
+    m, n, lam, mu = eq.user_level, eq.cp_level, eq.throughput, model.capacity
+    lam_t, lam_mu = throughput_response(model, eq)
+    phi_lam = model.congestion.congestion_slope(lam, mu)
+    dlam_dp = lam_t * model.user_demand.slope(price_user) * n
+    dlam_dq = lam_t * m * model.cp_demand.slope(price_cp)
     return ComparativeStatics(
-        dphi_dm=dphi_dm,
-        dlam_dm=supply_slope * dphi_dm,
-        dphi_dn=dphi_dn,
-        dlam_dn=supply_slope * dphi_dn,
-        dphi_dmu=dphi_dmu,
-        dlam_dmu=m * n * gain_slope * dphi_dmu,
-        dphi_dp=dphi_dp,
-        dlam_dp=supply_slope * dphi_dp,
-        dphi_dq=dphi_dq,
-        dlam_dq=supply_slope * dphi_dq,
+        dphi_dm=phi_lam * lam_t * n,
+        dlam_dm=lam_t * n,
+        dphi_dn=phi_lam * lam_t * m,
+        dlam_dn=lam_t * m,
+        dphi_dmu=phi_lam * lam_mu + model.congestion.congestion_capacity_slope(lam, mu),
+        dlam_dmu=lam_mu,
+        dphi_dp=phi_lam * dlam_dp,
+        dlam_dp=dlam_dp,
+        dphi_dq=phi_lam * dlam_dq,
+        dlam_dq=dlam_dq,
         equilibrium=eq,
     )

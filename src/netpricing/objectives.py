@@ -11,17 +11,16 @@ constraint set the profit term contributes nothing to tangential
 derivatives).  The matching finite-difference checks therefore difference
 W_m + W_n, while the profit gradients difference U itself.
 
+lam depends on the prices only through T = m(p) n(q), and on the capacity
+directly; its derivatives come from ``equilibrium``, which differentiates
+h(lam; T, mu) = lam - T rho(Phi(lam, mu)) = 0 with eps = 1/D, D = 1 - T rho'
+Phi_lam: lam_T = rho eps and lam_mu = T rho' Phi_mu eps.  The capacity
+gradients are M lam_mu and (s_m + s_n) lam_mu, M = p + q - c the margin.
+
 Second derivatives, for the optimizers' Newton steps and the implicit-function
-sensitivities, are separate calls that reuse a solved equilibrium, so
-``evaluate_objectives`` pays nothing for them.  lam depends on the prices
-only through T = m(p) n(q); differentiating h(lam, T) = lam - T rho(Phi(lam,
-mu)) = 0 twice, with D = 1 - T rho' Phi_lam = 1/eps,
-
-    lam_T  = rho / D,
-    D_T    = -rho' Phi_lam - T (rho'' Phi_lam^2 + rho' Phi_lamlam) lam_T,
-    lam_TT = (rho' Phi_lam lam_T D - rho D_T) / D^2.
-
-``profit_hessian`` is then, with margin M = p + q - c,
+sensitivities, are separate calls that reuse a solved equilibrium and
+``equilibrium.throughput_curvature``'s lam_TT, so ``evaluate_objectives``
+pays nothing for them.  ``profit_hessian`` is
 
     U_pp = 2 lam_T T_p + M (lam_TT T_p^2 + lam_T T_pp),
     U_pq = lam_T (T_p + T_q) + M (lam_TT T_p T_q + lam_T T_pq),
@@ -40,7 +39,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import MarketModel
-from .equilibrium import Equilibrium, gap_slope, solve_equilibrium
+from .equilibrium import (Equilibrium, solve_equilibrium, throughput_curvature,
+                          throughput_response)
 
 
 @dataclass(frozen=True)
@@ -83,8 +83,7 @@ def evaluate_objectives(model: MarketModel, price_user: float,
     if eq.degenerate:
         return ObjectiveReport(0.0, 0.0, 0.0, 0.0, _ZERO_GRADIENTS, eq, True)
 
-    m, n = eq.user_level, eq.cp_level
-    lam, phi, eps = eq.throughput, eq.congestion, eq.elasticity
+    lam, eps = eq.throughput, eq.elasticity
     margin = price_user + price_cp - model.cost
 
     s_m = model.user_demand.per_unit_surplus(price_user)
@@ -96,9 +95,7 @@ def evaluate_objectives(model: MarketModel, price_user: float,
 
     user_hazard = model.user_demand.hazard(price_user)
     cp_hazard = model.cp_demand.hazard(price_cp)
-    gain_hazard = model.gain.hazard(phi, model.sensitivity)
-    cap_slope = model.congestion.capacity_slope(phi, model.capacity, lam)
-    dg = gap_slope(model, m * n, phi, lam)
+    lam_mu = throughput_response(model, eq)[1]
 
     # hazards may diverge at a zero price (convex demands); with an exactly
     # zero margin the hazard term drops out rather than producing 0 * inf
@@ -107,12 +104,12 @@ def evaluate_objectives(model: MarketModel, price_user: float,
     gradients = ObjectiveGradients(
         profit_price_user=lam - hazard_term(user_hazard),
         profit_price_cp=lam - hazard_term(cp_hazard),
-        profit_capacity=margin * cap_slope * (1.0 - eps),
+        profit_capacity=margin * lam_mu,
         welfare_price_user=(-lam - user_hazard
                             * (cp_welfare - surplus_welfare * (1.0 - eps))),
         welfare_price_cp=(-lam - cp_hazard
                           * (user_welfare - surplus_welfare * (1.0 - eps))),
-        welfare_capacity=surplus_welfare * gain_hazard * cap_slope / dg,
+        welfare_capacity=(s_m + s_n) * lam_mu,
     )
     return ObjectiveReport(
         profit=profit,
@@ -123,21 +120,6 @@ def evaluate_objectives(model: MarketModel, price_user: float,
         equilibrium=eq,
         degenerate=False,
     )
-
-
-def _throughput_derivatives(model: MarketModel, eq: Equilibrium) -> tuple[float, float]:
-    """(lam_T, lam_TT): lam's first two derivatives in the demand product T = m n."""
-    t = eq.user_level * eq.cp_level
-    phi, lam = eq.congestion, eq.throughput
-    rho = model.gain.value(phi, model.sensitivity)
-    rho_1 = model.gain.slope(phi, model.sensitivity)
-    rho_2 = model.gain.curvature(phi, model.sensitivity)
-    phi_1 = model.congestion.congestion_slope(lam, model.capacity)
-    phi_2 = model.congestion.congestion_curvature(lam, model.capacity)
-    d = 1.0 - t * rho_1 * phi_1
-    lam_t = rho / d
-    d_t = -rho_1 * phi_1 - t * (rho_2 * phi_1 * phi_1 + rho_1 * phi_2) * lam_t
-    return lam_t, (rho_1 * phi_1 * lam_t * d - rho * d_t) / (d * d)
 
 
 def _demand_terms(model: MarketModel, eq: Equilibrium):
@@ -154,7 +136,7 @@ def profit_hessian(model: MarketModel, eq: Equilibrium) -> np.ndarray:
         return np.zeros((2, 2))
     m, n = eq.user_level, eq.cp_level
     m_1, n_1, m_2, n_2 = _demand_terms(model, eq)
-    lam_t, lam_tt = _throughput_derivatives(model, eq)
+    lam_t, lam_tt = throughput_curvature(model, eq)
     margin = eq.price_user + eq.price_cp - model.cost
     t_p, t_q = m_1 * n, m * n_1
     u_pp = 2.0 * lam_t * t_p + margin * (lam_tt * t_p * t_p + lam_t * m_2 * n)
@@ -171,7 +153,7 @@ def welfare_segment_curvature(model: MarketModel, eq: Equilibrium) -> float:
     p, q = eq.price_user, eq.price_cp
     m, n, lam = eq.user_level, eq.cp_level, eq.throughput
     m_1, n_1, m_2, n_2 = _demand_terms(model, eq)
-    lam_t, lam_tt = _throughput_derivatives(model, eq)
+    lam_t, lam_tt = throughput_curvature(model, eq)
 
     def surplus_terms(demand, price, level, slope, curvature):
         """(s, s', s''): the per-unit surplus and its derivatives, from the hazard

@@ -29,18 +29,19 @@ The direction of the throughput-elasticity response to congestion decides
 the qualitative predictions.  The relevant slope is taken along the
 capacity-parameterized trace: hold prices and sensitivity fixed and let the
 capacity move, so d eps/d phi = (d eps/d mu) / (d phi/d mu).  With the demand
-product T = m n fixed and D = 1 - T rho' Phi_lam = 1/eps, differentiating
+product T = m n fixed, eps = 1/D with D = 1 - T rho' Phi_lam, and lam_mu =
+T rho' Phi_mu eps from ``equilibrium.throughput_response``, differentiating
 the equilibrium condition in mu gives
 
-    lam_mu = T rho' Phi_mu / D,        phi_mu = Phi_lam lam_mu + Phi_mu,
+    phi_mu = Phi_lam lam_mu + Phi_mu,
     D_mu   = -T (rho'' phi_mu Phi_lam + rho' (Phi_lamlam lam_mu + Phi_lammu)),
 
-and the slope is (-D_mu / D^2) / phi_mu.  A congestion that does not respond
-to capacity (|mu phi_mu| at most ``TRACE_RESOLUTION`` times phi) leaves the
-slope undefined and raises ``NumericalError``.  The partial at fixed capacity
-is a different object and would falsify the sign rules for
-capacity-dependent congestion laws.  The hazard slopes are closed-form too:
-h' = h^2 - m''/m.
+d eps/d mu = -D_mu eps^2, and the slope is -D_mu eps^2 / phi_mu.  A
+congestion that does not respond to capacity (|mu phi_mu| at most
+``TRACE_RESOLUTION`` times phi) leaves the slope undefined and raises
+``NumericalError``.  The partial at fixed capacity is a different object and
+would falsify the sign rules for capacity-dependent congestion laws.  The
+hazard slopes are closed-form too: h' = h^2 - m''/m.
 
 Sign predictions (populated only when their premises are numerically
 conclusive):
@@ -69,7 +70,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import MarketModel, parameter_value, with_parameter
-from .equilibrium import Equilibrium, solve_equilibrium
+from .equilibrium import Equilibrium, solve_equilibrium, throughput_response
 from .errors import DomainError, NumericalError
 from .objectives import profit_hessian, welfare_segment_curvature
 from .optimize import (OptimumReport, is_negative_definite, optimize_profit,
@@ -83,22 +84,19 @@ TRACE_RESOLUTION = 1e-10    # capacity elasticity of congestion below which it d
 
 def _trace_slope(model: MarketModel, eq: Equilibrium) -> float:
     """d eps / d phi along the capacity trace at a solved, non-degenerate equilibrium."""
-    t = eq.user_level * eq.cp_level
+    t, eps = eq.user_level * eq.cp_level, eq.elasticity
     phi, lam, mu, s = eq.congestion, eq.throughput, model.capacity, model.sensitivity
     rho_1 = model.gain.slope(phi, s)
-    rho_2 = model.gain.curvature(phi, s)
     law = model.congestion
     phi_lam = law.congestion_slope(lam, mu)
-    phi_lamlam = law.congestion_curvature(lam, mu)
-    phi_cap = law.congestion_capacity_slope(lam, mu)
-    phi_cross = law.congestion_cross_slope(lam, mu)
-    d = 1.0 - t * rho_1 * phi_lam
-    lam_mu = t * rho_1 * phi_cap / d
-    phi_mu = phi_lam * lam_mu + phi_cap
+    lam_mu = throughput_response(model, eq)[1]
+    phi_mu = phi_lam * lam_mu + law.congestion_capacity_slope(lam, mu)
     if not abs(mu * phi_mu) > TRACE_RESOLUTION * phi:
         raise NumericalError("congestion does not respond to capacity")
-    d_mu = -t * (rho_2 * phi_mu * phi_lam + rho_1 * (phi_lamlam * lam_mu + phi_cross))
-    return -d_mu / (d * d) / phi_mu
+    d_mu = -t * (model.gain.curvature(phi, s) * phi_mu * phi_lam
+                 + rho_1 * (law.congestion_curvature(lam, mu) * lam_mu
+                            + law.congestion_cross_slope(lam, mu)))
+    return -d_mu * eps * eps / phi_mu
 
 
 def elasticity_slope_vs_congestion(model: MarketModel, price_user: float,

@@ -67,6 +67,17 @@ def test_optimize_reports_growth(capsys):
     assert "iterations_profit_opt = " in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["optimize", "--set", "cost=0"],
+    ["sensitivity", "--set", "cost=0", "--set", "sweep.parameter=capacity"],
+    ["solve-eq", "--set", "price.user=-0.1", "--set", "price.cp=0.3"],
+], ids=["optimize-zero-cost", "sensitivity-zero-cost", "solve-eq-negative-price"])
+def test_out_of_domain_config_value_exits_1(argv, capsys):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "Traceback" not in err
+
+
 def test_optimize_degenerate_baseline_exits_2(capsys):
     assert main(["optimize", "--set", "cost=1.2"]) == 2
     assert "growth rate undefined" in capsys.readouterr().err

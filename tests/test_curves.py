@@ -153,18 +153,17 @@ def test_implied_throughput_monotone(curve):
 
 @pytest.mark.parametrize("curve", CONGESTIONS)
 def test_congestion_slopes_match_finite_differences(curve):
+    # Phi_lam and Phi_mu of the forward law, at throughputs up to 0.95 of an
+    # M/M/1 capacity
     rng = np.random.default_rng(15)
     for _ in range(1000):
         mu = float(rng.uniform(0.3, 5.0))
-        phi = curve.congestion_floor(mu) + float(rng.uniform(0.05, 3.0))
-        fd_phi = finite_difference(lambda f: curve.implied_throughput(f, mu),
-                                   phi, rel_step=1e-6)
-        assert curve.throughput_slope(phi, mu) == pytest.approx(fd_phi, rel=1e-5)
-        if phi >= curve.congestion_floor(mu * 1.01):
-            fd_mu = finite_difference(
-                lambda m: curve.implied_throughput(phi, m), mu, rel_step=1e-6)
-            assert curve.capacity_slope(phi, mu) == pytest.approx(
-                fd_mu, rel=1e-5, abs=1e-9)
+        lam = float(rng.uniform(0.01, 0.95 * mu if isinstance(curve, MM1Queue) else 3.0))
+        fd_lam = finite_difference(lambda x: curve.congestion(x, mu), lam, rel_step=1e-6)
+        assert curve.congestion_slope(lam, mu) == pytest.approx(fd_lam, rel=1e-5)
+        fd_mu = finite_difference(lambda m: curve.congestion(lam, m), mu, rel_step=1e-6)
+        assert curve.congestion_capacity_slope(lam, mu) == pytest.approx(
+            fd_mu, rel=1e-5, abs=1e-9)
 
 
 def test_mm1_domain_errors():
@@ -180,11 +179,11 @@ def test_mm1_domain_errors():
 def test_custom_congestion_slopes_match_builtin():
     ref = CapacitySharing()
     custom = CustomCongestion(lambda lam, mu: lam / mu)
-    for phi, mu in ((0.5, 1.0), (2.0, 0.7), (0.1, 3.0)):
-        assert custom.throughput_slope(phi, mu) == pytest.approx(
-            ref.throughput_slope(phi, mu), rel=1e-6)
-        assert custom.capacity_slope(phi, mu) == pytest.approx(
-            ref.capacity_slope(phi, mu), rel=1e-6, abs=1e-9)
+    for lam, mu in ((0.5, 1.0), (1.4, 0.7), (0.3, 3.0), (0.0, 2.0)):
+        assert custom.congestion_slope(lam, mu) == pytest.approx(
+            ref.congestion_slope(lam, mu), rel=1e-6)
+        assert custom.congestion_capacity_slope(lam, mu) == pytest.approx(
+            ref.congestion_capacity_slope(lam, mu), rel=1e-6, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +374,7 @@ def _float_array_cases():
     """(curve, method, valid inputs, extra arguments, an out-of-domain input or None)."""
     phis = [0.0, 0.3, 1.0, 2.5, 7.0]
     for gain in _GAINS:
-        for method in ("value", "slope", "elasticity", "hazard"):
+        for method in ("value", "slope", "elasticity", "curvature"):
             yield gain, method, phis, (1.3,), -0.5
     mu = 2.0
     for law in _LAWS:
@@ -384,8 +383,12 @@ def _float_array_cases():
         yield law, "congestion_slope", lams, (mu,), (
             None if isinstance(law, CapacitySharing) else -0.1)
         yield law, "implied_throughput", phis, (mu,), -0.1
-        yield law, "throughput_slope", phis, (mu,), None
-        yield law, "capacity_slope", phis, (mu,), None
+        # the sharing law's Phi_mu and Phi_lamlam need no throughput check, and a
+        # custom law's second difference shifts its stencil inside lam >= 0
+        yield law, "congestion_capacity_slope", lams, (mu,), (
+            None if isinstance(law, CapacitySharing) else -0.1)
+        yield law, "congestion_curvature", lams, (mu,), (
+            -0.1 if isinstance(law, MM1Queue) else None)
     for demand in _DEMANDS:
         b = demand.support
         for method in ("value", "slope", "surplus"):
@@ -432,12 +435,13 @@ def test_custom_congestion_domain_matches_builtins():
 
 
 def test_constant_slopes_of_integer_arrays_are_floats():
-    ints = np.array([1, 2])
-    for out, expected in ((CapacitySharing().congestion_slope(ints, 2.0), 0.5),
-                          (CapacitySharing().throughput_slope(ints, 2.5), 2.5),
-                          (MM1Queue().capacity_slope(ints, 3.0), 1.0)):
+    ints, sharing = np.array([1, 2]), CapacitySharing()
+    for out, expected in ((sharing.congestion_slope(ints, 2.0), [0.5, 0.5]),
+                          (sharing.congestion_capacity_slope(ints, 2.0), [-0.25, -0.5]),
+                          (sharing.congestion_curvature(ints, 2.0), [0.0, 0.0]),
+                          (sharing.congestion_cross_slope(ints, 2.0), [-0.25, -0.25])):
         assert out.dtype == np.float64
-        np.testing.assert_array_equal(out, [expected, expected])
+        np.testing.assert_array_equal(out, expected)
 
 
 def test_custom_callable_is_probed_once():

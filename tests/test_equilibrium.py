@@ -8,7 +8,9 @@ import pytest
 from netpricing import (BracketError, CapacitySharing, CustomCongestion,
                         CustomGain, DomainError, ExponentialGain, MM1Queue,
                         ReciprocalGain, baseline_model, comparative_statics,
-                        evaluate_objectives, finite_difference, solve_equilibrium)
+                        evaluate_objectives, finite_difference, growth_rates,
+                        optimal_price_sensitivity, solve_equilibrium)
+from netpricing.curves import DemandCurve
 from netpricing.equilibrium import (PREDICTED_STATIC_SIGNS, solve_for_demands,
                                     solve_many)
 
@@ -319,6 +321,54 @@ def test_statics_match_finite_differences():
         assert stat.dlam_dq == pytest.approx(fd_lam_q, rel=1e-4)
 
 
+def _query_custom_models(rng):
+    """The custom curves of the query benchmark: a gain exp(-s (a phi + b phi^2))
+    beside the sharing law, a law (lam + k lam^2) / mu with no inverse beside the
+    reciprocal gain, and the two together."""
+    a, b, k = rng.uniform(0.3, 0.7), rng.uniform(0.05, 0.2), rng.uniform(0.1, 0.4)
+    gain = CustomGain(lambda phi, s: math.exp(-s * (a * phi + b * phi * phi)))
+    law = CustomCongestion(lambda lam, mu: (lam + k * lam * lam) / mu)
+    return [baseline_model(gain=g, congestion=c, capacity=float(rng.uniform(1.0, 3.0)))
+            for g, c in ((gain, CapacitySharing()), (ReciprocalGain(), law), (gain, law))]
+
+
+def test_custom_curve_statics_and_capacity_gradients_match_the_solver():
+    # the custom slopes are central differences at relative step 1e-6, good to
+    # about 1e-10; the worst relative gap to the solver's differences is 3e-10
+    rng = np.random.default_rng(47)
+    for _ in range(10):
+        for model in _query_custom_models(rng):
+            p, q = random_prices(rng)
+            stat = comparative_statics(model, p, q)
+            m, n = model.demands(p, q)
+            h = 1e-5
+            for which, base in (("m", m), ("n", n)):
+                (phi_hi, lam_hi), (phi_lo, lam_lo) = (
+                    _lam_phi_of_scaled(model, p, q, **{f"{which}_scale": 1 + sign * h})
+                    for sign in (1, -1))
+                assert getattr(stat, f"dphi_d{which}") == pytest.approx(
+                    (phi_hi - phi_lo) / (2 * h * base), rel=1e-7)
+                assert getattr(stat, f"dlam_d{which}") == pytest.approx(
+                    (lam_hi - lam_lo) / (2 * h * base), rel=1e-7)
+            fd_phi_mu, fd_lam_mu = (finite_difference(
+                lambda mu: _lam_phi_of_scaled(model, p, q, capacity=mu)[i], model.capacity)
+                for i in (0, 1))
+            assert stat.dphi_dmu == pytest.approx(fd_phi_mu, rel=1e-7)
+            assert stat.dlam_dmu == pytest.approx(fd_lam_mu, rel=1e-7)
+            for name, x, at in (("p", p, lambda v: solve_equilibrium(model, v, q)),
+                                ("q", q, lambda v: solve_equilibrium(model, p, v))):
+                assert getattr(stat, f"dphi_d{name}") == pytest.approx(finite_difference(
+                    lambda v: at(v).congestion, x, rel_step=1e-6), rel=1e-7)
+                assert getattr(stat, f"dlam_d{name}") == pytest.approx(finite_difference(
+                    lambda v: at(v).throughput, x, rel_step=1e-6), rel=1e-7)
+
+            grads = evaluate_objectives(model, p, q).gradients
+            surplus = model.user_demand.per_unit_surplus(p) + model.cp_demand.per_unit_surplus(q)
+            assert grads.profit_capacity == pytest.approx((p + q - model.cost) * fd_lam_mu,
+                                                          rel=1e-7)
+            assert grads.welfare_capacity == pytest.approx(surplus * fd_lam_mu, rel=1e-7)
+
+
 def test_demand_side_elasticities_equal():
     # the two demand-level elasticities of throughput coincide
     rng = np.random.default_rng(47)
@@ -355,6 +405,8 @@ def test_price_elasticity_ratio_identity():
 
 
 def test_solver_and_statics_never_invert_a_custom_law():
+    # nor do the optimizers and the sensitivities, whose second derivatives
+    # of this law are differences of its forward map
     def no_inverse(phi, mu):
         raise AssertionError("the inverse is off the solver and statics paths")
 
@@ -367,6 +419,32 @@ def test_solver_and_statics_never_invert_a_custom_law():
     ref_grads = evaluate_objectives(ref, 0.2, 0.3).gradients
     assert grads.profit_capacity == pytest.approx(ref_grads.profit_capacity, rel=1e-6)
     assert grads.welfare_capacity == pytest.approx(ref_grads.welfare_capacity, rel=1e-6)
+    rates, ref_rates = growth_rates(custom), growth_rates(ref)
+    assert rates.profit_growth == pytest.approx(ref_rates.profit_growth, rel=1e-6)
+    assert rates.welfare_growth == pytest.approx(ref_rates.welfare_growth, rel=1e-6)
+    for parameter in ("capacity", "sensitivity"):
+        report = optimal_price_sensitivity(custom, parameter)
+        ref_report = optimal_price_sensitivity(ref, parameter)
+        assert report.profit_price_derivs == pytest.approx(ref_report.profit_price_derivs,
+                                                           rel=1e-6)
+        assert report.welfare_price_derivs == pytest.approx(ref_report.welfare_price_derivs,
+                                                            rel=1e-6)
+        assert report.profit_context.elasticity_slope == pytest.approx(
+            ref_report.profit_context.elasticity_slope, rel=1e-6)
+
+
+def test_first_order_paths_take_no_second_derivatives(monkeypatch):
+    def second_derivative(*args):
+        raise AssertionError("a second derivative on a first-order path")
+
+    for owner, name in ((ReciprocalGain, "curvature"), (CapacitySharing, "congestion_curvature"),
+                        (CapacitySharing, "congestion_cross_slope"),
+                        (DemandCurve, "curvature")):
+        monkeypatch.setattr(owner, name, second_derivative)
+    model = baseline_model(capacity=1.3)
+    solve_equilibrium(model, 0.2, 0.3)
+    evaluate_objectives(model, 0.2, 0.3)
+    comparative_statics(model, 0.2, 0.3)
 
 
 def test_statics_reject_degenerate_point():

@@ -1,6 +1,7 @@
 """Sweep engine and CSV emission: integrity, determinism, error capture."""
 
 import dataclasses
+from pathlib import Path
 
 import pytest
 
@@ -79,6 +80,21 @@ def test_emit_csv_deterministic_across_runs(tmp_path):
         blobs.append(path.read_bytes())
     assert blobs[0] == blobs[1] == blobs[2]
     assert b"\r" not in blobs[0]
+
+
+GOLDEN_DIR = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("gain", ["reciprocal", "exponential"])
+@pytest.mark.parametrize("law", ["sharing", "mm1"])
+def test_capacity_sweep_matches_golden_csv(tmp_path, gain, law):
+    # tests/data holds 3-row capacity sweeps of each gain x law model; a change
+    # that moves any printed digit of a sweep shows here
+    cfg = parse_config(f"gain = {gain}\ncongestion = {law}\n"
+                       "sweep.parameter = capacity\nsweep.range = 0.5:2:3")
+    path = emit_csv(run_sweep(cfg), tmp_path / "sweep.csv")
+    golden = GOLDEN_DIR / f"sweep_capacity_{gain}_{law}.csv"
+    assert path.read_bytes() == golden.read_bytes()
 
 
 def test_csv_uses_lf_and_12_digits(tmp_path):

@@ -314,14 +314,18 @@ def test_implicit_derivatives_match_reoptimization(gain, law, parameter, alpha, 
 # ---------------------------------------------------------------------------
 
 def test_capacity_convexity_of_supply_slope():
-    # d(dLambda/dphi)/dmu: zero for M/M/1, positive for sharing
+    # d(dLambda/dphi)/dmu: zero for M/M/1, positive for sharing, with the
+    # supply slope dLambda/dphi = 1 / Phi_lam(Lambda(phi, mu), mu)
     sharing, mm1 = CapacitySharing(), MM1Queue()
     rng = np.random.default_rng(83)
+
+    def supply_slope(law, phi):
+        return lambda m: 1.0 / law.congestion_slope(law.implied_throughput(phi, m), m)
     for _ in range(100):
         mu = float(rng.uniform(0.5, 4.0))
         phi = float(rng.uniform(1.0 / mu + 0.05, 3.0))
-        fd_sharing = finite_difference(lambda m: sharing.throughput_slope(phi, m), mu)
-        fd_mm1 = finite_difference(lambda m: mm1.throughput_slope(phi, m), mu)
+        fd_sharing = finite_difference(supply_slope(sharing, phi), mu)
+        fd_mm1 = finite_difference(supply_slope(mm1, phi), mu)
         assert fd_sharing > 0.0
         assert abs(fd_mm1) <= 1e-12
 
