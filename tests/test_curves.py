@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import pickle
+from functools import partial
 
 import numpy as np
 import pytest
@@ -383,25 +384,45 @@ def _float_array_cases():
         yield law, "congestion_slope", lams, (mu,), (
             None if isinstance(law, CapacitySharing) else -0.1)
         yield law, "implied_throughput", phis, (mu,), -0.1
-        # the sharing law's Phi_mu and Phi_lamlam need no throughput check, and a
-        # custom law's second difference shifts its stencil inside lam >= 0
-        yield law, "congestion_capacity_slope", lams, (mu,), (
-            None if isinstance(law, CapacitySharing) else -0.1)
-        yield law, "congestion_curvature", lams, (mu,), (
-            -0.1 if isinstance(law, MM1Queue) else None)
+        yield law, "throughput_slope", phis, (mu,), None
+        yield law, "capacity_slope", phis, (mu,), None
     for demand in _DEMANDS:
         b = demand.support
         for method in ("value", "slope", "surplus"):
             yield demand, method, [0.0, 0.1 * b, 0.37 * b, 0.6 * b, b, 1.4 * b], (), -0.1
         for method in ("hazard", "per_unit_surplus", "surplus_hazard"):
             yield demand, method, [0.0, 0.1 * b, 0.37 * b, 0.6 * b], (), b
+    for law in _LAWS:
+        lams = [0.0, 0.3, 1.0, 1.9]
+        # the sharing law's Phi_mu and Phi_lamlam need no throughput check, and a
+        # custom law's second difference shifts its stencil inside lam >= 0
+        yield law, "congestion_capacity_slope", lams, (mu,), (
+            None if isinstance(law, CapacitySharing) else -0.1)
+        yield law, "congestion_curvature", lams, (mu,), (
+            -0.1 if isinstance(law, MM1Queue) else None)
+
+
+def _throughput_slope(law, phi, mu):
+    return 1.0 / law.congestion_slope(law.implied_throughput(phi, mu), mu)
+
+
+def _capacity_slope(law, phi, mu):
+    lam = law.implied_throughput(phi, mu)
+    return -law.congestion_capacity_slope(lam, mu) / law.congestion_slope(lam, mu)
+
+
+# The inverse law's slopes in phi, d Lambda / d phi = 1 / Phi_lam and
+# d Lambda / d mu = -Phi_mu / Phi_lam, are no methods of the law: they are
+# checked as composed from its public partials at Lambda(phi, mu).
+_COMPOSED = {"throughput_slope": _throughput_slope, "capacity_slope": _capacity_slope}
 
 
 @pytest.mark.parametrize("curve, method, xs, args, bad", [
     pytest.param(*case, id=f"{type(case[0]).__name__}-{case[1]}-{i}")
     for i, case in enumerate(_float_array_cases())])
 def test_array_inputs_match_float_inputs(curve, method, xs, args, bad):
-    fn = getattr(curve, method)
+    fn = (partial(_COMPOSED[method], curve) if method in _COMPOSED
+          else getattr(curve, method))
     scalars = [fn(x, *args) for x in xs]
     assert all(type(v) is float for v in scalars)
     out = fn(np.array(xs), *args)
