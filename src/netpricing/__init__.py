@@ -18,8 +18,7 @@ from .experiments import (SweepResult, SweepRow, emit_csv, run_sweep, verify_opt
 from .objectives import ObjectiveGradients, ObjectiveReport, evaluate_objectives
 from .optimize import (GrowthRates, OptimumReport, PricePair, growth_rates,
                        optimize_one_sided, optimize_profit, optimize_welfare)
-from .oracle import (GridOptimum, GridSpec, finite_difference,
-                     fixed_point_equilibrium, grid_optimize)
+from .oracle import GridOptimum, finite_difference, fixed_point_equilibrium, grid_optimize
 from .sensitivity import (SensitivityReport, SignRuleCheck,
                           elasticity_slope_vs_congestion,
                           optimal_price_sensitivity)
@@ -29,7 +28,7 @@ __all__ = [
     "BracketError", "CapacitySharing", "ComparativeStatics", "ConfigError",
     "ConvergenceError", "CpPowerDemand", "CustomCongestion", "CustomDemand",
     "CustomGain", "DegenerateBaselineError", "DomainError",
-    "Equilibrium", "ExponentialGain", "GridOptimum", "GridSpec", "GrowthRates",
+    "Equilibrium", "ExponentialGain", "GridOptimum", "GrowthRates",
     "MarketModel", "MM1Queue", "NumericalError", "ObjectiveGradients",
     "ObjectiveReport", "OptimumReport", "PricePair", "ReciprocalGain",
     "ScenarioConfig", "SensitivityReport", "SignRuleCheck", "SweepResult", "SweepRow",

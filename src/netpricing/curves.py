@@ -472,11 +472,6 @@ class DemandCurve:
     def surplus(self, price):
         return self._below_support(self._surplus, price)
 
-    def _check_interior(self, price) -> None:
-        """Price below the support bound (value, slope and surplus check price >= 0)."""
-        _require(price < self.support,
-                 "price must lie below the demand support bound {}", self.support)
-
     def _below_support(self, fn: Callable, price):
         """fn(price) on [0, support) and 0 from the support bound on; fn sees no price above it."""
         _require(price >= 0, "price must be nonnegative")
@@ -484,20 +479,26 @@ class DemandCurve:
             return np.where(price < self.support, fn(np.minimum(price, self.support)), 0.0)
         return fn(price) if price < self.support else 0.0
 
+    def _positive_value(self, price):
+        """The demand level, which must be positive: it is 0 from the support
+        bound on, and a demand may reach 0 below it."""
+        value = self.value(price)
+        _require(value > 0, "demand must be positive at the price (it is 0 from the "
+                 "support bound {} on, and may reach 0 below it)", self.support)
+        return value
+
     def hazard(self, price):
         """Decay rate -slope/value; defined only where demand is positive."""
-        self._check_interior(price)
-        return -self.slope(price) / self.value(price)
+        return -self.slope(price) / self._positive_value(price)
 
     def per_unit_surplus(self, price):
-        """Average surplus per unit of demand, surplus / value."""
-        self._check_interior(price)
-        return self.surplus(price) / self.value(price)
+        """Average surplus per unit of demand, surplus / value; defined only
+        where demand is positive."""
+        return self.surplus(price) / self._positive_value(price)
 
     def surplus_hazard(self, price):
         """Decay rate of the surplus integral: value / surplus."""
-        self._check_interior(price)
-        return self.value(price) / self.surplus(price)
+        return self._positive_value(price) / self.surplus(price)
 
 
 class _PowerDemand(DemandCurve):
@@ -509,7 +510,8 @@ class _PowerDemand(DemandCurve):
 
     def __post_init__(self):
         value = getattr(self, self._parameter)
-        _require(value > 0, "{} must be positive, got {}", self._parameter, value)
+        _require(0 < value < math.inf, "{} must be positive and finite, got {}",
+                 self._parameter, value)
         k, k1, c, d = self._shape(value)
         # the limits at x = 0 of the slope, where x**(k - 1) diverges for k < 1,
         # and of the curvature, where x**(k - 2) diverges for k < 2
@@ -617,8 +619,9 @@ class MarketModel:
     sensitivity: float = 1.0
 
     def __post_init__(self):
-        _check_capacity(self.capacity)
-        _require(self.sensitivity > 0, "sensitivity must be positive, got {}", self.sensitivity)
+        for name in ("capacity", "sensitivity"):
+            value = getattr(self, name)
+            _require(0 < value < math.inf, "{} must be positive and finite, got {}", name, value)
         price_ceiling = self.user_demand.support + self.cp_demand.support
         if not 0.0 <= self.cost < price_ceiling:
             raise DomainError(

@@ -21,7 +21,7 @@ from .config import ScenarioConfig, build_model
 from .curves import MarketModel, with_parameter
 from .errors import ConfigError, NumericalError, VerificationError
 from .optimize import GrowthRates, OptimumReport, growth_rates
-from .oracle import GridOptimum, GridSpec, grid_optimize
+from .oracle import GridOptimum, grid_optimize
 
 ALL_COLUMNS = (
     "param_value",
@@ -172,34 +172,31 @@ def _check_against_grid(price_user: float, price_cp: float, objective: float,
     return max(gap_p, gap_q), max(0.0, shortfall)
 
 
-def _verify_model(model: MarketModel, grid: GridSpec, label: str,
+def _verify_model(model: MarketModel, label: str,
                   profit: tuple[float, float, float],
                   welfare: tuple[float, float, float]) -> VerificationOutcome:
     """Check one model's profit and welfare optima, each (p, q, objective),
     against the grid oracle; ``label`` starts each error message."""
-    gaps = [_check_against_grid(*found, grid_optimize(model, objective, grid),
+    gaps = [_check_against_grid(*found, grid_optimize(model, objective),
                                 f"{label}{objective} optimum")
             for objective, found in (("profit", profit), ("welfare", welfare))]
     return VerificationOutcome(max(g for g, _ in gaps), max(s for _, s in gaps))
 
 
 def verify_optima(model: MarketModel, profit_report: OptimumReport,
-                  welfare_report: OptimumReport,
-                  grid: GridSpec | None = None) -> VerificationOutcome:
+                  welfare_report: OptimumReport) -> VerificationOutcome:
     """Cross-check refined optima against the grid oracle."""
     return _verify_model(
-        model, grid or GridSpec(), "",
+        model, "",
         (profit_report.prices.user, profit_report.prices.cp, profit_report.objective),
         (welfare_report.prices.user, welfare_report.prices.cp, welfare_report.objective))
 
 
-def verify_sweep(cfg: ScenarioConfig, result: SweepResult,
-                 grid: GridSpec | None = None) -> VerificationOutcome:
+def verify_sweep(cfg: ScenarioConfig, result: SweepResult) -> VerificationOutcome:
     """Re-run the grid oracle on every successful sweep row."""
     base_model = build_model(cfg)
-    grid = grid or GridSpec()
     outcomes = [
-        _verify_model(with_parameter(base_model, result.parameter, row.param_value), grid,
+        _verify_model(with_parameter(base_model, result.parameter, row.param_value),
                       f"row {row.param_value}: ",
                       (row.p_star, row.q_star, row.profit_two_sided),
                       (row.p_welfare, row.q_welfare, row.welfare_two_sided))

@@ -20,16 +20,19 @@ gradients are M lam_mu and (s_m + s_n) lam_mu, M = p + q - c the margin.
 Second derivatives, for the optimizers' Newton steps and the implicit-function
 sensitivities, are separate calls that reuse a solved equilibrium and
 ``equilibrium.throughput_curvature``'s lam_TT, so ``evaluate_objectives``
-pays nothing for them.  ``profit_hessian`` is
+pays nothing for them.  Both objectives are a weight times lam, w lam with
+w = M for profit and w = s_m + s_n for welfare, and one formula gives the
+Hessian of either from the weight's partials (no cross partial w_pq):
 
-    U_pp = 2 lam_T T_p + M (lam_TT T_p^2 + lam_T T_pp),
-    U_pq = lam_T (T_p + T_q) + M (lam_TT T_p T_q + lam_T T_pq),
+    H_pp = w_pp lam + 2 w_p lam_T T_p + w (lam_TT T_p^2 + lam_T T_pp),
+    H_pq = lam_T (w_q T_p + w_p T_q) + w (lam_TT T_p T_q + lam_T T_pq),
 
-and U_qq is U_pp with p and q swapped.  ``welfare_segment_curvature`` is
-f'' = W_pp - 2 W_pq + W_qq of W = (s_m + s_n) lam along q = cost - p, taking
-the per-unit surplus derivatives from identities, so a custom demand needs no
-extra quadrature: s' = h s - 1, s'' = s' h + s h' and h' = h^2 - m''/m, h the
-hazard.
+and H_qq is H_pp with p and q swapped.  ``profit_hessian`` passes the margin,
+with partials (1, 1, 0, 0).  ``welfare_segment_curvature`` passes s_m + s_n
+and contracts the Hessian along (1, -1), f'' = H_pp - 2 H_pq + H_qq along
+q = cost - p, taking the per-unit surplus derivatives from identities, so a
+custom demand needs no extra quadrature: s' = h s - 1, s'' = s' h + s h' and
+h' = h^2 - m''/m, h the hazard.
 """
 
 from __future__ import annotations
@@ -122,39 +125,36 @@ def evaluate_objectives(model: MarketModel, price_user: float,
     )
 
 
-def _demand_terms(model: MarketModel, eq: Equilibrium):
-    """(m', n', m'', n'') at the equilibrium's prices."""
+def _weighted_hessian(model: MarketModel, eq: Equilibrium, weight) -> tuple[float, float, float]:
+    """(H_pp, H_pq, H_qq) of w lam at the equilibrium's prices; zeros where
+    demand vanishes.  ``weight(m', n', m'', n'')`` returns the weight and its
+    partials (w, w_p, w_q, w_pp, w_qq); w_pq is 0."""
+    if eq.degenerate:
+        return 0.0, 0.0, 0.0
     p, q = eq.price_user, eq.price_cp
-    return (model.user_demand.slope(p), model.cp_demand.slope(q),
-            model.user_demand.curvature(p), model.cp_demand.curvature(q))
+    m, n, lam = eq.user_level, eq.cp_level, eq.throughput
+    m_1, n_1 = model.user_demand.slope(p), model.cp_demand.slope(q)
+    m_2, n_2 = model.user_demand.curvature(p), model.cp_demand.curvature(q)
+    lam_t, lam_tt = throughput_curvature(model, eq)
+    w, w_p, w_q, w_pp, w_qq = weight(m_1, n_1, m_2, n_2)
+    t_p, t_q = m_1 * n, m * n_1
+    h_pp = w_pp * lam + 2.0 * w_p * lam_t * t_p + w * (lam_tt * t_p * t_p + lam_t * m_2 * n)
+    h_qq = w_qq * lam + 2.0 * w_q * lam_t * t_q + w * (lam_tt * t_q * t_q + lam_t * m * n_2)
+    h_pq = lam_t * (w_q * t_p + w_p * t_q) + w * (lam_tt * t_p * t_q + lam_t * m_1 * n_1)
+    return h_pp, h_pq, h_qq
 
 
 def profit_hessian(model: MarketModel, eq: Equilibrium) -> np.ndarray:
     """[[U_pp, U_pq], [U_pq, U_qq]] at the equilibrium's prices; zero where
     demand vanishes, as the gradients are."""
-    if eq.degenerate:
-        return np.zeros((2, 2))
-    m, n = eq.user_level, eq.cp_level
-    m_1, n_1, m_2, n_2 = _demand_terms(model, eq)
-    lam_t, lam_tt = throughput_curvature(model, eq)
     margin = eq.price_user + eq.price_cp - model.cost
-    t_p, t_q = m_1 * n, m * n_1
-    u_pp = 2.0 * lam_t * t_p + margin * (lam_tt * t_p * t_p + lam_t * m_2 * n)
-    u_qq = 2.0 * lam_t * t_q + margin * (lam_tt * t_q * t_q + lam_t * m * n_2)
-    u_pq = lam_t * (t_p + t_q) + margin * (lam_tt * t_p * t_q + lam_t * m_1 * n_1)
+    u_pp, u_pq, u_qq = _weighted_hessian(model, eq, lambda *_: (margin, 1.0, 1.0, 0.0, 0.0))
     return np.array([[u_pp, u_pq], [u_pq, u_qq]])
 
 
 def welfare_segment_curvature(model: MarketModel, eq: Equilibrium) -> float:
     """d^2 (W_m + W_n) / dp^2 along q = cost - p at the equilibrium's prices;
     zero where demand vanishes."""
-    if eq.degenerate:
-        return 0.0
-    p, q = eq.price_user, eq.price_cp
-    m, n, lam = eq.user_level, eq.cp_level, eq.throughput
-    m_1, n_1, m_2, n_2 = _demand_terms(model, eq)
-    lam_t, lam_tt = throughput_curvature(model, eq)
-
     def surplus_terms(demand, price, level, slope, curvature):
         """(s, s', s''): the per-unit surplus and its derivatives, from the hazard
         h = -m'/m and its slope h' = h^2 - m''/m."""
@@ -163,14 +163,11 @@ def welfare_segment_curvature(model: MarketModel, eq: Equilibrium) -> float:
         s_1 = h * s - 1.0
         return s, s_1, s_1 * h + s * (h * h - curvature / level)
 
-    s_m, s_m1, s_m2 = surplus_terms(model.user_demand, p, m, m_1, m_2)
-    s_n, s_n1, s_n2 = surplus_terms(model.cp_demand, q, n, n_1, n_2)
-    total = s_m + s_n
-    t_p, t_q = m_1 * n, m * n_1
-    w_pp = s_m2 * lam + 2.0 * s_m1 * lam_t * t_p + total * (lam_tt * t_p * t_p
-                                                             + lam_t * m_2 * n)
-    w_qq = s_n2 * lam + 2.0 * s_n1 * lam_t * t_q + total * (lam_tt * t_q * t_q
-                                                             + lam_t * m * n_2)
-    w_pq = (s_m1 * lam_t * t_q + s_n1 * lam_t * t_p
-            + total * (lam_tt * t_p * t_q + lam_t * m_1 * n_1))
+    def weight(m_1, n_1, m_2, n_2):
+        s_m, s_m1, s_m2 = surplus_terms(model.user_demand, eq.price_user, eq.user_level,
+                                        m_1, m_2)
+        s_n, s_n1, s_n2 = surplus_terms(model.cp_demand, eq.price_cp, eq.cp_level, n_1, n_2)
+        return s_m + s_n, s_m1, s_n1, s_m2, s_n2
+
+    w_pp, w_pq, w_qq = _weighted_hessian(model, eq, weight)
     return w_pp - 2.0 * w_pq + w_qq

@@ -3,33 +3,37 @@
 Each optimizer runs a deterministic global stage, then solves its
 first-order conditions by projected Newton from the best point found:
 
-* profit: ``profit_argmax`` on a 101 x 101 grid over the clamped price box,
+* profit: ``grid_argmax`` on a 101 x 101 grid over the clamped price box,
   then Newton on the analytic gradient (dU/dp, dU/dq);
 * welfare: q = cost - p on the zero-profit segment; ``welfare_scan`` at
   2001 points of p, then Newton on the derivative along the segment,
   dW/dp - dW/dq;
-* one-sided profit: ``profit_argmax`` on 2001 points of p at q = 0, then
+* one-sided profit: ``grid_argmax`` on 2001 points of p at q = 0, then
   Newton on dU/dp.  The one-sided welfare benchmark has no freedom left: it
   is (cost, 0).
 
-The two global-stage routines also serve the ``--verify`` grid oracle
-(``oracle.grid_optimize``); the exhaustive argmax in ``tests/test_oracle.py``
-is the independent reference for both.  ``profit_argmax`` returns the first
-grid maximum in row-major order (smallest user price, then smallest content
-price), value included, exactly as solving every point would, by branch and
-bound.  The throughput lam depends on the prices only through the demand
-product m(p) n(q), and it rises with it: at fixed lam, h(lam) = lam - m n
-rho(Phi(lam, mu)) falls as m n rises, so the unique root moves right.  lam
-is tabulated at N + 1 evenly spaced products T_k on [0, max m * max n], N
-the smallest power of two at least twice the longer axis (a table that falls
-anywhere raises ``NumericalError``), and a point's profit is at most
-max(p + q - cost, 0) * lam(T_k), T_k the first node at or above its m n,
+Both objectives are a price-dependent weight times the throughput, so one
+routine is the global stage of every optimizer and of the ``--verify`` grid
+oracle (``oracle.grid_optimize``).  ``grid_argmax`` returns the first maximum
+of (a_i + b_j - c) * lam(m_i n_j) on a grid in row-major order (smallest
+a_i, then smallest b_j), value included, exactly as solving every point
+would, by branch and bound.  A profit grid passes a = p, b = q, c = cost and
+the demands m(p), n(q); ``welfare_scan`` is one row with a = 0,
+b = s_m + s_n, c = 0, m = 1 and n = m(p) n(cost - p).  The exhaustive
+argmaxes in ``tests/test_oracle.py`` are its independent references.  The
+throughput lam depends on the prices only through the demand product T, and
+it rises with it: at fixed lam, h(lam) = lam - T rho(Phi(lam, mu)) falls as
+T rises, so the unique root moves right.  lam is tabulated at N + 1 evenly
+spaced products T_k on [0, max m * max n], N the smallest power of two at
+least twice the longer axis (a table that falls anywhere raises
+``NumericalError``), and a point's value is at most
+max(a_i + b_j - c, 0) * lam(T_k), T_k the first node at or above its m_i n_j,
 times 1 + ``BOUND_SLACK`` for solver error and the rounding of k.  The best
-profit on every ``_INCUMBENT_STRIDE``-th point of each axis, solved with
-the table in one call, is the incumbent.  A point whose bound falls below it
-is strictly below the grid maximum, so skipping it cannot move the argmax;
-only the points whose bound reaches it are solved: about 4% of a 101^2 grid
-and 0.4% of a 2001^2 grid on the builtin baselines, table and incumbent
+value on every ``_INCUMBENT_STRIDE``-th point of each axis, solved with the
+table in one call, is the incumbent.  A point whose bound falls below it is
+strictly below the grid maximum, so skipping it cannot move the argmax; only
+the points whose bound reaches it are solved: about 4% of a 101^2 profit
+grid and 0.4% of a 2001^2 one on the builtin baselines, table and incumbent
 included.  A grid no larger than the table plus its incumbent points, such
 as every one-axis grid, is solved whole.
 
@@ -37,7 +41,7 @@ Newton is projected onto the price box: a coordinate at an edge whose
 gradient points out of the box is held exactly there, so corner optima
 (q* = 0 under a strongly convex content demand) are exact.  The Hessian is
 analytic (``objectives.profit_hessian`` and
-``objectives.welfare_segment_curvature``, from the curves' second
+``objectives.welfare_segment_curvature``, one formula from the curves' second
 derivatives), taken from the equilibrium an accepted iterate already solved,
 so a step costs one objective evaluation plus any backtracking trials; a
 profit optimum takes about 4 evaluations and a welfare or one-sided optimum
@@ -224,27 +228,26 @@ def profit_box(model: MarketModel) -> tuple[float, float]:
     return model.user_demand.support * _CLAMP, model.cp_demand.support * _CLAMP
 
 
-def profit_argmax(model: MarketModel, p_axis: np.ndarray,
-                  q_axis: np.ndarray) -> tuple[int, int, float, int]:
-    """First-occurrence argmax (i, j) of the profit on the grid p_axis x q_axis,
-    its value, and the number of equilibria solved to find it.
+def grid_argmax(model: MarketModel, a: np.ndarray, b: np.ndarray, c: float,
+                m_vals: np.ndarray, n_vals: np.ndarray) -> tuple[int, int, float, int]:
+    """First-occurrence argmax (i, j) of (a_i + b_j - c) * lam(m_i n_j) on the
+    grid a x b, its value, and the number of equilibria solved to find it.
 
-    A grid no larger than what the bound solves anyway is solved point by
-    point; a larger one is pruned by the bound (module docstring).
+    The weight a_i + b_j - c rises with a_i and b_j, and m_vals and n_vals
+    are nonnegative.  A grid no larger than what the bound solves anyway is
+    solved point by point; a larger one is pruned by the bound (module
+    docstring).
     """
-    m_vals = model.user_demand.value(p_axis)
-    n_vals = model.cp_demand.value(q_axis)
-    cost = model.cost
-    cols = q_axis.size
+    rows, cols = a.size, b.size
 
     def throughput(mn):
         return solve_many(model.gain, model.congestion, mn,
                           model.capacity, model.sensitivity)[1]
 
-    steps = 1 << (2 * max(p_axis.size, cols) - 1).bit_length()     # table intervals
-    p_inc, q_inc = p_axis[::_INCUMBENT_STRIDE], q_axis[::_INCUMBENT_STRIDE]
-    if p_axis.size * cols <= steps + 1 + p_inc.size * q_inc.size:
-        flat, lam = np.arange(p_axis.size * cols), np.empty(0)
+    steps = 1 << (2 * max(rows, cols) - 1).bit_length()     # table intervals
+    a_inc, b_inc = a[::_INCUMBENT_STRIDE], b[::_INCUMBENT_STRIDE]
+    if rows * cols <= steps + 1 + a_inc.size * b_inc.size:
+        flat, lam = np.arange(rows * cols), np.empty(0)
     else:
         top = float(np.max(m_vals) * np.max(n_vals))
         lam = throughput(np.concatenate((np.linspace(0.0, top, steps + 1), np.outer(
@@ -254,31 +257,31 @@ def profit_argmax(model: MarketModel, p_axis: np.ndarray,
                                  "product; the congestion equilibrium may not be unique")
         table = lam[:steps + 1] * (1.0 + BOUND_SLACK)
         scale = steps / top if top > 0.0 else 0.0
-        incumbent = float(np.max((p_inc[:, None] + q_inc[None, :] - cost).reshape(-1)
+        incumbent = float(np.max((a_inc[:, None] + b_inc[None, :] - c).reshape(-1)
                                  * lam[steps + 1:]))
 
-        def profit_bound(p, q, mn):
-            return np.maximum(p + q - cost, 0.0) * table.take(
+        def value_bound(a_i, b_j, mn):
+            return np.maximum(a_i + b_j - c, 0.0) * table.take(
                 np.ceil(mn * scale).astype(np.intp), mode="clip")
 
         # a point whose bound is below the incumbent is strictly below the grid
         # maximum, so dropping it cannot move the first-occurrence argmax.  Each
-        # chunk of rows first bounds whole columns by its largest user price and
-        # user demand (rounding is monotone, so no point bound exceeds its
+        # chunk of rows first bounds whole columns by its largest a and m (the
+        # weight and the rounding are monotone, so no point bound exceeds its
         # column's), then bounds the points of the columns that remain.
         rows_per_chunk = max(1, _CHUNK // cols)
         kept = []
-        for row0 in range(0, p_axis.size, rows_per_chunk):
-            p_rows = p_axis[row0:row0 + rows_per_chunk]
+        for row0 in range(0, rows, rows_per_chunk):
+            a_rows = a[row0:row0 + rows_per_chunk]
             m_rows = m_vals[row0:row0 + rows_per_chunk]
-            column = profit_bound(np.max(p_rows), q_axis, np.max(m_rows) * n_vals)
+            column = value_bound(np.max(a_rows), b, np.max(m_rows) * n_vals)
             live = np.flatnonzero(column >= incumbent)
-            bound = profit_bound(p_rows[:, None], q_axis[live], np.outer(m_rows, n_vals[live]))
-            r, c = np.nonzero(bound >= incumbent)
-            kept.append((row0 + r) * cols + live[c])
+            bound = value_bound(a_rows[:, None], b[live], np.outer(m_rows, n_vals[live]))
+            r, h = np.nonzero(bound >= incumbent)
+            kept.append((row0 + r) * cols + live[h])
         flat = np.concatenate(kept)
     i, j = np.divmod(flat, cols)
-    values = (p_axis[i] + q_axis[j] - cost) * throughput(m_vals[i] * n_vals[j])
+    values = (a[i] + b[j] - c) * throughput(m_vals[i] * n_vals[j])
     k = int(np.argmax(values))
     return int(i[k]), int(j[k]), float(values[k]), lam.size + flat.size
 
@@ -297,7 +300,8 @@ def optimize_profit(model: MarketModel) -> OptimumReport:
     p_hi, q_hi = profit_box(model)
     p_axis = np.linspace(0.0, p_hi, _COARSE_POINTS)
     q_axis = np.linspace(0.0, q_hi, _COARSE_POINTS)
-    i, j, _, solved = profit_argmax(model, p_axis, q_axis)
+    i, j, _, solved = grid_argmax(model, p_axis, q_axis, model.cost,
+                                  model.user_demand.value(p_axis), model.cp_demand.value(q_axis))
     start = (p_axis[i], q_axis[j])
     width = max(p_hi, q_hi) / (_COARSE_POINTS - 1)
     x, report, steps, termination = _projected_newton(
@@ -333,21 +337,23 @@ def welfare_segment(model: MarketModel) -> tuple[float, float]:
     return lo, hi
 
 
-def welfare_scan(model: MarketModel, points: int) -> tuple[np.ndarray, np.ndarray]:
-    """``points`` evenly spaced user prices on ``welfare_segment`` and the
-    welfare (s_m + s_n) * lam at each; 0, with no surplus taken, where a demand is 0."""
+def welfare_scan(model: MarketModel, points: int) -> tuple[np.ndarray, int, float, int]:
+    """``points`` evenly spaced user prices on ``welfare_segment``, and the
+    index, value and solve count of the first maximum of the welfare
+    (s_m + s_n) * lam on them: ``grid_argmax`` on one row, with weights 0,
+    and no surplus taken, where a demand is 0."""
     lo, hi = welfare_segment(model)
     p_axis = np.linspace(lo, hi, points)
     q_axis = model.cost - p_axis
     m_vals = model.user_demand.value(p_axis)
     n_vals = model.cp_demand.value(q_axis)
-    _, lam = solve_many(model.gain, model.congestion, m_vals * n_vals,
-                        model.capacity, model.sensitivity)
-    values = np.zeros_like(lam)
+    weights = np.zeros(points)
     both = (m_vals > 0) & (n_vals > 0)
-    values[both] = (model.user_demand.per_unit_surplus(p_axis[both])
-                    + model.cp_demand.per_unit_surplus(q_axis[both])) * lam[both]
-    return p_axis, values
+    weights[both] = (model.user_demand.per_unit_surplus(p_axis[both])
+                     + model.cp_demand.per_unit_surplus(q_axis[both]))
+    _, k, value, solved = grid_argmax(model, np.zeros(1), weights, 0.0,
+                                      np.ones(1), m_vals * n_vals)
+    return p_axis, k, value, solved
 
 
 def _welfare_diagnostics(model: MarketModel, p: float, q: float, eq: Equilibrium,
@@ -385,8 +391,8 @@ def optimize_welfare(model: MarketModel) -> OptimumReport:
     """Welfare maximizer on the zero-profit segment p + q = cost."""
     lo, hi = welfare_segment(model)
     c = model.cost
-    p_axis, scan = welfare_scan(model, _SCAN_POINTS)
-    start = float(p_axis[int(np.argmax(scan))])
+    p_axis, k, _, solved = welfare_scan(model, _SCAN_POINTS)
+    start = float(p_axis[k])
     width = (hi - lo) / (_SCAN_POINTS - 1)
     x, report, steps, termination = _projected_newton(
         welfare_objective(model),
@@ -407,7 +413,7 @@ def optimize_welfare(model: MarketModel) -> OptimumReport:
         boundary=boundary,
         held=held,
         iterations=steps,
-        grid_solves=p_axis.size,
+        grid_solves=solved,
         termination=termination,
     )
 
@@ -426,7 +432,10 @@ def optimize_one_sided(model: MarketModel, kind: str) -> OptimumReport:
             return report.profit, np.array([report.gradients.profit_price_user]), report
 
         p_axis = np.linspace(0.0, p_hi, _SCAN_POINTS)
-        i, _, _, solved = profit_argmax(model, p_axis, np.zeros(1))
+        q_axis = np.zeros(1)
+        i, _, _, solved = grid_argmax(model, p_axis, q_axis, model.cost,
+                                      model.user_demand.value(p_axis),
+                                      model.cp_demand.value(q_axis))
         start = float(p_axis[i])
         width = p_hi / (_SCAN_POINTS - 1)
         x, report, steps, termination = _projected_newton(

@@ -10,16 +10,16 @@
   prices, the reference for the implicit-function price sensitivities
   (``reoptimization_gap`` compares a sensitivity report with it).
 
-``grid_optimize`` runs the optimizers' own global-stage routines,
-``optimize.profit_argmax`` and ``optimize.welfare_scan``, on 2001 points
-per profit axis by default, finer than the optimizers' 101 x 101 profit
-grid.  The welfare segment gets 2 * 2001 - 1 = 4001 points: every point of
-the optimizer's 2001-point start scan plus each midpoint, so the check does
-not rest on the grid Newton started from, and a segment end at which an
-optimum is held stays on the grid.  The oracle checks that Newton
-refinement ends within a cell of the best grid point, not how that point
-was found.  The independent reference for both routines is the exhaustive
-argmax in the test tree (``tests/test_oracle.py``), which solves every grid
+``grid_optimize`` runs the optimizers' own global-stage routine,
+``optimize.grid_argmax``, on fixed grids finer than theirs: ``GRID_POINTS``
+= 2001 points per profit axis, against the optimizers' 101 x 101 profit
+grid, and ``SEGMENT_POINTS`` = 4001 points on the welfare segment, every
+point of the optimizer's 2001-point start scan plus each midpoint, so the
+check does not rest on the grid Newton started from, and a segment end at
+which an optimum is held stays on the grid.  The oracle checks that Newton
+refinement ends within a cell of the best grid point, not how that point was
+found.  The independent references for the routine are the exhaustive
+argmaxes in the test tree (``tests/test_oracle.py``), which solve every grid
 point.
 
 These ship in the library, not the test tree, so the CLI can re-verify any
@@ -34,7 +34,7 @@ import numpy as np
 
 from .curves import MarketModel, parameter_value, with_parameter
 from .errors import ConvergenceError, DomainError, NumericalError
-from .optimize import (optimize_profit, optimize_welfare, profit_argmax, profit_box,
+from .optimize import (grid_argmax, optimize_profit, optimize_welfare, profit_box,
                        welfare_scan)
 from .sensitivity import SensitivityReport
 
@@ -42,24 +42,8 @@ FIXED_POINT_THETA = 0.5
 FIXED_POINT_MAX_ITER = 100_000
 FIXED_POINT_REL_TOL = 1e-12
 REOPTIMIZATION_AGREEMENT = 1e-4     # relative to the largest |price derivative|
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    """Dense search grid: points per axis and optional explicit ranges.
-
-    The welfare segment is scanned at ``2 * points_user - 1`` points: those of
-    a ``points_user`` scan and their midpoints (``grid_optimize``).
-    """
-
-    points_user: int = 2001
-    points_cp: int = 2001
-    range_user: tuple[float, float] | None = None
-    range_cp: tuple[float, float] | None = None
-
-    def __post_init__(self):
-        if self.points_user < 3 or self.points_cp < 3:
-            raise DomainError("grids need at least 3 points per axis")
+GRID_POINTS = 2001                  # per profit axis
+SEGMENT_POINTS = 2 * GRID_POINTS - 1    # welfare segment: a 2001-point scan and its midpoints
 
 
 @dataclass(frozen=True)
@@ -74,52 +58,32 @@ class GridOptimum:
     solved_points: int          # equilibria solved to find the optimum
 
 
-def _axis(range_: tuple[float, float] | None, hi_default: float, n: int) -> np.ndarray:
-    lo, hi = range_ if range_ is not None else (0.0, hi_default)
-    if not 0.0 <= lo < hi:
-        raise DomainError(f"bad grid range ({lo}, {hi})")
-    if hi > hi_default * (1.0 + 1e-12):
-        raise DomainError(f"grid range ({lo}, {hi}) leaves the demand support")
-    return np.linspace(lo, hi, n)
-
-
-def grid_optimize(model: MarketModel, objective: str = "profit",
-                  grid: GridSpec | None = None) -> GridOptimum:
+def grid_optimize(model: MarketModel, objective: str = "profit") -> GridOptimum:
     """Grid argmax of the profit surface or the welfare segment.
 
     The first (lexicographically smallest) maximizer wins.  The profit grid
-    goes to ``optimize.profit_argmax``; ``objective="welfare"`` solves every
-    point of ``optimize.welfare_scan`` on the zero-profit segment
-    p + q = cost at ``2 * points_user - 1`` points, so that the optimizer's
-    own start scan is not the grid that checks it.
+    is ``GRID_POINTS`` per axis over the clamped price box; the welfare grid
+    is ``optimize.welfare_scan`` at ``SEGMENT_POINTS`` on the zero-profit
+    segment p + q = cost, so that the optimizer's own start scan is not the
+    grid that checks it.
     """
-    grid = grid or GridSpec()
     if objective == "profit":
         p_hi, q_hi = profit_box(model)
-        p_axis = _axis(grid.range_user, p_hi, grid.points_user)
-        q_axis = _axis(grid.range_cp, q_hi, grid.points_cp)
-        i, j, value, solved = profit_argmax(model, p_axis, q_axis)
-        return GridOptimum(
-            price_user=float(p_axis[i]),
-            price_cp=float(q_axis[j]),
-            value=value,
-            cell_user=float(p_axis[1] - p_axis[0]),
-            cell_cp=float(q_axis[1] - q_axis[0]),
-            solved_points=solved,
-        )
-    if objective == "welfare":
-        p_axis, values = welfare_scan(model, 2 * grid.points_user - 1)
-        k = int(np.argmax(values))
-        cell = float(p_axis[1] - p_axis[0])
-        return GridOptimum(
-            price_user=float(p_axis[k]),
-            price_cp=float(model.cost - p_axis[k]),
-            value=float(values[k]),
-            cell_user=cell,
-            cell_cp=cell,
-            solved_points=p_axis.size,
-        )
-    raise DomainError(f"unknown objective {objective!r}")
+        p_axis = np.linspace(0.0, p_hi, GRID_POINTS)
+        q_axis = np.linspace(0.0, q_hi, GRID_POINTS)
+        i, j, value, solved = grid_argmax(model, p_axis, q_axis, model.cost,
+                                          model.user_demand.value(p_axis),
+                                          model.cp_demand.value(q_axis))
+        p, q, cells = p_axis[i], q_axis[j], (p_axis[1] - p_axis[0], q_axis[1] - q_axis[0])
+    elif objective == "welfare":
+        p_axis, i, value, solved = welfare_scan(model, SEGMENT_POINTS)
+        # the cells stay the spacing of p; cost - p rounds differently
+        p, q, cells = p_axis[i], model.cost - p_axis[i], (p_axis[1] - p_axis[0],) * 2
+    else:
+        raise DomainError(f"unknown objective {objective!r}")
+    return GridOptimum(price_user=float(p), price_cp=float(q), value=value,
+                       cell_user=float(cells[0]), cell_cp=float(cells[1]),
+                       solved_points=solved)
 
 
 def fixed_point_equilibrium(model: MarketModel, price_user: float, price_cp: float,

@@ -78,7 +78,6 @@ from .optimize import (OptimumReport, is_negative_definite, optimize_profit,
 
 PARAM_REL_STEP = 1e-3
 CONCLUSIVE_EPS = 1e-6
-RATIO_REL_TOL = 1e-2
 TRACE_RESOLUTION = 1e-10    # capacity elasticity of congestion below which it does not respond
 
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from netpricing import (CapacitySharing, CpPowerDemand, CustomDemand,
-                        CustomGain, ExponentialGain, GridSpec, MarketModel,
+                        CustomGain, ExponentialGain, MarketModel,
                         MM1Queue, ReciprocalGain, UserPowerDemand,
                         baseline_model, comparative_statics, emit_csv,
                         evaluate_objectives, finite_difference,
@@ -259,7 +259,7 @@ def test_criterion_05_profit_optimum_structure():
         for congestion in CONGESTIONS.values():
             model = baseline_model(gain=gain, congestion=congestion)
             report = optimize_profit(model)
-            best = grid_optimize(model, "profit", GridSpec(2001, 2001))
+            best = grid_optimize(model, "profit")     # 2001 x 2001
             shortfall = best.value - report.objective
             worst_shortfall = max(worst_shortfall, shortfall)
             assert report.objective >= best.value - 1e-8

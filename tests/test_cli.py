@@ -71,7 +71,13 @@ def test_optimize_reports_growth(capsys):
     ["optimize", "--set", "cost=0"],
     ["sensitivity", "--set", "cost=0", "--set", "sweep.parameter=capacity"],
     ["solve-eq", "--set", "price.user=-0.1", "--set", "price.cp=0.3"],
-], ids=["optimize-zero-cost", "sensitivity-zero-cost", "solve-eq-negative-price"])
+    ["optimize", "--set", "user_demand.alpha=1e300"],
+    ["optimize", "--set", "capacity=inf"],
+    ["optimize", "--set", "sensitivity=inf"],
+    ["optimize", "--set", "cp_demand.beta=inf"],
+], ids=["optimize-zero-cost", "sensitivity-zero-cost", "solve-eq-negative-price",
+        "optimize-demand-zero-above-p-zero", "optimize-infinite-capacity",
+        "optimize-infinite-sensitivity", "optimize-infinite-beta"])
 def test_out_of_domain_config_value_exits_1(argv, capsys):
     assert main(argv) == 1
     err = capsys.readouterr().err
@@ -90,6 +96,18 @@ def test_sweep_writes_csv(tmp_path, capsys):
     header, rows = parse_csv(out)
     assert len(rows) == 3
     assert "wrote 3 rows" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("sweep_range, error", [
+    ("1e300:1e308:2", "DomainError: demand must be positive"),    # m(p) = 0 at every p > 0
+    ("inf:inf:1", "DomainError: alpha must be positive and finite"),
+], ids=["demand-zero-above-p-zero", "infinite-alpha"])
+def test_sweep_over_degenerate_demands_writes_error_rows(tmp_path, sweep_range, error):
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--set", "sweep.parameter=alpha", "--set", f"sweep.range={sweep_range}",
+                 "--out", str(out)]) == 0
+    header, rows = parse_csv(out)
+    assert rows and all(row[header.index("error")].startswith(error) for row in rows)
 
 
 def test_sweep_out_flag_overrides_config(tmp_path):

@@ -268,6 +268,24 @@ def test_demand_domain_errors():
         UserPowerDemand(alpha=0.0)
     with pytest.raises(DomainError):
         CpPowerDemand(beta=-2.0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(DomainError):
+            UserPowerDemand(alpha=bad)
+        with pytest.raises(DomainError):
+            CpPowerDemand(beta=bad)
+
+
+@pytest.mark.parametrize("demand, price", [
+    (UserPowerDemand(alpha=1e300), 0.5),        # 1 - p**1e-300 rounds to 0 at every p > 0
+    (CustomDemand(lambda p: np.maximum(0.5 - p, 0.0)), 0.7),
+    (CustomDemand(lambda p: np.maximum(0.5 - p, 0.0)), np.array([0.2, 0.7])),
+])
+def test_hazard_and_surplus_need_positive_demand_below_the_support(demand, price):
+    assert np.all(np.asarray(price) < demand.support)
+    assert np.any(demand.value(price) == 0.0)
+    for method in (demand.hazard, demand.per_unit_surplus):
+        with pytest.raises(DomainError, match="demand must be positive"):
+            method(price)
 
 
 def test_custom_demand_matches_analytic_square():
@@ -302,6 +320,11 @@ def test_market_model_validation():
         baseline_model(capacity=0.0)
     with pytest.raises(DomainError):
         baseline_model(sensitivity=-1.0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(DomainError, match="must be positive and finite"):
+            baseline_model(capacity=bad)
+        with pytest.raises(DomainError, match="must be positive and finite"):
+            baseline_model(sensitivity=bad)
     with pytest.raises(DomainError):
         baseline_model(cost=2.0)    # no nonnegative-margin pair exists
     with pytest.raises(DomainError):

@@ -10,7 +10,6 @@ from netpricing import (PricePair, ScenarioConfig, SweepResult, baseline_model, 
                         verify_optima, verify_sweep)
 from netpricing.errors import ConfigError, VerificationError
 from netpricing.experiments import ALL_COLUMNS, PRICE_COLUMNS, format_value, parse_csv
-from netpricing.oracle import GridSpec
 
 
 def small_sweep_config(**overrides) -> ScenarioConfig:
@@ -120,21 +119,20 @@ def test_verify_sweep_against_small_grid():
     cfg = dataclasses.replace(
         parse_config("sweep.parameter = alpha\nsweep.range = 0.8:1.2:3"))
     result = run_sweep(cfg)
-    outcome = verify_sweep(cfg, result, grid=GridSpec(401, 401))
+    outcome = verify_sweep(cfg, result)
     assert outcome.max_value_shortfall <= 1e-8
 
 
 def test_verification_errors_name_the_row_and_the_optimum():
-    grid = GridSpec(101, 101)
     cfg = small_sweep_config()
     result = run_sweep(cfg)
     rows = list(result.rows)
     rows[1] = dataclasses.replace(rows[1], welfare_two_sided=0.0)
     with pytest.raises(VerificationError,
                        match=r"^row 1\.0: welfare optimum: refined objective 0 falls"):
-        verify_sweep(cfg, dataclasses.replace(result, rows=tuple(rows)), grid)
+        verify_sweep(cfg, dataclasses.replace(result, rows=tuple(rows)))
     model = baseline_model()
     profit = optimize_profit(model)
     moved = dataclasses.replace(profit, prices=PricePair(0.1, profit.prices.cp))
     with pytest.raises(VerificationError, match=r"^profit optimum: refined prices \(0\.1, "):
-        verify_optima(model, moved, optimize_welfare(model), grid)
+        verify_optima(model, moved, optimize_welfare(model))

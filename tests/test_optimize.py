@@ -7,7 +7,7 @@ import pytest
 
 from netpricing import (CapacitySharing, ConvergenceError, CpPowerDemand,
                         CustomDemand, DegenerateBaselineError, ExponentialGain,
-                        GridSpec, MarketModel, MM1Queue, ReciprocalGain,
+                        MarketModel, MM1Queue, ReciprocalGain,
                         UserPowerDemand, baseline_model, evaluate_objectives,
                         grid_optimize, growth_rates, optimize_one_sided,
                         optimize_profit, optimize_welfare, solve_equilibrium,
@@ -71,11 +71,17 @@ def test_profit_worked_example_prices():
         assert abs(report.prices.cp - want_q) <= 1e-5
 
 
+def best_grid_profit(model: MarketModel, points: int) -> float:
+    """The largest profit on a points x points grid over the clamped price box."""
+    p_axis, q_axis = (np.linspace(0.0, hi, points) for hi in optimize.profit_box(model))
+    return optimize.grid_argmax(model, p_axis, q_axis, model.cost, model.user_demand.value(p_axis),
+                                model.cp_demand.value(q_axis))[2]
+
+
 def test_profit_beats_dense_grid():
     model = baseline_model()
     report = optimize_profit(model)
-    best = grid_optimize(model, "profit", GridSpec(501, 501))
-    assert report.objective >= best.value - 1e-8
+    assert report.objective >= best_grid_profit(model, 501) - 1e-8
 
 
 def test_boundary_flagged_when_cp_side_pins_to_zero():
@@ -112,8 +118,7 @@ def test_profit_optimum_on_random_sweep_envelope():
             sensitivity=float(rng.uniform(0.5, 3.0)),
         )
         report = optimize_profit(model)
-        best = grid_optimize(model, "profit", GridSpec(401, 401))
-        assert report.objective >= best.value - 1e-8
+        assert report.objective >= best_grid_profit(model, 401) - 1e-8
         grads = evaluate_objectives(model, report.prices.user, report.prices.cp).gradients
         box = ((report.prices.user, grads.profit_price_user, model.user_demand.support),
                (report.prices.cp, grads.profit_price_cp, model.cp_demand.support))
@@ -202,9 +207,9 @@ def test_welfare_congestion_free_proportionality():
 def test_welfare_beats_dense_segment_scan():
     model = baseline_model(beta=2.0, capacity=0.8)
     report = optimize_welfare(model)
-    best = grid_optimize(model, "welfare", GridSpec(5001, 3))
-    assert report.objective >= best.value - 1e-8
-    assert abs(report.prices.user - best.price_user) <= best.cell_user
+    p_axis, k, value, _ = optimize.welfare_scan(model, 10001)
+    assert report.objective >= value - 1e-8
+    assert abs(report.prices.user - p_axis[k]) <= p_axis[1] - p_axis[0]
 
 
 def test_welfare_root_in_a_sliver_next_to_the_segment_end():
@@ -219,11 +224,11 @@ def test_welfare_root_in_a_sliver_next_to_the_segment_end():
     assert 0.0 < report.prices.user < 1e-9 and not report.held
     slope = optimize.welfare_objective(model)
     assert slope([0.0])[1][0] > 0.0 > slope([1e-9])[1][0]
-    best = grid_optimize(model, "welfare", GridSpec(2001, 3))
+    best = grid_optimize(model, "welfare")
     assert report.objective >= best.value - 1e-12
 
 
-def test_welfare_scan_takes_surpluses_only_where_both_demands_are_positive():
+def test_welfare_scan_takes_surpluses_only_where_both_demands_are_positive(monkeypatch):
     # no user demand above p = 0.5; a scalar-only value callable without a
     # surplus callable makes every surplus an adaptive Simpson of value calls
     calls = []
@@ -234,8 +239,15 @@ def test_welfare_scan_takes_surpluses_only_where_both_demands_are_positive():
     model = MarketModel(
         gain=ReciprocalGain(), congestion=CapacitySharing(),
         user_demand=CustomDemand(user_value), cp_demand=CpPowerDemand(beta=1.0), cost=0.9)
+    weights = []
+
+    def grid_argmax(model, a, b, *args):
+        weights.append(b)
+        return argmax(model, a, b, *args)
+    argmax = optimize.grid_argmax
+    monkeypatch.setattr(optimize, "grid_argmax", grid_argmax)
     calls.clear()
-    p_axis, values = optimize.welfare_scan(model, 201)
+    p_axis = optimize.welfare_scan(model, 201)[0]
     scan_calls = len(calls)
     # the scan's calls: the demand levels, then the surpluses at positive demand
     calls.clear()
@@ -243,7 +255,7 @@ def test_welfare_scan_takes_surpluses_only_where_both_demands_are_positive():
     model.user_demand.per_unit_surplus(p_axis[positive])
     assert scan_calls == len(calls)
     assert 0 < positive.sum() < p_axis.size
-    assert np.array_equal(values > 0.0, positive)
+    assert np.array_equal(weights[0] > 0.0, positive)
 
 
 @pytest.mark.parametrize("gain", [ReciprocalGain(), ExponentialGain()])
@@ -352,6 +364,5 @@ def test_verify_optima_round_trip():
     # beta = 0.2 puts both two-sided optima on the q = 0 edge
     for beta in (1.0, 0.2):
         model = baseline_model(beta=beta)
-        outcome = verify_optima(model, optimize_profit(model), optimize_welfare(model),
-                                GridSpec(401, 401))
+        outcome = verify_optima(model, optimize_profit(model), optimize_welfare(model))
         assert outcome.max_value_shortfall <= 1e-8

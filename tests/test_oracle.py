@@ -1,24 +1,47 @@
 """Brute-force reference routes: grid argmax, damped fixed point, differences."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import netpricing.optimize as optimize_mod
+import netpricing.oracle as oracle_mod
 from netpricing import (CapacitySharing, CpPowerDemand, CustomCongestion,
-                        CustomDemand, CustomGain, ExponentialGain, GridSpec,
+                        CustomDemand, CustomGain, ExponentialGain,
                         MarketModel, MM1Queue, ReciprocalGain, UserPowerDemand,
                         baseline_model, finite_difference, fixed_point_equilibrium,
-                        grid_optimize, optimize_profit, optimize_welfare,
-                        solve_equilibrium)
+                        grid_optimize, growth_rates, optimal_price_sensitivity,
+                        optimize_profit, optimize_welfare, solve_equilibrium)
 from netpricing.equilibrium import solve_many
 from netpricing.errors import DomainError, NumericalError
 from netpricing.experiments import verify_optima
 
 BUILTIN_LAWS = {"sharing": CapacitySharing(), "mm1": MM1Queue()}
 _ROWS_PER_BLOCK = 128
+BOX_HI = 1.0 - 1e-9         # the clamped price box edge of a demand with support 1
+
+
+def axis(points, lo=0.0, hi=BOX_HI):
+    """``points`` evenly spaced prices on [lo, hi], by default a box side."""
+    return np.linspace(lo, hi, points)
+
+
+def vanishing_demand_model(cost):
+    """No user demand above p = 0.5, below the user support bound 1."""
+    return MarketModel(
+        gain=ReciprocalGain(), congestion=CapacitySharing(),
+        user_demand=CustomDemand(lambda p: np.maximum(0.5 - p, 0.0)),
+        cp_demand=CpPowerDemand(beta=1.0), cost=cost)
+
+
+def profit_grid_argmax(model, p_axis, q_axis):
+    """``optimize.grid_argmax`` of the profit on the grid p_axis x q_axis."""
+    return optimize_mod.grid_argmax(model, p_axis, q_axis, model.cost,
+                                    model.user_demand.value(p_axis),
+                                    model.cp_demand.value(q_axis))
 
 
 def test_fixed_point_closed_forms():
@@ -66,12 +89,12 @@ def test_finite_difference_known_values():
 
 
 def test_grid_profit_symmetric_baseline():
-    best = grid_optimize(baseline_model(), "profit", GridSpec(321, 321))
-    assert best.price_user == best.price_cp
+    i, j, _, _ = profit_grid_argmax(baseline_model(), axis(321), axis(321))
+    assert i == j
 
 
 def test_grid_welfare_symmetric_baseline():
-    best = grid_optimize(baseline_model(), "welfare", GridSpec(2001, 2001))
+    best = grid_optimize(baseline_model(), "welfare")
     assert abs(best.price_user - 0.35) <= best.cell_user
     assert best.price_cp == pytest.approx(0.7 - best.price_user, abs=1e-15)
 
@@ -79,10 +102,7 @@ def test_grid_welfare_symmetric_baseline():
 def test_grid_welfare_is_zero_where_a_demand_vanishes():
     # no user demand above p = 0.5, so the segment's upper part has no
     # surplus per unit; the scan must score it 0, not nan
-    model = MarketModel(
-        gain=ReciprocalGain(), congestion=CapacitySharing(),
-        user_demand=CustomDemand(lambda p: np.maximum(0.5 - p, 0.0)),
-        cp_demand=CpPowerDemand(beta=1.0), cost=0.9)
+    model = vanishing_demand_model(cost=0.9)
     best = grid_optimize(model, "welfare")
     assert math.isfinite(best.value) and best.value > 0.0
     assert min(model.demands(best.price_user, best.price_cp)) > 0.0
@@ -90,11 +110,7 @@ def test_grid_welfare_is_zero_where_a_demand_vanishes():
 
 
 def test_grid_respects_explicit_ranges_and_validates():
-    best = grid_optimize(baseline_model(), "profit",
-                         GridSpec(51, 51, range_user=(0.5, 0.7), range_cp=(0.5, 0.7)))
-    assert 0.5 <= best.price_user <= 0.7
-    with pytest.raises(DomainError):
-        GridSpec(2, 10)
+    assert_exact(baseline_model(), axis(51, 0.5, 0.7), axis(51, 0.5, 0.7))
     with pytest.raises(DomainError):
         grid_optimize(baseline_model(), "nonsense")
 
@@ -122,27 +138,13 @@ def exhaustive_argmax(model, p_axis, q_axis):
     return i, j, best_value
 
 
-def exhaustive_profit_optimum(model, grid):
-    """The fields of ``GridOptimum`` other than the solve count, from
-    ``exhaustive_argmax`` on the grid."""
-    clamp = 1.0 - 1e-9
-    p_axis = np.linspace(*(grid.range_user or (0.0, model.user_demand.support * clamp)),
-                         grid.points_user)
-    q_axis = np.linspace(*(grid.range_cp or (0.0, model.cp_demand.support * clamp)),
-                         grid.points_cp)
-    i, j, value = exhaustive_argmax(model, p_axis, q_axis)
-    return (float(p_axis[i]), float(q_axis[j]), value,
-            float(p_axis[1] - p_axis[0]), float(q_axis[1] - q_axis[0]))
-
-
-def assert_exact(model, grid):
-    """``grid_optimize`` equals the exhaustive argmax bit for bit (signed zeros
-    included); returns its result."""
-    best = grid_optimize(model, "profit", grid)
-    got = (best.price_user, best.price_cp, best.value, best.cell_user, best.cell_cp)
-    want = exhaustive_profit_optimum(model, grid)
-    assert [x.hex() for x in got] == [x.hex() for x in want]
-    return best
+def assert_exact(model, p_axis, q_axis):
+    """The profit ``grid_argmax`` equals the exhaustive argmax bit for bit
+    (signed zeros included); returns its value and solve count."""
+    i, j, value, solved = profit_grid_argmax(model, p_axis, q_axis)
+    want_i, want_j, want_value = exhaustive_argmax(model, p_axis, q_axis)
+    assert (i, j, value.hex()) == (want_i, want_j, want_value.hex())
+    return value, solved
 
 
 @settings(derandomize=True, database=None, max_examples=100, deadline=None)
@@ -157,19 +159,18 @@ def test_pruned_profit_argmax_is_exhaustive(gain, law, alpha, beta, cost, capaci
                                             sensitivity, points, window):
     model = baseline_model(gain=gain, congestion=BUILTIN_LAWS[law], alpha=alpha, beta=beta,
                            cost=cost, capacity=capacity, sensitivity=sensitivity)
-    ranges = {} if window is None else {"range_user": (window[0], window[0] + 0.1),
-                                        "range_cp": (window[1], window[1] + 0.1)}
-    assert_exact(model, GridSpec(*points, **ranges))
+    ranges = [()] * 2 if window is None else [(w, w + 0.1) for w in window]
+    assert_exact(model, axis(points[0], *ranges[0]), axis(points[1], *ranges[1]))
 
 
 @pytest.mark.parametrize("grid", [
-    GridSpec(3, 3),
-    GridSpec(3, 401),
-    GridSpec(301, 3, range_user=(0.2, 0.3)),
-    GridSpec(101, 101, range_user=(0.5, 0.7), range_cp=(0.0, 0.05)),
+    (axis(3), axis(3)),
+    (axis(3), axis(401)),
+    (axis(301, 0.2, 0.3), axis(3)),
+    (axis(101, 0.5, 0.7), axis(101, 0.0, 0.05)),
 ])
 def test_pruned_profit_argmax_on_sub_ranges_and_three_point_axes(grid):
-    assert_exact(baseline_model(beta=2.0, capacity=0.8), grid)
+    assert_exact(baseline_model(beta=2.0, capacity=0.8), *grid)
 
 
 @pytest.mark.parametrize("gain", [ReciprocalGain(), ExponentialGain()])
@@ -182,7 +183,7 @@ def test_optimizers_own_grids_are_exhaustive(gain, law):
     solved = []
     for p_axis, q_axis in [(np.linspace(0.0, p_hi, 101), np.linspace(0.0, q_hi, 101)),
                            (np.linspace(0.0, p_hi, 2001), np.zeros(1))]:
-        i, j, value, count = optimize_mod.profit_argmax(model, p_axis, q_axis)
+        i, j, value, count = profit_grid_argmax(model, p_axis, q_axis)
         want_i, want_j, want_value = exhaustive_argmax(model, p_axis, q_axis)
         assert (i, j, value.hex()) == (want_i, want_j, want_value.hex())
         solved.append(count)
@@ -193,51 +194,47 @@ def test_pruned_profit_argmax_with_scalar_custom_curves():
     # a gain that only takes floats, and a law whose inverse is bisected for
     gain = CustomGain(lambda phi, s: math.exp(-s * (0.5 * phi + 0.1 * phi * phi)))
     law = CustomCongestion(lambda lam, mu: (lam + 0.2 * lam * lam) / mu)
-    assert_exact(baseline_model(gain=gain, beta=2.0), GridSpec(101, 101))
-    assert_exact(baseline_model(congestion=law, capacity=0.7), GridSpec(101, 101))
+    assert_exact(baseline_model(gain=gain, beta=2.0), axis(101), axis(101))
+    assert_exact(baseline_model(congestion=law, capacity=0.7), axis(101), axis(101))
 
 
 def test_cost_above_every_margin_prunes_nothing():
     # every profit is negative, so the incumbent is too and every point is solved
-    grid = GridSpec(301, 301, range_user=(0.0, 0.5), range_cp=(0.0, 0.5))
-    best = assert_exact(baseline_model(cost=1.5), grid)
-    assert best.value < 0.0
+    value, solved = assert_exact(baseline_model(cost=1.5), axis(301, 0.0, 0.5),
+                                 axis(301, 0.0, 0.5))
+    assert value < 0.0
     # a table of 1024 intervals (the first power of two >= 2 * 301) and
     # every 20th point of each axis as the incumbent
-    assert best.solved_points == 1024 + 1 + 16 * 16 + 301 * 301
+    assert solved == 1024 + 1 + 16 * 16 + 301 * 301
 
 
 def test_grid_without_demand_prunes_nothing():
     # no user demand above p = 0.5: every throughput, and so the largest
     # demand product, is 0, and the first point's profit is -0.0
-    model = MarketModel(
-        gain=ReciprocalGain(), congestion=CapacitySharing(),
-        user_demand=CustomDemand(lambda p: np.maximum(0.5 - p, 0.0)),
-        cp_demand=CpPowerDemand(beta=1.0), cost=0.7)
+    model = vanishing_demand_model(cost=0.7)
     # the table is flat at 0, so no point is pruned
-    best = assert_exact(model, GridSpec(5, 5, range_user=(0.6, 0.9)))
-    assert best.value.hex() == "-0x0.0p+0"
-    assert best.solved_points == 16 + 1 + 1 * 1 + 5 * 5
-    best = assert_exact(model, GridSpec(401, 257, range_user=(0.6, 0.9)))
-    assert best.value.hex() == "-0x0.0p+0"
-    assert best.solved_points == 1024 + 1 + 21 * 13 + 401 * 257
+    value, solved = assert_exact(model, axis(5, 0.6, 0.9), axis(5))
+    assert value.hex() == "-0x0.0p+0"
+    assert solved == 16 + 1 + 1 * 1 + 5 * 5
+    value, solved = assert_exact(model, axis(401, 0.6, 0.9), axis(257))
+    assert value.hex() == "-0x0.0p+0"
+    assert solved == 1024 + 1 + 21 * 13 + 401 * 257
 
 
 @pytest.mark.parametrize("grid, solved", [
-    (GridSpec(3, 3), 3 * 3),                # < 8 + 1 + 1 * 1: 8 table intervals
-    (GridSpec(87, 3), 87 * 3),              # < 256 + 1 + 5 * 1
-    (GridSpec(174, 3), 174 * 3),            # = 512 + 1 + 9 * 1 incumbent points
+    ((axis(3), axis(3)), 3 * 3),            # < 8 + 1 + 1 * 1: 8 table intervals
+    ((axis(87), axis(3)), 87 * 3),          # < 256 + 1 + 5 * 1
+    ((axis(174), axis(3)), 174 * 3),        # = 512 + 1 + 9 * 1 incumbent points
 ])
 def test_grid_no_larger_than_the_bound_is_solved_whole(grid, solved):
     # the bound would solve the table and the incumbent points anyway
-    best = assert_exact(baseline_model(beta=2.0), grid)
-    assert best.solved_points == solved
+    assert assert_exact(baseline_model(beta=2.0), *grid)[1] == solved
 
 
 def test_grid_one_point_past_the_size_rule_is_bounded():
-    best = assert_exact(baseline_model(beta=2.0), GridSpec(175, 3))
+    _, solved = assert_exact(baseline_model(beta=2.0), axis(175), axis(3))
     bound_solves = 512 + 1 + 9 * 1
-    assert bound_solves < best.solved_points < bound_solves + 175 * 3
+    assert bound_solves < solved < bound_solves + 175 * 3
 
 
 def test_non_monotone_throughput_table_raises(monkeypatch):
@@ -251,22 +248,76 @@ def test_non_monotone_throughput_table_raises(monkeypatch):
         return phi, lam
     monkeypatch.setattr(optimize_mod, "solve_many", dented)
     with pytest.raises(NumericalError, match="not monotone"):
-        grid_optimize(baseline_model(), "profit", GridSpec(201, 201))
+        profit_grid_argmax(baseline_model(), axis(201), axis(201))
     assert calls == [512 + 1 + 11 * 11]
 
 
 @pytest.mark.parametrize("gain", [ReciprocalGain(), ExponentialGain()])
 @pytest.mark.parametrize("law", sorted(BUILTIN_LAWS))
 def test_baseline_grids_solve_under_one_percent(gain, law):
-    grid = GridSpec(2001, 2001)
-    best = assert_exact(baseline_model(gain=gain, congestion=BUILTIN_LAWS[law]), grid)
-    assert best.solved_points < 0.01 * 2001 * 2001
+    _, solved = assert_exact(baseline_model(gain=gain, congestion=BUILTIN_LAWS[law]),
+                             axis(2001), axis(2001))
+    assert solved < 0.01 * 2001 * 2001
 
 
 def test_grid_chunking_invariance(monkeypatch):
     model = baseline_model(beta=2.0, capacity=0.8)
-    spec = GridSpec(201, 201)
-    full = grid_optimize(model, "profit", spec)
+    full = profit_grid_argmax(model, axis(201), axis(201))
     for chunk in (1, 1000, 250_000):       # one row, some rows, every row at once
         monkeypatch.setattr(optimize_mod, "_CHUNK", chunk)
-        assert grid_optimize(model, "profit", spec) == full
+        assert profit_grid_argmax(model, axis(201), axis(201)) == full
+
+
+# ---------------------------------------------------------------------------
+# the welfare segment scan against an exhaustive evaluation
+# ---------------------------------------------------------------------------
+
+def exhaustive_welfare_argmax(model, points):
+    """Solve every one of ``points`` evenly spaced user prices on the
+    zero-profit segment and keep the first maximum (k, value) of the welfare
+    (s_m + s_n) * lam, 0 where a demand is 0."""
+    lo, hi = optimize_mod.welfare_segment(model)
+    p_axis = np.linspace(lo, hi, points)
+    q_axis = model.cost - p_axis
+    m_vals, n_vals = model.user_demand.value(p_axis), model.cp_demand.value(q_axis)
+    _, lam = solve_many(model.gain, model.congestion, m_vals * n_vals,
+                        model.capacity, model.sensitivity)
+    values = np.zeros(points)
+    both = (m_vals > 0) & (n_vals > 0)
+    values[both] = (model.user_demand.per_unit_surplus(p_axis[both])
+                    + model.cp_demand.per_unit_surplus(q_axis[both])) * lam[both]
+    k = int(np.argmax(values))
+    return k, float(values[k])
+
+
+@pytest.mark.parametrize("points", [2001, 4001])     # the optimizer's scan and the oracle's
+@pytest.mark.parametrize("model", [
+    *(baseline_model(gain=gain, congestion=law)
+      for gain in (ReciprocalGain(), ExponentialGain()) for law in BUILTIN_LAWS.values()),
+    vanishing_demand_model(cost=0.9),
+], ids=["reciprocal-sharing", "reciprocal-mm1", "exponential-sharing", "exponential-mm1",
+        "vanishing"])
+def test_welfare_scan_is_exhaustive(model, points):
+    p_axis, k, value, solved = optimize_mod.welfare_scan(model, points)
+    want_k, want_value = exhaustive_welfare_argmax(model, points)
+    assert (k, value.hex()) == (want_k, want_value.hex())
+    assert p_axis.size == solved == points
+
+
+def test_only_grid_argmax_solves_grids(monkeypatch):
+    # every global stage, of the optimizers, the sensitivities' re-optimizations
+    # and the oracle, goes through the one bounded argmax
+    callers = []
+
+    def traced(*args):
+        frame = sys._getframe(1)
+        callers.append((frame.f_code.co_name, frame.f_back.f_code.co_name))
+        return solve_many(*args)
+    for module in (optimize_mod, oracle_mod):
+        monkeypatch.setattr(module, "solve_many", traced, raising=False)
+    model = baseline_model(capacity=1.3)
+    growth_rates(model)
+    optimal_price_sensitivity(model, "capacity")
+    grid_optimize(model, "profit")
+    grid_optimize(model, "welfare")
+    assert callers and set(callers) == {("throughput", "grid_argmax")}
