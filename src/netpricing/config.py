@@ -27,6 +27,7 @@ gain):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -82,6 +83,8 @@ def _parse_range(key: str, raw: str) -> tuple[float, float, int]:
         raise ConfigError(f"key {key!r}: ranges use start:stop:count, got {raw!r}")
     start = _parse_float(key, parts[0])
     stop = _parse_float(key, parts[1])
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ConfigError(f"key {key!r}: range bounds must be finite, got {raw!r}")
     try:
         count = int(parts[2])
     except ValueError:

@@ -90,35 +90,34 @@ def _custom_callable(fn: Callable, probe_args: tuple | None = None) -> Callable:
     return call
 
 
-def _central_diff(f: Callable, x, lo: float, hi: float, rel_step: float = FD_REL_STEP):
+def _central_diff(f: Callable, x, lo: float, hi: float):
     """Central difference of f at x (float or array), one-sided at [lo, hi] edges."""
-    h = rel_step * _where(abs(x) > 1.0, abs(x), 1.0)
+    h = FD_REL_STEP * _where(abs(x) > 1.0, abs(x), 1.0)
     a = _where(x - h < lo, x, x - h)
     b = _where(x + h > hi, x, x + h)
     _require(a != b, "finite-difference interval collapsed to a point")
     return (f(b) - f(a)) / (b - a)
 
 
-def _second_diff(f: Callable, x, lo: float, hi: float, rel_step: float = SECOND_REL_STEP):
+def _second_diff(f: Callable, x, lo: float, hi: float):
     """Three-point second difference of f at x (float or array); near an edge of
     [lo, hi] the stencil is shifted inside it."""
-    h = rel_step * _where(abs(x) > 1.0, abs(x), 1.0)
+    h = SECOND_REL_STEP * _where(abs(x) > 1.0, abs(x), 1.0)
     c = _where(x - h < lo, lo + h, _where(x + h > hi, hi - h, x))
     return (f(c + h) - 2.0 * f(c) + f(c - h)) / (h * h)
 
 
-def _mixed_diff(f: Callable, x, y: float, rel_step: float = SECOND_REL_STEP):
+def _mixed_diff(f: Callable, x, y: float):
     """Four-point difference of d^2 f(x, y) / dx dy for x >= 0 and y > 0; the x
     stencil is shifted off a negative x, the y step is relative to y."""
-    hx = rel_step * _where(abs(x) > 1.0, abs(x), 1.0)
-    hy = rel_step * y
+    hx = SECOND_REL_STEP * _where(abs(x) > 1.0, abs(x), 1.0)
+    hy = SECOND_REL_STEP * y
     c = _where(x - hx < 0.0, hx, x)
     return ((f(c + hx, y + hy) - f(c + hx, y - hy) - f(c - hx, y + hy) + f(c - hx, y - hy))
             / (4.0 * hx * hy))
 
 
-def adaptive_simpson(f: Callable[[float], float], a: float, b: float,
-                     tol: float = QUAD_ABS_TOL, max_depth: int = QUAD_MAX_DEPTH) -> float:
+def adaptive_simpson(f: Callable[[float], float], a: float, b: float) -> float:
     """Adaptive Simpson quadrature of f over [a, b] to absolute tolerance."""
     if b <= a:
         return 0.0
@@ -132,7 +131,7 @@ def adaptive_simpson(f: Callable[[float], float], a: float, b: float,
         fl, fr = f(xl), f(xr)
         left = simpson(x0, x1, f0, fl, f1)
         right = simpson(x1, x2, f1, fr, f2)
-        if depth >= max_depth or abs(left + right - whole) <= 15.0 * eps:
+        if depth >= QUAD_MAX_DEPTH or abs(left + right - whole) <= 15.0 * eps:
             return left + right + (left + right - whole) / 15.0
         half = 0.5 * eps
         return (recurse(x0, x1, f0, fl, f1, left, half, depth + 1)
@@ -140,7 +139,7 @@ def adaptive_simpson(f: Callable[[float], float], a: float, b: float,
 
     m = 0.5 * (a + b)
     fa, fm, fb = f(a), f(m), f(b)
-    return recurse(a, b, fa, fm, fb, simpson(a, b, fa, fm, fb), tol, 0)
+    return recurse(a, b, fa, fm, fb, simpson(a, b, fa, fm, fb), QUAD_ABS_TOL, 0)
 
 
 class _CustomCurve:
@@ -495,10 +494,6 @@ class DemandCurve:
         """Average surplus per unit of demand, surplus / value; defined only
         where demand is positive."""
         return self.surplus(price) / self._positive_value(price)
-
-    def surplus_hazard(self, price):
-        """Decay rate of the surplus integral: value / surplus."""
-        return self._positive_value(price) / self.surplus(price)
 
 
 class _PowerDemand(DemandCurve):

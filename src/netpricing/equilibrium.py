@@ -75,7 +75,9 @@ def _newton_step(gain: GainCurve, congestion: CongestionCurve, mn, lam,
 
 
 def _require_rising_law(phi_lam) -> None:
-    if not np.all((phi_lam > 0.0) & (phi_lam < math.inf)):
+    """Raise unless every slope Phi_lam (a float or an array) is positive and finite."""
+    if not (0.0 < phi_lam < math.inf if isinstance(phi_lam, float)
+            else np.all((phi_lam > 0.0) & (phi_lam < math.inf))):
         raise BracketError("the equilibrium falls on a flat stretch of the congestion "
                            "law; a custom law is likely not strictly increasing")
 
@@ -108,17 +110,15 @@ def solve_for_demands(gain: GainCurve, congestion: CongestionCurve,
 
 
 def solve_many(gain: GainCurve, congestion: CongestionCurve, mn: np.ndarray,
-               capacity: float, sensitivity: float) -> tuple[np.ndarray, np.ndarray]:
-    """``solve_for_demands`` over an array of demand products; returns (phi, lam).
+               capacity: float, sensitivity: float) -> np.ndarray:
+    """``solve_for_demands`` over an array of demand products; returns lam.
 
     Backs the dense-grid oracle and the scan stages of the optimizers.  Each
     round works only on the points that have not converged yet.
     """
     mn = np.asarray(mn, dtype=float)
-    phi = np.full(mn.shape, congestion.congestion_floor(capacity))
     lam = np.zeros(mn.shape)
-    active = mn > 0.0
-    todo = np.flatnonzero(active)
+    todo = np.flatnonzero(mn > 0.0)
     m = mn.reshape(-1)[todo]
     lo = np.zeros_like(m)
     hi = np.minimum(m, congestion.throughput_limit(capacity))
@@ -141,8 +141,7 @@ def solve_many(gain: GainCurve, congestion: CongestionCurve, mn: np.ndarray,
         x = np.where((lo < x) & (x <= hi), x, 0.5 * (lo + hi))
     if todo.size:
         raise ConvergenceError(f"equilibrium Newton did not converge in {MAX_ROUNDS} rounds")
-    phi[active] = congestion.congestion(lam[active], capacity)
-    return phi, lam
+    return lam
 
 
 def _elasticity_at(gain: GainCurve, congestion: CongestionCurve, mn: float,

@@ -12,7 +12,7 @@ CSV output is RFC-4180 style: comma separated, header row, LF line endings,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -22,17 +22,6 @@ from .curves import MarketModel, with_parameter
 from .errors import ConfigError, NumericalError, VerificationError
 from .optimize import GrowthRates, OptimumReport, growth_rates
 from .oracle import GridOptimum, grid_optimize
-
-ALL_COLUMNS = (
-    "param_value",
-    "p_star", "q_star", "profit_two_sided", "profit_one_sided", "profit_growth",
-    "p_welfare", "q_welfare", "welfare_two_sided", "welfare_one_sided",
-    "welfare_growth",
-    "congestion_profit_opt", "elasticity_profit_opt",
-    "congestion_welfare_opt", "elasticity_welfare_opt",
-    "error",
-)
-PRICE_COLUMNS = ("param_value", "p_star", "q_star", "p_welfare", "q_welfare", "error")
 
 
 @dataclass(frozen=True)
@@ -53,6 +42,10 @@ class SweepRow:
     congestion_welfare_opt: float | None = None
     elasticity_welfare_opt: float | None = None
     error: str | None = None
+
+
+ALL_COLUMNS = tuple(f.name for f in fields(SweepRow))
+PRICE_COLUMNS = ("param_value", "p_star", "q_star", "p_welfare", "q_welfare", "error")
 
 
 @dataclass(frozen=True)

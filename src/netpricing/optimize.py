@@ -3,13 +3,14 @@
 Each optimizer runs a deterministic global stage, then solves its
 first-order conditions by projected Newton from the best point found:
 
-* profit: ``grid_argmax`` on a 101 x 101 grid over the clamped price box,
-  then Newton on the analytic gradient (dU/dp, dU/dq);
+* profit: ``grid_argmax`` on a grid of p x q, then Newton on the analytic
+  gradient (dU/dp, dU/dq) over the box the two axes span.  The two-sided
+  optimum searches 101 x 101 points of the clamped price box; the one-sided
+  one is the same search on 2001 points of p and the one point q = 0, a
+  box with no room in q, which holds q there;
 * welfare: q = cost - p on the zero-profit segment; ``welfare_scan`` at
   2001 points of p, then Newton on the derivative along the segment,
-  dW/dp - dW/dq;
-* one-sided profit: ``grid_argmax`` on 2001 points of p at q = 0, then
-  Newton on dU/dp.  The one-sided welfare benchmark has no freedom left: it
+  dW/dp - dW/dq.  The one-sided welfare benchmark has no freedom left: it
   is (cost, 0).
 
 Both objectives are a price-dependent weight times the throughput, so one
@@ -49,16 +50,16 @@ about 3.  Where the Hessian is not finite or not negative definite the step
 is one scan cell along the gradient's signs.  Every step is backtracked on
 the objective.  Prices are accepted once the free gradient is below
 ``GRAD_TOL`` or a step moves them less than ``STEP_TOL``; reaching
-``NEWTON_MAX_STEPS`` raises ``ConvergenceError``.  With one coordinate
-(welfare, one-sided profit) Newton also keeps the bracket in which the
-derivative changed sign: a step that would leave it bisects it instead, and
-the price is accepted once the bracket is narrower than ``STEP_TOL``.  This
-holds a root that sits in a sliver far narrower than a Newton step's
-overshoot (a welfare optimum within 1e-9 of p = 0 under a user demand with
-alpha just below 1).  ``OptimumReport.termination`` records which of these
-tests ended the run.  The objectives (``profit_objective``,
-``welfare_objective``) are public: the price sensitivities differentiate the
-same first-order conditions.
+``NEWTON_MAX_STEPS`` raises ``ConvergenceError``.  When only one coordinate
+has room in the box (welfare, one-sided profit) Newton also keeps the
+bracket in which its derivative changed sign: a step that would leave it
+bisects it instead, and the price is accepted once the bracket is narrower
+than ``STEP_TOL``.  This holds a root that sits in a sliver far narrower
+than a Newton step's overshoot (a welfare optimum within 1e-9 of p = 0
+under a user demand with alpha just below 1).  ``OptimumReport.termination``
+records which of these tests ended the run.  The objectives
+(``profit_objective``, ``welfare_objective``) are public: the price
+sensitivities differentiate the same first-order conditions.
 
 First-order-condition residuals: the KKT residual of hazard equalization
 over the prices not held at a box edge, and, for interior optima only, the
@@ -118,7 +119,7 @@ def _newton_direction(hess: np.ndarray, g: np.ndarray, width: float) -> np.ndarr
 
 
 def _projected_newton(objective, hessian, x0, lo, hi, width: float):
-    """Maximize over the box [lo, hi] from x0.
+    """Maximize over the box [lo, hi] from x0; a coordinate with lo = hi is held.
 
     ``objective(x)`` returns the value at the point x, its gradient, and the
     report the value came from; ``hessian(report)`` returns the Hessian at a
@@ -128,10 +129,12 @@ def _projected_newton(objective, hessian, x0, lo, hi, width: float):
     """
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     x = np.asarray(x0, dtype=float)
+    room = lo < hi
+    k = int(np.argmax(room)) if np.count_nonzero(room) == 1 else None
     f, g, report = objective(x)
-    a, b = -math.inf, math.inf      # one coordinate: where the gradient changed sign
+    a, b = -math.inf, math.inf      # on the line of coordinate k: where g[k] changed sign
     for steps in range(NEWTON_MAX_STEPS):
-        free = ~(((x <= lo) & (g <= 0.0)) | ((x >= hi) & (g >= 0.0)))
+        free = room & ~(((x <= lo) & (g <= 0.0)) | ((x >= hi) & (g >= 0.0)))
         if not free.any():
             return x, report, steps, "no_free_coordinate"
         if np.max(np.abs(g[free])) <= GRAD_TOL:
@@ -141,16 +144,16 @@ def _projected_newton(objective, hessian, x0, lo, hi, width: float):
         if not np.all(np.isfinite(d)):
             raise ConvergenceError(f"no finite ascent direction at {x.tolist()}")
         bisect = False
-        if x.size == 1:
-            # x is now an end of the bracket and d points into it
-            if g[0] > 0.0:
-                a = x[0]
+        if k is not None:
+            # x[k] is now an end of the bracket and d[k] points into it
+            if g[k] > 0.0:
+                a = x[k]
             else:
-                b = x[0]
+                b = x[k]
             if b - a < STEP_TOL:
                 return x, report, steps, "bracket"
-            if not a < x[0] + d[0] < b:
-                d[0], bisect = 0.5 * (a + b) - x[0], True
+            if not a < x[k] + d[k] < b:
+                d[k], bisect = 0.5 * (a + b) - x[k], True
         t = 1.0
         while True:
             x_new = np.clip(x + t * d, lo, hi)
@@ -241,8 +244,7 @@ def grid_argmax(model: MarketModel, a: np.ndarray, b: np.ndarray, c: float,
     rows, cols = a.size, b.size
 
     def throughput(mn):
-        return solve_many(model.gain, model.congestion, mn,
-                          model.capacity, model.sensitivity)[1]
+        return solve_many(model.gain, model.congestion, mn, model.capacity, model.sensitivity)
 
     steps = 1 << (2 * max(rows, cols) - 1).bit_length()     # table intervals
     a_inc, b_inc = a[::_INCUMBENT_STRIDE], b[::_INCUMBENT_STRIDE]
@@ -295,34 +297,42 @@ def profit_objective(model: MarketModel):
     return objective
 
 
-def optimize_profit(model: MarketModel) -> OptimumReport:
-    """Two-sided profit maximizer over the clamped price box."""
-    p_hi, q_hi = profit_box(model)
-    p_axis = np.linspace(0.0, p_hi, _COARSE_POINTS)
-    q_axis = np.linspace(0.0, q_hi, _COARSE_POINTS)
+def _profit_optimum(model: MarketModel, kind: str, p_axis: np.ndarray,
+                    q_axis: np.ndarray) -> OptimumReport:
+    """Profit maximizer on the box the two axes span: ``grid_argmax`` on
+    p_axis x q_axis, then projected Newton from its argmax.  A one-point
+    axis holds that price."""
     i, j, _, solved = grid_argmax(model, p_axis, q_axis, model.cost,
                                   model.user_demand.value(p_axis), model.cp_demand.value(q_axis))
-    start = (p_axis[i], q_axis[j])
-    width = max(p_hi, q_hi) / (_COARSE_POINTS - 1)
+    axes = (p_axis, q_axis)
+    lo, hi = np.array([v[0] for v in axes]), np.array([v[-1] for v in axes])
+    width = max((v[-1] - v[0]) / (v.size - 1) for v in axes if v.size > 1)
     x, report, steps, termination = _projected_newton(
         profit_objective(model), lambda r: profit_hessian(model, r.equilibrium),
-        start, (0.0, 0.0), (p_hi, q_hi), width)
+        (p_axis[i], q_axis[j]), lo, hi, width)
     p, q = float(x[0]), float(x[1])
     eq = report.equilibrium
-    boundary = (min(p, p_hi - p) < BOUNDARY_EPS) or (min(q, q_hi - q) < BOUNDARY_EPS)
-    held = (p in (0.0, p_hi), q in (0.0, q_hi))
+    held = tuple(bool(v in (l, h)) for v, l, h in zip(x, lo, hi))
     return OptimumReport(
-        kind="profit_two_sided",
+        kind=kind,
         prices=PricePair(p, q),
         objective=report.profit,
         equilibrium=eq,
         diagnostics=_profit_diagnostics(model, p, q, eq, held),
-        boundary=boundary,
+        boundary=any(min(v - l, h - v) < BOUNDARY_EPS
+                     for v, l, h in zip(x, lo, hi) if l < h),
         held=any(held),
         iterations=steps,
         grid_solves=solved,
         termination=termination,
     )
+
+
+def optimize_profit(model: MarketModel) -> OptimumReport:
+    """Two-sided profit maximizer over the clamped price box."""
+    p_hi, q_hi = profit_box(model)
+    return _profit_optimum(model, "profit_two_sided", np.linspace(0.0, p_hi, _COARSE_POINTS),
+                           np.linspace(0.0, q_hi, _COARSE_POINTS))
 
 
 def welfare_segment(model: MarketModel) -> tuple[float, float]:
@@ -425,37 +435,8 @@ def optimize_one_sided(model: MarketModel, kind: str) -> OptimumReport:
     pinned by the zero-profit constraint at (cost, 0).
     """
     if kind == "profit":
-        p_hi = profit_box(model)[0]
-
-        def objective(x):
-            report = evaluate_objectives(model, float(x[0]), 0.0)
-            return report.profit, np.array([report.gradients.profit_price_user]), report
-
-        p_axis = np.linspace(0.0, p_hi, _SCAN_POINTS)
-        q_axis = np.zeros(1)
-        i, _, _, solved = grid_argmax(model, p_axis, q_axis, model.cost,
-                                      model.user_demand.value(p_axis),
-                                      model.cp_demand.value(q_axis))
-        start = float(p_axis[i])
-        width = p_hi / (_SCAN_POINTS - 1)
-        x, report, steps, termination = _projected_newton(
-            objective, lambda r: profit_hessian(model, r.equilibrium)[:1, :1],
-            [start], [0.0], [p_hi], width)
-        p = float(x[0])
-
-        eq = report.equilibrium
-        return OptimumReport(
-            kind="profit_one_sided",
-            prices=PricePair(p, 0.0),
-            objective=report.profit,
-            equilibrium=eq,
-            diagnostics=_profit_diagnostics(model, p, 0.0, eq, (p in (0.0, p_hi), True)),
-            boundary=min(p, p_hi - p) < BOUNDARY_EPS,
-            held=True,          # q is fixed at 0
-            iterations=steps,
-            grid_solves=solved,
-            termination=termination,
-        )
+        return _profit_optimum(model, "profit_one_sided",
+                               np.linspace(0.0, profit_box(model)[0], _SCAN_POINTS), np.zeros(1))
     if kind == "welfare":
         p = model.cost
         report = evaluate_objectives(model, p, 0.0)

@@ -87,9 +87,9 @@ def grid_optimize(model: MarketModel, objective: str = "profit") -> GridOptimum:
 
 
 def fixed_point_equilibrium(model: MarketModel, price_user: float, price_cp: float,
-                            theta: float = FIXED_POINT_THETA,
                             start: float | None = None) -> float:
-    """Damped congestion fixed point phi <- (1-theta) phi + theta Phi(lam(phi), mu).
+    """Damped congestion fixed point phi <- (1-theta) phi + theta Phi(lam(phi), mu),
+    theta = ``FIXED_POINT_THETA``.
 
     Deliberately shares nothing with the Newton solver beyond the curve
     objects.  When the implied throughput leaves the congestion map's domain
@@ -109,7 +109,7 @@ def fixed_point_equilibrium(model: MarketModel, price_user: float, price_cp: flo
         except DomainError:
             phi_next = 2.0 * phi
         else:
-            phi_next = (1.0 - theta) * phi + theta * target
+            phi_next = (1.0 - FIXED_POINT_THETA) * phi + FIXED_POINT_THETA * target
         if abs(phi_next - phi) <= FIXED_POINT_REL_TOL * max(1.0, abs(phi)):
             return phi_next
         phi = phi_next

@@ -43,24 +43,22 @@ congestion that does not respond to capacity (|mu phi_mu| at most
 would falsify the sign rules for capacity-dependent congestion laws.  The
 hazard slopes are closed-form too: h' = h^2 - m''/m.
 
-Sign predictions (populated only when their premises are numerically
-conclusive):
+Sign predictions, one family for both parameters.  The user-side sign is
+sign(trace slope) for capacity and +1 for sensitivity, whose rules are
+stated for a rising trace slope only:
 
-* capacity, profit prices: both price derivatives carry the trace-slope
-  sign, and their ratio equals the cross ratio of hazard-rate slopes;
-* capacity, welfare prices: the user-side derivative carries
-  sign(hazard gap) * sign(trace slope); the content side is its negative;
-* sensitivity, profit prices (positive trace slope only): both derivatives
-  are positive, with the same hazard-slope ratio;
-* sensitivity, welfare prices (positive trace slope only): the user-side
-  derivative carries sign(hazard gap), the content side its negative.
+* profit prices: both derivatives carry the user-side sign, and their ratio
+  equals the cross ratio of hazard-rate slopes;
+* welfare prices: the user-side derivative carries the user-side sign times
+  sign(hazard gap); the content side is its negative.
 
-On the negative trace-slope branch the sensitivity rules are not asserted;
-observed signs are still reported.  The welfare rules assume an interior
-welfare optimum: at one held at a segment end they are inconclusive.  An
-inconclusive rule names the premise that failed: the held welfare optimum,
-the falling-elasticity branch, or a trace slope or hazard gap within
-``CONCLUSIVE_EPS`` of zero ("premise below resolution").
+On the negative trace-slope branch the sensitivity rules are not asserted.
+The welfare rules assume an interior welfare optimum: at one held at a
+segment end they are inconclusive.  An inconclusive rule expects nothing
+(``expected`` is empty), still reports the observed signs, and names the
+premise that failed: the held welfare optimum, the falling-elasticity
+branch, or a trace slope or hazard gap within ``CONCLUSIVE_EPS`` of zero
+("premise below resolution").
 """
 
 from __future__ import annotations
@@ -216,69 +214,41 @@ def _failed_premise(slope: float, gap: float | None = None, interior: bool = Tru
     return None
 
 
-def _capacity_checks(dp_star, dq_star, dp_ring, dq_ring, profit_ctx,
-                     welfare_ctx) -> list[SignRuleCheck]:
-    checks = []
-    slope = profit_ctx.elasticity_slope
-    reason = _failed_premise(slope)
-    expected = {"dp_star": _sign(slope), "dq_star": _sign(slope)}
-    observed = {"dp_star": _sign(dp_star), "dq_star": _sign(dq_star)}
-    ratio = _ratio_residual(dp_star, dq_star, profit_ctx)
-    checks.append(SignRuleCheck(
-        name="profit_prices_vs_capacity",
-        inconclusive_reason=reason,
-        expected=expected,
-        observed=observed,
-        ratio_residual=ratio,
-        signs_satisfied=(expected == observed) if reason is None else None,
-    ))
-    slope_w = welfare_ctx.elasticity_slope
-    gap = welfare_ctx.user_hazard - welfare_ctx.cp_hazard
-    reason_w = _failed_premise(slope_w, gap, welfare_ctx.interior)
-    expected_w = {"dp_ring": _sign(gap) * _sign(slope_w),
-                  "dq_ring": -_sign(gap) * _sign(slope_w)}
-    observed_w = {"dp_ring": _sign(dp_ring), "dq_ring": _sign(dq_ring)}
-    checks.append(SignRuleCheck(
-        name="welfare_prices_vs_capacity",
-        inconclusive_reason=reason_w,
-        expected=expected_w,
-        observed=observed_w,
-        ratio_residual=None,
-        signs_satisfied=(expected_w == observed_w) if reason_w is None else None,
-    ))
-    return checks
+def _sign_rules(parameter: str, derivs, profit_ctx: OptimumContext,
+                welfare_ctx: OptimumContext) -> list[SignRuleCheck]:
+    """The profit and the welfare sign rule of ``parameter`` (capacity or
+    sensitivity) for the price derivatives (dp*, dq*, dp_o, dq_o)."""
+    rising_only = parameter == "sensitivity"    # its rules premise a rising trace slope
+    dp_star, dq_star, dp_ring, dq_ring = derivs
 
+    def user_sign(ctx):
+        return 1 if rising_only else _sign(ctx.elasticity_slope)
 
-def _sensitivity_checks(dp_star, dq_star, dp_ring, dq_ring, profit_ctx,
-                        welfare_ctx) -> list[SignRuleCheck]:
-    checks = []
-    # stated for the rising-elasticity branch only
-    reason = _failed_premise(profit_ctx.elasticity_slope, rising_only=True)
-    expected = {"dp_star": 1, "dq_star": 1}
-    observed = {"dp_star": _sign(dp_star), "dq_star": _sign(dq_star)}
-    ratio = _ratio_residual(dp_star, dq_star, profit_ctx)
-    checks.append(SignRuleCheck(
-        name="profit_prices_vs_sensitivity",
-        inconclusive_reason=reason,
-        expected=expected if reason is None else {},
-        observed=observed,
-        ratio_residual=ratio,
-        signs_satisfied=(expected == observed) if reason is None else None,
-    ))
+    def check(objective, keys, signs, pair, reason, ratio):
+        expected = dict(zip(keys, signs)) if reason is None else {}
+        observed = {key: _sign(v) for key, v in zip(keys, pair)}
+        return SignRuleCheck(
+            name=f"{objective}_prices_vs_{parameter}",
+            inconclusive_reason=reason,
+            expected=expected,
+            observed=observed,
+            ratio_residual=ratio,
+            signs_satisfied=(expected == observed) if reason is None else None,
+        )
+
+    profit_sign = user_sign(profit_ctx)
     gap = welfare_ctx.user_hazard - welfare_ctx.cp_hazard
-    reason_w = _failed_premise(welfare_ctx.elasticity_slope, gap, welfare_ctx.interior,
-                               rising_only=True)
-    expected_w = {"dp_ring": _sign(gap), "dq_ring": -_sign(gap)}
-    observed_w = {"dp_ring": _sign(dp_ring), "dq_ring": _sign(dq_ring)}
-    checks.append(SignRuleCheck(
-        name="welfare_prices_vs_sensitivity",
-        inconclusive_reason=reason_w,
-        expected=expected_w if reason_w is None else {},
-        observed=observed_w,
-        ratio_residual=None,
-        signs_satisfied=(expected_w == observed_w) if reason_w is None else None,
-    ))
-    return checks
+    welfare_sign = user_sign(welfare_ctx) * _sign(gap)
+    return [
+        check("profit", ("dp_star", "dq_star"), (profit_sign, profit_sign), (dp_star, dq_star),
+              _failed_premise(profit_ctx.elasticity_slope, rising_only=rising_only),
+              _ratio_residual(dp_star, dq_star, profit_ctx)),
+        check("welfare", ("dp_ring", "dq_ring"), (welfare_sign, -welfare_sign),
+              (dp_ring, dq_ring),
+              _failed_premise(welfare_ctx.elasticity_slope, gap, welfare_ctx.interior,
+                              rising_only),
+              None),
+    ]
 
 
 def _implicit_derivatives(objective_of, hess: np.ndarray, stencil, step: float,
@@ -323,14 +293,9 @@ def optimal_price_sensitivity(model: MarketModel, parameter: str,
 
     profit_ctx = _context(model, profit_base)
     welfare_ctx = _context(model, welfare_base)
-    if parameter == "capacity":
-        predictions = _capacity_checks(dp_star, dq_star, dp_ring, dq_ring,
-                                       profit_ctx, welfare_ctx)
-    elif parameter == "sensitivity":
-        predictions = _sensitivity_checks(dp_star, dq_star, dp_ring, dq_ring,
-                                          profit_ctx, welfare_ctx)
-    else:
-        predictions = []
+    predictions = (_sign_rules(parameter, (dp_star, dq_star, dp_ring, dq_ring),
+                               profit_ctx, welfare_ctx)
+                   if parameter in ("capacity", "sensitivity") else [])
     return SensitivityReport(
         parameter=parameter,
         base_value=base,

@@ -75,9 +75,12 @@ def test_optimize_reports_growth(capsys):
     ["optimize", "--set", "capacity=inf"],
     ["optimize", "--set", "sensitivity=inf"],
     ["optimize", "--set", "cp_demand.beta=inf"],
+    ["sweep", "--set", "sweep.parameter=alpha", "--set", "sweep.range=inf:inf:1"],
+    ["sweep", "--set", "sweep.parameter=alpha", "--set", "sweep.range=0.5:inf:3"],
 ], ids=["optimize-zero-cost", "sensitivity-zero-cost", "solve-eq-negative-price",
         "optimize-demand-zero-above-p-zero", "optimize-infinite-capacity",
-        "optimize-infinite-sensitivity", "optimize-infinite-beta"])
+        "optimize-infinite-sensitivity", "optimize-infinite-beta",
+        "sweep-infinite-alpha", "sweep-infinite-stop"])
 def test_out_of_domain_config_value_exits_1(argv, capsys):
     assert main(argv) == 1
     err = capsys.readouterr().err
@@ -100,8 +103,7 @@ def test_sweep_writes_csv(tmp_path, capsys):
 
 @pytest.mark.parametrize("sweep_range, error", [
     ("1e300:1e308:2", "DomainError: demand must be positive"),    # m(p) = 0 at every p > 0
-    ("inf:inf:1", "DomainError: alpha must be positive and finite"),
-], ids=["demand-zero-above-p-zero", "infinite-alpha"])
+], ids=["demand-zero-above-p-zero"])
 def test_sweep_over_degenerate_demands_writes_error_rows(tmp_path, sweep_range, error):
     out = tmp_path / "sweep.csv"
     assert main(["sweep", "--set", "sweep.parameter=alpha", "--set", f"sweep.range={sweep_range}",

@@ -62,6 +62,9 @@ def test_unknown_key_rejected_with_location():
     "sweep.range = 1:2",
     "sweep.range = 1:2:0",
     "sweep.range = 1:2:x",
+    "sweep.range = 0.5:inf:3",
+    "sweep.range = -inf:1:2",
+    "sweep.range = nan:nan:1",
     "verify = maybe",
     "threads = 0",
     "threads = 1",

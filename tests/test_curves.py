@@ -434,10 +434,16 @@ def _capacity_slope(law, phi, mu):
     return -law.congestion_capacity_slope(lam, mu) / law.congestion_slope(lam, mu)
 
 
+def _surplus_hazard(demand, price):
+    return 1.0 / demand.per_unit_surplus(price)
+
+
 # The inverse law's slopes in phi, d Lambda / d phi = 1 / Phi_lam and
 # d Lambda / d mu = -Phi_mu / Phi_lam, are no methods of the law: they are
-# checked as composed from its public partials at Lambda(phi, mu).
-_COMPOSED = {"throughput_slope": _throughput_slope, "capacity_slope": _capacity_slope}
+# checked as composed from its public partials at Lambda(phi, mu).  Nor is
+# the surplus hazard m / S of a demand, the reciprocal of its per-unit surplus.
+_COMPOSED = {"throughput_slope": _throughput_slope, "capacity_slope": _capacity_slope,
+             "surplus_hazard": _surplus_hazard}
 
 
 @pytest.mark.parametrize("curve, method, xs, args, bad", [

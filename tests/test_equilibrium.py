@@ -152,8 +152,9 @@ def test_solve_many_matches_scalar():
         model = baseline_model(gain=gain, congestion=congestion, capacity=1.4)
         mn = rng.uniform(0.0, 1.0, size=size)
         mn[0] = 0.0
-        phis, lams = solve_many(model.gain, model.congestion, mn,
-                                model.capacity, model.sensitivity)
+        lams = solve_many(model.gain, model.congestion, mn,
+                          model.capacity, model.sensitivity)
+        phis = model.congestion.congestion(lams, model.capacity)
         for v, phi, lam in zip(mn, phis, lams):
             f, l, _, _ = solve_for_demands(model.gain, model.congestion,
                                            float(v), 1.0, model.capacity,
@@ -179,7 +180,8 @@ def test_solve_many_converges_in_eight_rounds_on_price_grids(gain, congestion, c
     model = baseline_model(gain=gain, congestion=congestion, capacity=capacity)
     prices = np.linspace(0.0, 1.0 - 1e-9, 201)
     mn = np.outer(model.user_demand.value(prices), model.cp_demand.value(prices)).reshape(-1)
-    phis, lams = solve_many(gain, congestion, mn, capacity, model.sensitivity)
+    lams = solve_many(gain, congestion, mn, capacity, model.sensitivity)
+    phis = congestion.congestion(lams, capacity)
     for v, phi, lam in zip(mn, phis, lams):
         f, l, _, _ = solve_for_demands(gain, congestion, float(v), 1.0, capacity,
                                        model.sensitivity)

@@ -154,6 +154,31 @@ def test_projected_newton_holds_edges_and_leaves_non_concave_regions():
     assert termination == "gradient"
 
 
+def test_projected_newton_on_a_line_keeps_its_bracket_in_a_pinned_box():
+    # a cusp at 1/3 under a Hessian that is never negative definite: one-cell
+    # sign steps overshoot it, and only the bracket's bisections settle there
+    def cusp(x):
+        d = x[0] - 1.0 / 3.0
+        return -abs(d) ** 1.5, np.array([-1.5 * math.copysign(math.sqrt(abs(d)), d)]), x
+
+    x, _, steps, termination = optimize._projected_newton(
+        cusp, lambda x: np.array([[1.0]]), [0.05], [0.0], [1.0], 0.1)
+    assert abs(x[0] - 1.0 / 3.0) <= 1e-12
+    for pinned in (0, 1):       # the same line inside a box with no room in one coordinate
+        free = 1 - pinned
+
+        def embedded(y):
+            f, g, _ = cusp(y[free:free + 1])
+            grad = np.zeros(2)
+            grad[free], grad[pinned] = g[0], 1.0
+            return f + y[pinned], grad, y
+        start, lo, hi = np.full(2, 0.5), np.full(2, 0.5), np.full(2, 0.5)
+        start[free], lo[free], hi[free] = 0.05, 0.0, 1.0
+        y, _, y_steps, y_termination = optimize._projected_newton(
+            embedded, lambda y: np.diag([1.0, 1.0]), start, lo, hi, 0.1)
+        assert (y[free], y[pinned], y_steps, y_termination) == (x[0], 0.5, steps, termination)
+
+
 def test_newton_iteration_cap_raises(monkeypatch):
     monkeypatch.setattr(optimize, "NEWTON_MAX_STEPS", 1)
     with pytest.raises(ConvergenceError):
@@ -315,8 +340,8 @@ def test_one_sided_profit_matches_dense_1d_grid():
     # 10^6-point scan of the user price axis
     p_axis = np.linspace(0.0, 1.0 - 1e-9, 1_000_001)
     m_vals = model.user_demand.value(p_axis)
-    _, lam = solve_many(model.gain, model.congestion, m_vals,
-                        model.capacity, model.sensitivity)
+    lam = solve_many(model.gain, model.congestion, m_vals,
+                     model.capacity, model.sensitivity)
     values = (p_axis - model.cost) * lam
     assert report.objective >= float(values.max()) - 1e-8
     assert abs(report.prices.user - float(p_axis[int(values.argmax())])) <= 2e-6

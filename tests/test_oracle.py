@@ -127,9 +127,9 @@ def exhaustive_argmax(model, p_axis, q_axis):
     best_value, best_k = -math.inf, 0
     for row0 in range(0, p_axis.size, _ROWS_PER_BLOCK):
         rows = slice(row0, row0 + _ROWS_PER_BLOCK)
-        _, lam = solve_many(model.gain, model.congestion,
-                            np.outer(m_vals[rows], n_vals).reshape(-1),
-                            model.capacity, model.sensitivity)
+        lam = solve_many(model.gain, model.congestion,
+                         np.outer(m_vals[rows], n_vals).reshape(-1),
+                         model.capacity, model.sensitivity)
         values = (p_axis[rows, None] + q_axis[None, :] - model.cost).reshape(-1) * lam
         k = int(np.argmax(values))
         if values[k] > best_value:
@@ -241,11 +241,11 @@ def test_non_monotone_throughput_table_raises(monkeypatch):
     calls = []
 
     def dented(gain, congestion, mn, capacity, sensitivity):
-        phi, lam = solve_many(gain, congestion, mn, capacity, sensitivity)
+        lam = solve_many(gain, congestion, mn, capacity, sensitivity)
         if not calls:            # the first solve: the table, then the incumbent
             lam[lam.size // 2] = 0.0
         calls.append(lam.size)
-        return phi, lam
+        return lam
     monkeypatch.setattr(optimize_mod, "solve_many", dented)
     with pytest.raises(NumericalError, match="not monotone"):
         profit_grid_argmax(baseline_model(), axis(201), axis(201))
@@ -280,8 +280,8 @@ def exhaustive_welfare_argmax(model, points):
     p_axis = np.linspace(lo, hi, points)
     q_axis = model.cost - p_axis
     m_vals, n_vals = model.user_demand.value(p_axis), model.cp_demand.value(q_axis)
-    _, lam = solve_many(model.gain, model.congestion, m_vals * n_vals,
-                        model.capacity, model.sensitivity)
+    lam = solve_many(model.gain, model.congestion, m_vals * n_vals,
+                     model.capacity, model.sensitivity)
     values = np.zeros(points)
     both = (m_vals > 0) & (n_vals > 0)
     values[both] = (model.user_demand.per_unit_surplus(p_axis[both])

@@ -164,7 +164,8 @@ def test_sensitivity_parameter_negative_branch_not_asserted():
     assert profit_check.describe() == (
         "profit_prices_vs_sensitivity: inconclusive (falling-elasticity branch)")
     assert welfare_check.inconclusive_reason == "falling-elasticity branch"
-    # observed signs are still reported
+    # an inconclusive rule expects nothing; observed signs are still reported
+    assert profit_check.expected == welfare_check.expected == {}
     assert set(profit_check.observed) == {"dp_star", "dq_star"}
     # the derivative proportion identity does not depend on the branch: the
     # mixed partials are equalized by the hazard-balancing first-order
@@ -221,6 +222,7 @@ def test_welfare_rules_inconclusive_at_a_held_welfare_optimum():
     assert not welfare_check.conclusive and welfare_check.signs_satisfied is None
     assert welfare_check.describe() == (
         "welfare_prices_vs_capacity: inconclusive (welfare optimum held at a segment end)")
+    assert welfare_check.expected == {} and set(welfare_check.observed) == {"dp_ring", "dq_ring"}
 
 
 def test_welfare_rule_below_resolution_at_a_zero_hazard_gap():
@@ -233,6 +235,7 @@ def test_welfare_rule_below_resolution_at_a_zero_hazard_gap():
     assert profit_check.conclusive and profit_check.inconclusive_reason is None
     assert welfare_check.describe() == (
         "welfare_prices_vs_capacity: inconclusive (premise below resolution)")
+    assert welfare_check.expected == {}
 
 
 def test_boundary_profit_optimum_raises():
