@@ -56,10 +56,14 @@ def _load(args) -> ScenarioConfig:
     return replace(cfg, verify=True) if args.verify else cfg
 
 
-def _write_pairs(path: Path, pairs: list[tuple[str, object]]) -> None:
-    lines = ["name,value"]
-    lines += [f"{name},{format_value(value)}" for name, value in pairs]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+def _emit(pairs: list[tuple[str, object]], out: Path | None) -> None:
+    """Print ``name = value`` per pair; write the non-text pairs as CSV to ``out``."""
+    for name, value in pairs:
+        print(f"{name} = {format_value(value)}")
+    if out:
+        lines = ["name,value"] + [f"{name},{format_value(value)}" for name, value in pairs
+                                  if not isinstance(value, str)]
+        out.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
 def _cmd_solve_eq(args) -> int:
@@ -74,10 +78,7 @@ def _cmd_solve_eq(args) -> int:
         ("elasticity", eq.elasticity), ("gap_residual", eq.gap_residual),
         ("iterations", eq.iterations), ("degenerate", int(eq.degenerate)),
     ]
-    for name, value in pairs:
-        print(f"{name} = {format_value(value) if isinstance(value, float) else value}")
-    if args.out:
-        _write_pairs(args.out, pairs)
+    _emit(pairs, args.out)
     if cfg.verify:
         phi_fp = fixed_point_equilibrium(model, cfg.price_user, cfg.price_cp)
         gap = abs(phi_fp - eq.congestion)
@@ -111,10 +112,7 @@ def _cmd_optimize(args) -> int:
         ("ramsey_residual", wt.diagnostics.ramsey_residual),
         ("iterations_welfare_opt", wt.iterations),
     ]
-    for name, value in pairs:
-        print(f"{name} = {format_value(value)}")
-    if args.out:
-        _write_pairs(args.out, pairs)
+    _emit(pairs, args.out)
     if cfg.verify:
         outcome = verify_optima(model, pt, wt)
         print(f"verify: {outcome}")
@@ -155,12 +153,9 @@ def _cmd_sensitivity(args) -> int:
         ("user_hazard_profit_opt", report.profit_context.user_hazard),
         ("cp_hazard_profit_opt", report.profit_context.cp_hazard),
     ]
-    for name, value in pairs:
-        print(f"{name} = {value if isinstance(value, str) else format_value(value)}")
+    _emit(pairs, args.out)
     for check in report.predictions:
         print(check.describe())
-    if args.out:
-        _write_pairs(args.out, [(n, v) for n, v in pairs if not isinstance(v, str)])
     if cfg.verify:
         mismatched = [c.name for c in report.predictions
                       if c.conclusive and c.signs_satisfied is False]

@@ -143,10 +143,8 @@ def _apply(cfg: ScenarioConfig, key: str, raw: str) -> ScenarioConfig:
     return replace(cfg, **{name: parse(key, raw.strip())})
 
 
-def parse_config(text: str, base: ScenarioConfig | None = None,
-                 source: str = "<string>") -> ScenarioConfig:
-    cfg = base if base is not None else ScenarioConfig()
-    cfg = replace(cfg, source=source)
+def parse_config(text: str, source: str = "<string>") -> ScenarioConfig:
+    cfg = ScenarioConfig(source=source)
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -161,13 +159,13 @@ def parse_config(text: str, base: ScenarioConfig | None = None,
     return cfg
 
 
-def load_config(path: str | Path, base: ScenarioConfig | None = None) -> ScenarioConfig:
+def load_config(path: str | Path) -> ScenarioConfig:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
-    return parse_config(text, base=base, source=str(path))
+    return parse_config(text, source=str(path))
 
 
 def apply_overrides(cfg: ScenarioConfig, overrides: list[str]) -> ScenarioConfig:

@@ -90,21 +90,43 @@ def _custom_callable(fn: Callable, probe_args: tuple | None = None) -> Callable:
     return call
 
 
-def _central_diff(f: Callable, x, lo: float, hi: float):
-    """Central difference of f at x (float or array), one-sided at [lo, hi] edges."""
+def _custom_partials(value_fn: Callable, slope_fn: Callable | None, probe: tuple,
+                     hi: float) -> tuple[Callable, Callable, Callable]:
+    """(value, slope, curvature) of a custom curve on [0, hi] in its first
+    argument; further arguments pass through.  The slope is ``slope_fn`` or a
+    central difference of the value; the curvature a central difference of
+    ``slope_fn`` or, without one, a second difference of the value."""
+    value = _custom_callable(value_fn, probe)
+    if slope_fn is None:
+        def slope(x, *args):
+            return _central_diff(value, x, 0.0, hi, *args)
+
+        def curvature(x, *args):
+            return _second_diff(value, x, 0.0, hi, *args)
+    else:
+        slope = _custom_callable(slope_fn, probe)
+
+        def curvature(x, *args):
+            return _central_diff(slope, x, 0.0, hi, *args)
+    return value, slope, curvature
+
+
+def _central_diff(f: Callable, x, lo: float, hi: float, *args):
+    """Central difference of f(., *args) at x (float or array), one-sided at
+    [lo, hi] edges."""
     h = FD_REL_STEP * _where(abs(x) > 1.0, abs(x), 1.0)
     a = _where(x - h < lo, x, x - h)
     b = _where(x + h > hi, x, x + h)
     _require(a != b, "finite-difference interval collapsed to a point")
-    return (f(b) - f(a)) / (b - a)
+    return (f(b, *args) - f(a, *args)) / (b - a)
 
 
-def _second_diff(f: Callable, x, lo: float, hi: float):
-    """Three-point second difference of f at x (float or array); near an edge of
-    [lo, hi] the stencil is shifted inside it."""
+def _second_diff(f: Callable, x, lo: float, hi: float, *args):
+    """Three-point second difference of f(., *args) at x (float or array); near
+    an edge of [lo, hi] the stencil is shifted inside it."""
     h = SECOND_REL_STEP * _where(abs(x) > 1.0, abs(x), 1.0)
     c = _where(x - h < lo, lo + h, _where(x + h > hi, hi - h, x))
-    return (f(c + h) - 2.0 * f(c) + f(c - h)) / (h * h)
+    return (f(c + h, *args) - 2.0 * f(c, *args) + f(c - h, *args)) / (h * h)
 
 
 def _mixed_diff(f: Callable, x, y: float):
@@ -234,19 +256,8 @@ class CustomGain(GainCurve, _CustomCurve):
     slope_fn: Callable | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        probe = (np.array([0.5, 1.0]), 1.0)
-        value = _custom_callable(self.value_fn, probe)
-        if self.slope_fn is None:
-            def slope(phi, s):
-                return _central_diff(lambda x: value(x, s), phi, 0.0, math.inf)
-
-            def curvature(phi, s):
-                return _second_diff(lambda x: value(x, s), phi, 0.0, math.inf)
-        else:
-            slope = _custom_callable(self.slope_fn, probe)
-
-            def curvature(phi, s):
-                return _central_diff(lambda x: slope(x, s), phi, 0.0, math.inf)
+        value, slope, curvature = _custom_partials(
+            self.value_fn, self.slope_fn, (np.array([0.5, 1.0]), 1.0), math.inf)
         vars(self).update(_value=value, _slope=slope, _curvature=curvature)
 
     def value(self, phi, sensitivity):
@@ -473,7 +484,7 @@ class DemandCurve:
 
     def _below_support(self, fn: Callable, price):
         """fn(price) on [0, support) and 0 from the support bound on; fn sees no price above it."""
-        _require(price >= 0, "price must be nonnegative")
+        _require(price >= 0, "price must be a nonnegative number, got {}", price)
         if isinstance(price, np.ndarray):
             return np.where(price < self.support, fn(np.minimum(price, self.support)), 0.0)
         return fn(price) if price < self.support else 0.0
@@ -580,18 +591,8 @@ class CustomDemand(DemandCurve, _CustomCurve):
     def __post_init__(self):
         _require(self.support > 0, "support must be positive, got {}", self.support)
         probe = (np.array([0.25, 0.5]) * self.support,)
-        value = _custom_callable(self.value_fn, probe)
-        if self.slope_fn is None:
-            def slope(x):
-                return _central_diff(value, x, 0.0, self.support)
-
-            def curvature(x):
-                return _second_diff(value, x, 0.0, self.support)
-        else:
-            slope = _custom_callable(self.slope_fn, probe)
-
-            def curvature(x):
-                return _central_diff(slope, x, 0.0, self.support)
+        value, slope, curvature = _custom_partials(self.value_fn, self.slope_fn, probe,
+                                                   self.support)
         surplus = _custom_callable(self.surplus_fn, probe) if self.surplus_fn is not None else (
             _custom_callable(lambda x: adaptive_simpson(value, x, self.support)))
         vars(self).update(_value=value, _slope=slope, _curvature=curvature, _surplus=surplus)

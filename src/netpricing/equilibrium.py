@@ -159,8 +159,9 @@ def solve_equilibrium(model: MarketModel, price_user: float, price_cp: float) ->
     floor, zero throughput) rather than an error, so full price grids can be
     evaluated corner to corner.
     """
-    if price_user < 0 or price_cp < 0:
-        raise DomainError("prices must be nonnegative")
+    if not (price_user >= 0 and price_cp >= 0):
+        raise DomainError(f"prices must be nonnegative numbers, got p = {price_user}, "
+                          f"q = {price_cp}")
     m, n = model.demands(price_user, price_cp)
     phi, lam, iterations, degenerate = solve_for_demands(
         model.gain, model.congestion, m, n, model.capacity, model.sensitivity)

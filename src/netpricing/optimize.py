@@ -1,7 +1,12 @@
 """Profit-optimal and zero-profit welfare-optimal two-sided prices.
 
-Each optimizer runs a deterministic global stage, then solves its
-first-order conditions by projected Newton from the best point found:
+Each optimizer runs a deterministic global stage, then hands its best point
+to ``_optimum``, which solves the first-order conditions by projected Newton
+from there and builds the ``OptimumReport``.  The scan's axes set the Newton
+box, each from its first point to its last (a one-point axis holds that
+price), and the fallback step, the widest cell among the axes.  The prices,
+the objective value, the ``held`` and ``boundary`` flags and the residuals
+are read from the accepted iterate and its equilibrium:
 
 * profit: ``grid_argmax`` on a grid of p x q, then Newton on the analytic
   gradient (dU/dp, dU/dq) over the box the two axes span.  The two-sided
@@ -124,8 +129,8 @@ def _projected_newton(objective, hessian, x0, lo, hi, width: float):
     ``objective(x)`` returns the value at the point x, its gradient, and the
     report the value came from; ``hessian(report)`` returns the Hessian at a
     report's point and is asked only at accepted iterates.  The result is
-    (x, that report, Newton steps, termination), the termination one of
-    "gradient", "step", "bracket" and "no_free_coordinate".
+    (x, its value, its report, Newton steps, termination), the termination
+    one of "gradient", "step", "bracket" and "no_free_coordinate".
     """
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     x = np.asarray(x0, dtype=float)
@@ -136,9 +141,9 @@ def _projected_newton(objective, hessian, x0, lo, hi, width: float):
     for steps in range(NEWTON_MAX_STEPS):
         free = room & ~(((x <= lo) & (g <= 0.0)) | ((x >= hi) & (g >= 0.0)))
         if not free.any():
-            return x, report, steps, "no_free_coordinate"
+            return x, f, report, steps, "no_free_coordinate"
         if np.max(np.abs(g[free])) <= GRAD_TOL:
-            return x, report, steps, "gradient"
+            return x, f, report, steps, "gradient"
         d = np.zeros_like(x)
         d[free] = _newton_direction(hessian(report)[np.ix_(free, free)], g[free], width)
         if not np.all(np.isfinite(d)):
@@ -151,14 +156,14 @@ def _projected_newton(objective, hessian, x0, lo, hi, width: float):
             else:
                 b = x[k]
             if b - a < STEP_TOL:
-                return x, report, steps, "bracket"
+                return x, f, report, steps, "bracket"
             if not a < x[k] + d[k] < b:
                 d[k], bisect = 0.5 * (a + b) - x[k], True
         t = 1.0
         while True:
             x_new = np.clip(x + t * d, lo, hi)
             if np.max(np.abs(x_new - x)) <= STEP_TOL:
-                return x, report, steps, "step"
+                return x, f, report, steps, "step"
             f_new, g_new, report_new = objective(x_new)
             # objective differences below round-off carry no information
             if bisect or f_new >= f - ROUNDOFF * abs(f):
@@ -210,10 +215,11 @@ class OptimumReport:
     termination: str            # the Newton test that ended the search (``_projected_newton``)
 
 
-def _profit_diagnostics(model: MarketModel, p: float, q: float, eq: Equilibrium,
-                        held: tuple[bool, bool]) -> OptimumDiagnostics:
+def _profit_diagnostics(model: MarketModel, eq: Equilibrium,
+                        held: tuple[bool, ...]) -> OptimumDiagnostics:
     """FOC residuals.  ``held`` flags the prices (p, q) held at a box edge: the
     KKT residual skips them, and the Lerner residual is None if either is."""
+    p, q = eq.price_user, eq.price_cp
     margin = p + q - model.cost
     mh = model.user_demand.hazard(p)
     nh = model.cp_demand.hazard(q)
@@ -297,28 +303,28 @@ def profit_objective(model: MarketModel):
     return objective
 
 
-def _profit_optimum(model: MarketModel, kind: str, p_axis: np.ndarray,
-                    q_axis: np.ndarray) -> OptimumReport:
-    """Profit maximizer on the box the two axes span: ``grid_argmax`` on
-    p_axis x q_axis, then projected Newton from its argmax.  A one-point
-    axis holds that price."""
-    i, j, _, solved = grid_argmax(model, p_axis, q_axis, model.cost,
-                                  model.user_demand.value(p_axis), model.cp_demand.value(q_axis))
-    axes = (p_axis, q_axis)
+def _optimum(model: MarketModel, kind: str, axes, start, solved: int, objective, hessian,
+             diagnostics) -> OptimumReport:
+    """Projected Newton from ``start``, the best point of a scan on ``axes``
+    that solved ``solved`` equilibria, and the report of where it ends.
+
+    The box runs from each axis's first point to its last, so a one-point
+    axis holds its price, and a fallback step is the widest cell among the
+    other axes.  ``diagnostics(model, eq, held)`` takes the final
+    equilibrium and a flag per price held at a box edge.
+    """
     lo, hi = np.array([v[0] for v in axes]), np.array([v[-1] for v in axes])
     width = max((v[-1] - v[0]) / (v.size - 1) for v in axes if v.size > 1)
-    x, report, steps, termination = _projected_newton(
-        profit_objective(model), lambda r: profit_hessian(model, r.equilibrium),
-        (p_axis[i], q_axis[j]), lo, hi, width)
-    p, q = float(x[0]), float(x[1])
+    x, value, report, steps, termination = _projected_newton(
+        objective, hessian, start, lo, hi, width)
     eq = report.equilibrium
     held = tuple(bool(v in (l, h)) for v, l, h in zip(x, lo, hi))
     return OptimumReport(
         kind=kind,
-        prices=PricePair(p, q),
-        objective=report.profit,
+        prices=PricePair(eq.price_user, eq.price_cp),
+        objective=value,
         equilibrium=eq,
-        diagnostics=_profit_diagnostics(model, p, q, eq, held),
+        diagnostics=diagnostics(model, eq, held),
         boundary=any(min(v - l, h - v) < BOUNDARY_EPS
                      for v, l, h in zip(x, lo, hi) if l < h),
         held=any(held),
@@ -326,6 +332,17 @@ def _profit_optimum(model: MarketModel, kind: str, p_axis: np.ndarray,
         grid_solves=solved,
         termination=termination,
     )
+
+
+def _profit_optimum(model: MarketModel, kind: str, p_axis: np.ndarray,
+                    q_axis: np.ndarray) -> OptimumReport:
+    """Profit maximizer on the box the two axes span: ``grid_argmax`` on
+    p_axis x q_axis, then ``_optimum`` from its argmax."""
+    i, j, _, solved = grid_argmax(model, p_axis, q_axis, model.cost,
+                                  model.user_demand.value(p_axis), model.cp_demand.value(q_axis))
+    return _optimum(model, kind, (p_axis, q_axis), (p_axis[i], q_axis[j]), solved,
+                    profit_objective(model), lambda r: profit_hessian(model, r.equilibrium),
+                    _profit_diagnostics)
 
 
 def optimize_profit(model: MarketModel) -> OptimumReport:
@@ -366,9 +383,10 @@ def welfare_scan(model: MarketModel, points: int) -> tuple[np.ndarray, int, floa
     return p_axis, k, value, solved
 
 
-def _welfare_diagnostics(model: MarketModel, p: float, q: float, eq: Equilibrium,
-                         held: bool) -> OptimumDiagnostics:
+def _welfare_diagnostics(model: MarketModel, eq: Equilibrium,
+                         held: tuple[bool]) -> OptimumDiagnostics:
     """Ramsey residual; None when p is held at a segment end (``held``)."""
+    p, q = eq.price_user, eq.price_cp
     mh = model.user_demand.hazard(p)
     nh = model.cp_demand.hazard(q)
     s_m = model.user_demand.per_unit_surplus(p)
@@ -379,7 +397,7 @@ def _welfare_diagnostics(model: MarketModel, p: float, q: float, eq: Equilibrium
     residual = abs(mh * (eps - 1.0 + share_n) - nh * (eps - 1.0 + share_m))
     return OptimumDiagnostics(
         user_hazard=mh, cp_hazard=nh, elasticity=eps,
-        ramsey_residual=None if held else residual / max(mh, nh),
+        ramsey_residual=None if any(held) else residual / max(mh, nh),
         user_surplus_per_unit=s_m, cp_surplus_per_unit=s_n,
     )
 
@@ -398,34 +416,13 @@ def welfare_objective(model: MarketModel):
 
 
 def optimize_welfare(model: MarketModel) -> OptimumReport:
-    """Welfare maximizer on the zero-profit segment p + q = cost."""
-    lo, hi = welfare_segment(model)
-    c = model.cost
+    """Welfare maximizer on the zero-profit segment p + q = cost: ``welfare_scan``,
+    then ``_optimum`` along the segment from its best point."""
     p_axis, k, _, solved = welfare_scan(model, _SCAN_POINTS)
-    start = float(p_axis[k])
-    width = (hi - lo) / (_SCAN_POINTS - 1)
-    x, report, steps, termination = _projected_newton(
-        welfare_objective(model),
-        lambda r: np.array([[welfare_segment_curvature(model, r.equilibrium)]]),
-        [start], [lo], [hi], width)
-    p = float(x[0])
-    q = c - p
-
-    eq = report.equilibrium
-    boundary = min(p - lo, hi - p) < BOUNDARY_EPS
-    held = p in (lo, hi)
-    return OptimumReport(
-        kind="welfare_two_sided",
-        prices=PricePair(p, q),
-        objective=report.surplus_welfare,
-        equilibrium=eq,
-        diagnostics=_welfare_diagnostics(model, p, q, eq, held),
-        boundary=boundary,
-        held=held,
-        iterations=steps,
-        grid_solves=solved,
-        termination=termination,
-    )
+    return _optimum(model, "welfare_two_sided", (p_axis,), (p_axis[k],), solved,
+                    welfare_objective(model),
+                    lambda r: np.array([[welfare_segment_curvature(model, r.equilibrium)]]),
+                    _welfare_diagnostics)
 
 
 def optimize_one_sided(model: MarketModel, kind: str) -> OptimumReport:

@@ -105,18 +105,13 @@ def elasticity_slope_vs_congestion(model: MarketModel, price_user: float,
     return _trace_slope(model, solve_equilibrium(model, price_user, price_cp))
 
 
-def _hazard_slope(demand, price: float) -> float:
-    """h' = h^2 - m''/m of the hazard h = -m'/m."""
-    h = demand.hazard(price)
+def _hazard_slope(demand, price: float, h: float) -> float:
+    """h' = h^2 - m''/m of the hazard h = -m'/m at the price."""
     return h * h - demand.curvature(price) / demand.value(price)
 
 
-def _sign(x: float, eps: float = 0.0) -> int:
-    if x > eps:
-        return 1
-    if x < -eps:
-        return -1
-    return 0
+def _sign(x: float) -> int:
+    return int(x > 0.0) - int(x < 0.0)
 
 
 @dataclass(frozen=True)
@@ -175,13 +170,14 @@ class SensitivityReport:
 
 def _context(model: MarketModel, report: OptimumReport) -> OptimumContext:
     p, q = report.prices.user, report.prices.cp
+    mh, nh = report.diagnostics.user_hazard, report.diagnostics.cp_hazard
     return OptimumContext(
         price_user=p,
         price_cp=q,
-        user_hazard=model.user_demand.hazard(p),
-        cp_hazard=model.cp_demand.hazard(q),
-        user_hazard_slope=_hazard_slope(model.user_demand, p),
-        cp_hazard_slope=_hazard_slope(model.cp_demand, q),
+        user_hazard=mh,
+        cp_hazard=nh,
+        user_hazard_slope=_hazard_slope(model.user_demand, p, mh),
+        cp_hazard_slope=_hazard_slope(model.cp_demand, q, nh),
         elasticity_slope=_trace_slope(model, report.equilibrium),
         interior=not report.held,
     )

@@ -2,6 +2,7 @@
 
 import dataclasses
 import re
+from pathlib import Path
 
 import pytest
 
@@ -71,6 +72,7 @@ def test_optimize_reports_growth(capsys):
     ["optimize", "--set", "cost=0"],
     ["sensitivity", "--set", "cost=0", "--set", "sweep.parameter=capacity"],
     ["solve-eq", "--set", "price.user=-0.1", "--set", "price.cp=0.3"],
+    ["solve-eq", "--set", "price.user=nan", "--set", "price.cp=0.3"],
     ["optimize", "--set", "user_demand.alpha=1e300"],
     ["optimize", "--set", "capacity=inf"],
     ["optimize", "--set", "sensitivity=inf"],
@@ -78,6 +80,7 @@ def test_optimize_reports_growth(capsys):
     ["sweep", "--set", "sweep.parameter=alpha", "--set", "sweep.range=inf:inf:1"],
     ["sweep", "--set", "sweep.parameter=alpha", "--set", "sweep.range=0.5:inf:3"],
 ], ids=["optimize-zero-cost", "sensitivity-zero-cost", "solve-eq-negative-price",
+         "solve-eq-nan-price",
         "optimize-demand-zero-above-p-zero", "optimize-infinite-capacity",
         "optimize-infinite-sensitivity", "optimize-infinite-beta",
         "sweep-infinite-alpha", "sweep-infinite-stop"])
@@ -85,6 +88,31 @@ def test_out_of_domain_config_value_exits_1(argv, capsys):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and "Traceback" not in err
+
+
+def test_nan_price_is_named_as_not_a_nonnegative_number(capsys):
+    assert main(["solve-eq", "--set", "price.user=nan", "--set", "price.cp=0.3"]) == 1
+    assert capsys.readouterr().err == (
+        "config error: prices must be nonnegative numbers, got p = nan, q = 0.3\n")
+
+
+GOLDEN_DIR = Path(__file__).parent / "data"
+GOLDEN_CONFIGS = {
+    "mm1_capacity_beta2": ["--set", "congestion=mm1", "--set", "capacity=2.5",
+                           "--set", "cp_demand.beta=2", "--set", "sweep.parameter=capacity"],
+    "exponential_sensitivity": ["--set", "gain=exponential",
+                                "--set", "sweep.parameter=sensitivity"],
+}
+
+
+@pytest.mark.parametrize("command", ["optimize", "sensitivity"])
+@pytest.mark.parametrize("config", list(GOLDEN_CONFIGS))
+def test_out_csv_matches_golden(tmp_path, capsys, command, config):
+    # tests/data holds each command's --out file for two configs; a change that
+    # moves any printed digit of an optimum or a sensitivity shows here
+    out = tmp_path / "out.csv"
+    assert main([command, *GOLDEN_CONFIGS[config], "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN_DIR / f"{command}_{config}.csv").read_bytes()
 
 
 def test_optimize_degenerate_baseline_exits_2(capsys):

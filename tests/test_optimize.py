@@ -1,6 +1,7 @@
 """Optimal two-sided prices: first-order conditions, worked forms, baselines."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -10,9 +11,10 @@ from netpricing import (CapacitySharing, ConvergenceError, CpPowerDemand,
                         MarketModel, MM1Queue, ReciprocalGain,
                         UserPowerDemand, baseline_model, evaluate_objectives,
                         grid_optimize, growth_rates, optimize_one_sided,
-                        optimize_profit, optimize_welfare, solve_equilibrium,
-                        verify_optima)
+                        optimal_price_sensitivity, optimize_profit, optimize_welfare,
+                        solve_equilibrium, verify_optima)
 from netpricing import optimize
+from netpricing.oracle import reoptimized_price_derivatives
 from netpricing.equilibrium import solve_many
 
 
@@ -140,7 +142,7 @@ def test_projected_newton_holds_edges_and_leaves_non_concave_regions():
         grad = np.array([-2.0 * (x[0] - 2.0), -2.0 * (x[1] + 1.0)])
         return -(x[0] - 2.0) ** 2 - (x[1] + 1.0) ** 2, grad, x
 
-    x, _, _, termination = optimize._projected_newton(
+    x, _, _, _, termination = optimize._projected_newton(
         bowl, lambda x: -2.0 * np.eye(2), [0.5, 0.5], [0.0, 0.0], [1.0, 1.0], 0.1)
     assert x.tolist() == [1.0, 0.0]
     assert termination == "no_free_coordinate"
@@ -148,7 +150,7 @@ def test_projected_newton_holds_edges_and_leaves_non_concave_regions():
     def wave(x):    # convex at the start, concave around the maximum at 0
         return math.cos(x[0]), np.array([-math.sin(x[0])]), x
 
-    x, _, _, termination = optimize._projected_newton(
+    x, _, _, _, termination = optimize._projected_newton(
         wave, lambda x: np.array([[-math.cos(x[0])]]), [2.4], [-1.0], [2.5], 0.5)
     assert abs(x[0]) <= 1e-10
     assert termination == "gradient"
@@ -161,7 +163,7 @@ def test_projected_newton_on_a_line_keeps_its_bracket_in_a_pinned_box():
         d = x[0] - 1.0 / 3.0
         return -abs(d) ** 1.5, np.array([-1.5 * math.copysign(math.sqrt(abs(d)), d)]), x
 
-    x, _, steps, termination = optimize._projected_newton(
+    x, _, _, steps, termination = optimize._projected_newton(
         cusp, lambda x: np.array([[1.0]]), [0.05], [0.0], [1.0], 0.1)
     assert abs(x[0] - 1.0 / 3.0) <= 1e-12
     for pinned in (0, 1):       # the same line inside a box with no room in one coordinate
@@ -174,7 +176,7 @@ def test_projected_newton_on_a_line_keeps_its_bracket_in_a_pinned_box():
             return f + y[pinned], grad, y
         start, lo, hi = np.full(2, 0.5), np.full(2, 0.5), np.full(2, 0.5)
         start[free], lo[free], hi[free] = 0.05, 0.0, 1.0
-        y, _, y_steps, y_termination = optimize._projected_newton(
+        y, _, _, y_steps, y_termination = optimize._projected_newton(
             embedded, lambda y: np.diag([1.0, 1.0]), start, lo, hi, 0.1)
         assert (y[free], y[pinned], y_steps, y_termination) == (x[0], 0.5, steps, termination)
 
@@ -314,6 +316,23 @@ def test_newton_evaluates_the_objectives_a_few_times(gain, law, monkeypatch):
         calls.clear()
         assert run().termination == "gradient"
         assert 0 < len(calls) <= most
+
+
+def test_only_optimum_runs_projected_newton(monkeypatch):
+    # every searched optimum, of the optimizers, the sensitivities and the
+    # oracle's re-optimizations, is refined and reported by the one routine
+    callers = []
+    newton = optimize._projected_newton
+
+    def traced(*args):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return newton(*args)
+    monkeypatch.setattr(optimize, "_projected_newton", traced)
+    model = baseline_model(capacity=1.3)
+    growth_rates(model)
+    optimal_price_sensitivity(model, "capacity")
+    reoptimized_price_derivatives(model, "capacity", 1e-3)
+    assert len(callers) == 3 + 2 + 4 and set(callers) == {"_optimum"}
 
 
 def test_termination_of_held_and_pinned_optima():
