@@ -65,9 +65,15 @@ def _where(cond, x, y):
 
 
 def _require(ok, message: str, *args) -> None:
-    """Raise ``DomainError(message.format(*args))`` unless ``ok`` holds everywhere."""
-    if ok is not True and not (ok.all() if isinstance(ok, np.ndarray) else ok):
-        raise DomainError(message.format(*args))
+    """Raise ``DomainError(message.format(*args))`` unless ``ok`` holds everywhere;
+    an array ``ok`` names its first failure, in the arguments of its shape, and counts them."""
+    if ok is True or (ok.all() if isinstance(ok, np.ndarray) else ok):
+        return
+    if isinstance(ok, np.ndarray):
+        bad = np.flatnonzero(~ok)
+        args = [np.reshape(arg, -1)[bad[0]] if np.shape(arg) == ok.shape else arg for arg in args]
+        message += f" (at {bad.size} of {ok.size} entries, the first at index {bad[0]})"
+    raise DomainError(message.format(*args))
 
 
 def _custom_callable(fn: Callable, probe_args: tuple | None = None) -> Callable:

@@ -20,28 +20,26 @@ are read from the accepted iterate and its equilibrium:
 
 Both objectives are a price-dependent weight times the throughput, so one
 routine is the global stage of every optimizer and of the ``--verify`` grid
-oracle (``oracle.grid_optimize``).  ``grid_argmax`` returns the first maximum
-of (a_i + b_j - c) * lam(m_i n_j) on a grid in row-major order (smallest
-a_i, then smallest b_j), value included, exactly as solving every point
-would, by branch and bound.  A profit grid passes a = p, b = q, c = cost and
-the demands m(p), n(q); ``welfare_scan`` is one row with a = 0,
-b = s_m + s_n, c = 0, m = 1 and n = m(p) n(cost - p).  The exhaustive
-argmaxes in ``tests/test_oracle.py`` are its independent references.  The
-throughput lam depends on the prices only through the demand product T, and
-it rises with it: at fixed lam, h(lam) = lam - T rho(Phi(lam, mu)) falls as
-T rises, so the unique root moves right.  lam is tabulated at N + 1 evenly
-spaced products T_k on [0, max m * max n], N the smallest power of two at
-least twice the longer axis (a table that falls anywhere raises
-``NumericalError``), and a point's value is at most
-max(a_i + b_j - c, 0) * lam(T_k), T_k the first node at or above its m_i n_j,
-times 1 + ``BOUND_SLACK`` for solver error and the rounding of k.  The best
-value on every ``_INCUMBENT_STRIDE``-th point of each axis, solved with the
-table in one call, is the incumbent.  A point whose bound falls below it is
-strictly below the grid maximum, so skipping it cannot move the argmax; only
-the points whose bound reaches it are solved: about 4% of a 101^2 profit
-grid and 0.4% of a 2001^2 one on the builtin baselines, table and incumbent
-included.  A grid no larger than the table plus its incumbent points, such
-as every one-axis grid, is solved whole.
+oracle (``oracle.grid_optimize``).  ``grid_argmax`` returns, for each of its
+stages, the first maximum of (a_i + b_j - c) * lam(m_i n_j) on a grid in
+row-major order, value included, exactly as solving every point would, by
+branch and bound.  A profit grid passes a = p, b = q, c = cost and m(p),
+n(q); a welfare scan is one column, a = s_m + s_n, b = c = 0,
+m = m(p) n(cost - p), n = 1.  ``_optima`` passes all the searched optima of
+``growth_rates`` or of a sensitivity in one call.  The exhaustive argmaxes in
+``tests/test_oracle.py`` are its independent references.  lam depends on the
+prices only through the demand product T and rises with it (at fixed lam,
+h(lam) = lam - T rho(Phi(lam, mu)) falls as T rises), so one table bounds
+every stage: lam at N + 1 evenly spaced T_k on [0, the largest max m * max n],
+N the smallest power of two at least 2 ceil(sqrt(P)) for the call's P grid
+points (256 for a 101^2 grid or a sweep row, 4096 for 2001^2, 128 for a lone
+2001-point scan; a falling table raises ``NumericalError``).  A point's value
+is at most max(a_i + b_j - c, 0) * lam(T_k) (1 + ``BOUND_SLACK``), T_k the
+first node at or above m_i n_j.  One ``solve_many`` call solves the table and
+every ``_INCUMBENT_STRIDE``-th point of each axis, whose best value is its
+stage's incumbent; one more solves the points whose bound reaches it (about
+4% of a 101^2 grid, 0.4% of a 2001^2 one and 6-8% of a sweep row on the
+builtin baselines, table included), or every point when that is no more.
 
 Newton is projected onto the price box: a coordinate at an edge whose
 gradient points out of the box is held exactly there, so corner optima
@@ -181,8 +179,9 @@ class PricePair:
     cp: float       # q
 
     def __post_init__(self):
-        if self.user < 0 or self.cp < 0:
-            raise DomainError("prices must be nonnegative")
+        if not (self.user >= 0 and self.cp >= 0):
+            raise DomainError(f"prices must be nonnegative numbers, got p = {self.user}, "
+                              f"q = {self.cp}")
 
     @property
     def total(self) -> float:
@@ -237,61 +236,81 @@ def profit_box(model: MarketModel) -> tuple[float, float]:
     return model.user_demand.support * _CLAMP, model.cp_demand.support * _CLAMP
 
 
-def grid_argmax(model: MarketModel, a: np.ndarray, b: np.ndarray, c: float,
-                m_vals: np.ndarray, n_vals: np.ndarray) -> tuple[int, int, float, int]:
-    """First-occurrence argmax (i, j) of (a_i + b_j - c) * lam(m_i n_j) on the
-    grid a x b, its value, and the number of equilibria solved to find it.
+def _every(rows: int, cols: int, stride: int = 1) -> list[np.ndarray]:
+    """Indices [i, j], row-major, of every ``stride``-th row and column of a rows x cols grid."""
+    kept_cols = -(-cols // stride)
+    return [stride * k for k in np.divmod(np.arange(-(-rows // stride) * kept_cols), kept_cols)]
 
-    The weight a_i + b_j - c rises with a_i and b_j, and m_vals and n_vals
-    are nonnegative.  A grid no larger than what the bound solves anyway is
-    solved point by point; a larger one is pruned by the bound (module
-    docstring).
+
+def _kept_points(a, b, c, m_vals, n_vals, incumbent: float, table: np.ndarray,
+                 scale: float) -> tuple[np.ndarray, np.ndarray]:
+    """Indices (i, j), row-major, of the points of the grid a x b whose bound
+    max(a_i + b_j - c, 0) * table[ceil(m_i n_j scale)] reaches ``incumbent``.
+
+    A point whose bound is below the incumbent is strictly below the grid
+    maximum, so dropping it cannot move the first-occurrence argmax.  Each
+    chunk of rows first bounds whole columns by its largest a and m (the
+    weight and the rounding are monotone, so no point bound exceeds its
+    column's), then bounds the points of the columns that remain.
     """
-    rows, cols = a.size, b.size
+    def value_bound(a_i, b_j, mn):
+        return np.maximum(a_i + b_j - c, 0.0) * table.take(
+            np.ceil(mn * scale).astype(np.intp), mode="clip")
 
-    def throughput(mn):
-        return solve_many(model.gain, model.congestion, mn, model.capacity, model.sensitivity)
+    rows_per_chunk = max(1, _CHUNK // b.size)
+    kept_i, kept_j = [], []
+    for row0 in range(0, a.size, rows_per_chunk):
+        a_rows = a[row0:row0 + rows_per_chunk]
+        m_rows = m_vals[row0:row0 + rows_per_chunk]
+        column = value_bound(np.max(a_rows), b, np.max(m_rows) * n_vals)
+        live = np.flatnonzero(column >= incumbent)
+        bound = value_bound(a_rows[:, None], b[live], np.outer(m_rows, n_vals[live]))
+        r, h = np.nonzero(bound >= incumbent)
+        kept_i.append(row0 + r)
+        kept_j.append(live[h])
+    return np.concatenate(kept_i), np.concatenate(kept_j)
 
-    steps = 1 << (2 * max(rows, cols) - 1).bit_length()     # table intervals
-    a_inc, b_inc = a[::_INCUMBENT_STRIDE], b[::_INCUMBENT_STRIDE]
-    if rows * cols <= steps + 1 + a_inc.size * b_inc.size:
-        flat, lam = np.arange(rows * cols), np.empty(0)
+
+def grid_argmax(model: MarketModel, stages) -> list[tuple[int, int, float, int]]:
+    """For each stage (a, b, c, m_vals, n_vals), the first-occurrence argmax
+    (i, j) of (a_i + b_j - c) * lam(m_i n_j) on the grid a x b, its value,
+    and the equilibria solved for it (the table counts in the first stage's).
+
+    In every stage the weight rises with a_i and b_j, and m_vals and n_vals
+    are nonnegative.  The stages share one throughput table and at most two
+    ``solve_many`` calls (module docstring).
+    """
+    def values(points, head=np.empty(0)):
+        """lam at ``head`` and each stage's values at its ``points`` (i, j), in one solve."""
+        mn = [m_vals[i] * n_vals[j] for (i, j), (*_, m_vals, n_vals) in zip(points, stages)]
+        lam = solve_many(model.gain, model.congestion, np.concatenate([head, *mn]),
+                         model.capacity, model.sensitivity)
+        ends = np.cumsum([head.size, *(v.size for v in mn)])
+        return lam[:head.size], [(a[i] + b[j] - c) * lam[lo:hi] for (i, j), (a, b, c, *_), lo, hi
+                                 in zip(points, stages, ends, ends[1:])]
+
+    total = sum(a.size * b.size for a, b, *_ in stages)
+    steps = 1 << (2 * math.isqrt(total - 1) + 1).bit_length()     # table intervals
+    incumbents = [_every(a.size, b.size, _INCUMBENT_STRIDE) for a, b, *_ in stages]
+    counts = [i.size for i, _ in incumbents]
+    if total <= steps + 1 + sum(counts):
+        points, counts = [_every(a.size, b.size) for a, b, *_ in stages], [0] * len(stages)
     else:
-        top = float(np.max(m_vals) * np.max(n_vals))
-        lam = throughput(np.concatenate((np.linspace(0.0, top, steps + 1), np.outer(
-            m_vals[::_INCUMBENT_STRIDE], n_vals[::_INCUMBENT_STRIDE]).reshape(-1))))
-        if np.any(np.diff(lam[:steps + 1]) < 0.0):
+        top = max(float(np.max(m_vals) * np.max(n_vals)) for *_, m_vals, n_vals in stages)
+        lam, incumbent_values = values(incumbents, np.linspace(0.0, top, steps + 1))
+        if np.any(np.diff(lam) < 0.0):
             raise NumericalError("equilibrium throughput is not monotone in the demand "
                                  "product; the congestion equilibrium may not be unique")
-        table = lam[:steps + 1] * (1.0 + BOUND_SLACK)
+        table = lam * (1.0 + BOUND_SLACK)
         scale = steps / top if top > 0.0 else 0.0
-        incumbent = float(np.max((a_inc[:, None] + b_inc[None, :] - c).reshape(-1)
-                                 * lam[steps + 1:]))
-
-        def value_bound(a_i, b_j, mn):
-            return np.maximum(a_i + b_j - c, 0.0) * table.take(
-                np.ceil(mn * scale).astype(np.intp), mode="clip")
-
-        # a point whose bound is below the incumbent is strictly below the grid
-        # maximum, so dropping it cannot move the first-occurrence argmax.  Each
-        # chunk of rows first bounds whole columns by its largest a and m (the
-        # weight and the rounding are monotone, so no point bound exceeds its
-        # column's), then bounds the points of the columns that remain.
-        rows_per_chunk = max(1, _CHUNK // cols)
-        kept = []
-        for row0 in range(0, rows, rows_per_chunk):
-            a_rows = a[row0:row0 + rows_per_chunk]
-            m_rows = m_vals[row0:row0 + rows_per_chunk]
-            column = value_bound(np.max(a_rows), b, np.max(m_rows) * n_vals)
-            live = np.flatnonzero(column >= incumbent)
-            bound = value_bound(a_rows[:, None], b[live], np.outer(m_rows, n_vals[live]))
-            r, h = np.nonzero(bound >= incumbent)
-            kept.append((row0 + r) * cols + live[h])
-        flat = np.concatenate(kept)
-    i, j = np.divmod(flat, cols)
-    values = (a[i] + b[j] - c) * throughput(m_vals[i] * n_vals[j])
-    k = int(np.argmax(values))
-    return int(i[k]), int(j[k]), float(values[k]), lam.size + flat.size
+        points = [_kept_points(*stage, float(np.max(v)), table, scale)
+                  for stage, v in zip(stages, incumbent_values)]
+        counts[0] += steps + 1
+    found = []
+    for (i, j), v, count in zip(points, values(points)[1], counts):
+        k = int(np.argmax(v))
+        found.append((int(i[k]), int(j[k]), float(v[k]), count + i.size))
+    return found
 
 
 def profit_objective(model: MarketModel):
@@ -303,16 +322,19 @@ def profit_objective(model: MarketModel):
     return objective
 
 
-def _optimum(model: MarketModel, kind: str, axes, start, solved: int, objective, hessian,
-             diagnostics) -> OptimumReport:
-    """Projected Newton from ``start``, the best point of a scan on ``axes``
-    that solved ``solved`` equilibria, and the report of where it ends.
+def _optimum(model: MarketModel, kind: str, axes, start, solved: int) -> OptimumReport:
+    """Projected Newton on the ``kind``'s objective from ``start``, the best
+    point of a scan on ``axes`` that solved ``solved`` equilibria, and the
+    report of where it ends.  The box runs from each axis's first point to its
+    last (a one-point axis holds its price); a fallback step is the widest
+    cell among the other axes."""
+    welfare = kind == "welfare_two_sided"
+    objective = (welfare_objective if welfare else profit_objective)(model)
+    diagnostics = _welfare_diagnostics if welfare else _profit_diagnostics
 
-    The box runs from each axis's first point to its last, so a one-point
-    axis holds its price, and a fallback step is the widest cell among the
-    other axes.  ``diagnostics(model, eq, held)`` takes the final
-    equilibrium and a flag per price held at a box edge.
-    """
+    def hessian(r):
+        return (np.array([[welfare_segment_curvature(model, r.equilibrium)]]) if welfare
+                else profit_hessian(model, r.equilibrium))
     lo, hi = np.array([v[0] for v in axes]), np.array([v[-1] for v in axes])
     width = max((v[-1] - v[0]) / (v.size - 1) for v in axes if v.size > 1)
     x, value, report, steps, termination = _projected_newton(
@@ -334,22 +356,43 @@ def _optimum(model: MarketModel, kind: str, axes, start, solved: int, objective,
     )
 
 
-def _profit_optimum(model: MarketModel, kind: str, p_axis: np.ndarray,
-                    q_axis: np.ndarray) -> OptimumReport:
-    """Profit maximizer on the box the two axes span: ``grid_argmax`` on
-    p_axis x q_axis, then ``_optimum`` from its argmax."""
-    i, j, _, solved = grid_argmax(model, p_axis, q_axis, model.cost,
-                                  model.user_demand.value(p_axis), model.cp_demand.value(q_axis))
-    return _optimum(model, kind, (p_axis, q_axis), (p_axis[i], q_axis[j]), solved,
-                    profit_objective(model), lambda r: profit_hessian(model, r.equilibrium),
-                    _profit_diagnostics)
+def _optima(model: MarketModel, kinds) -> list[OptimumReport]:
+    """The searched optima of ``kinds``, each "profit_two_sided",
+    "profit_one_sided" or "welfare_two_sided": one ``grid_argmax`` call on
+    every kind's scan, then ``_optimum`` from each argmax."""
+    scans = [_scan(model, kind, _COARSE_POINTS if kind == "profit_two_sided" else _SCAN_POINTS)
+             for kind in kinds]
+    return [_optimum(model, kind, axes, tuple(v[k] for v, k in zip(axes, (i, j))), solved)
+            for kind, (axes, _), (i, j, _, solved)
+            in zip(kinds, scans, grid_argmax(model, [stage for _, stage in scans]))]
+
+
+def _scan(model: MarketModel, kind: str, points: int):
+    """The scan axes of a searched optimum and its ``grid_argmax`` stage:
+    ``points`` prices per side of the clamped box (q = 0 one-sided), or
+    ``points`` user prices on ``welfare_segment`` weighted by s_m + s_n, 0
+    where a demand is 0 (no surplus is taken there)."""
+    if kind == "welfare_two_sided":
+        lo, hi = welfare_segment(model)
+        p_axis = np.linspace(lo, hi, points)
+        q_axis = model.cost - p_axis
+        m_vals = model.user_demand.value(p_axis)
+        n_vals = model.cp_demand.value(q_axis)
+        weights = np.zeros(points)
+        both = (m_vals > 0) & (n_vals > 0)
+        weights[both] = (model.user_demand.per_unit_surplus(p_axis[both])
+                         + model.cp_demand.per_unit_surplus(q_axis[both]))
+        return (p_axis,), (weights, np.zeros(1), 0.0, m_vals * n_vals, np.ones(1))
+    p_hi, q_hi = profit_box(model)
+    axes = (np.linspace(0.0, p_hi, points),
+            np.linspace(0.0, q_hi, points) if kind == "profit_two_sided" else np.zeros(1))
+    return axes, (*axes, model.cost, model.user_demand.value(axes[0]),
+                  model.cp_demand.value(axes[1]))
 
 
 def optimize_profit(model: MarketModel) -> OptimumReport:
     """Two-sided profit maximizer over the clamped price box."""
-    p_hi, q_hi = profit_box(model)
-    return _profit_optimum(model, "profit_two_sided", np.linspace(0.0, p_hi, _COARSE_POINTS),
-                           np.linspace(0.0, q_hi, _COARSE_POINTS))
+    return _optima(model, ("profit_two_sided",))[0]
 
 
 def welfare_segment(model: MarketModel) -> tuple[float, float]:
@@ -367,19 +410,9 @@ def welfare_segment(model: MarketModel) -> tuple[float, float]:
 def welfare_scan(model: MarketModel, points: int) -> tuple[np.ndarray, int, float, int]:
     """``points`` evenly spaced user prices on ``welfare_segment``, and the
     index, value and solve count of the first maximum of the welfare
-    (s_m + s_n) * lam on them: ``grid_argmax`` on one row, with weights 0,
-    and no surplus taken, where a demand is 0."""
-    lo, hi = welfare_segment(model)
-    p_axis = np.linspace(lo, hi, points)
-    q_axis = model.cost - p_axis
-    m_vals = model.user_demand.value(p_axis)
-    n_vals = model.cp_demand.value(q_axis)
-    weights = np.zeros(points)
-    both = (m_vals > 0) & (n_vals > 0)
-    weights[both] = (model.user_demand.per_unit_surplus(p_axis[both])
-                     + model.cp_demand.per_unit_surplus(q_axis[both]))
-    _, k, value, solved = grid_argmax(model, np.zeros(1), weights, 0.0,
-                                      np.ones(1), m_vals * n_vals)
+    (s_m + s_n) * lam on them, 0 where a demand is 0 (``_scan``)."""
+    (p_axis,), stage = _scan(model, "welfare_two_sided", points)
+    [(k, _, value, solved)] = grid_argmax(model, [stage])
     return p_axis, k, value, solved
 
 
@@ -416,13 +449,9 @@ def welfare_objective(model: MarketModel):
 
 
 def optimize_welfare(model: MarketModel) -> OptimumReport:
-    """Welfare maximizer on the zero-profit segment p + q = cost: ``welfare_scan``,
-    then ``_optimum`` along the segment from its best point."""
-    p_axis, k, _, solved = welfare_scan(model, _SCAN_POINTS)
-    return _optimum(model, "welfare_two_sided", (p_axis,), (p_axis[k],), solved,
-                    welfare_objective(model),
-                    lambda r: np.array([[welfare_segment_curvature(model, r.equilibrium)]]),
-                    _welfare_diagnostics)
+    """Welfare maximizer on the zero-profit segment p + q = cost: the
+    ``welfare_scan`` search, then ``_optimum`` along the segment from its best point."""
+    return _optima(model, ("welfare_two_sided",))[0]
 
 
 def optimize_one_sided(model: MarketModel, kind: str) -> OptimumReport:
@@ -432,8 +461,7 @@ def optimize_one_sided(model: MarketModel, kind: str) -> OptimumReport:
     pinned by the zero-profit constraint at (cost, 0).
     """
     if kind == "profit":
-        return _profit_optimum(model, "profit_one_sided",
-                               np.linspace(0.0, profit_box(model)[0], _SCAN_POINTS), np.zeros(1))
+        return _optima(model, ("profit_one_sided",))[0]
     if kind == "welfare":
         p = model.cost
         report = evaluate_objectives(model, p, 0.0)
@@ -473,9 +501,8 @@ class GrowthRates:
 
 def growth_rates(model: MarketModel) -> GrowthRates:
     """All four optima plus both growth rates; errors on a degenerate baseline."""
-    profit_two = optimize_profit(model)
-    profit_one = optimize_one_sided(model, "profit")
-    welfare_two = optimize_welfare(model)
+    profit_two, profit_one, welfare_two = _optima(
+        model, ("profit_two_sided", "profit_one_sided", "welfare_two_sided"))
     welfare_one = optimize_one_sided(model, "welfare")
     if profit_one.objective <= 0.0:
         raise DegenerateBaselineError(

@@ -34,8 +34,7 @@ import numpy as np
 
 from .curves import MarketModel, parameter_value, with_parameter
 from .errors import ConvergenceError, DomainError, NumericalError
-from .optimize import (grid_argmax, optimize_profit, optimize_welfare, profit_box,
-                       welfare_scan)
+from .optimize import _scan, grid_argmax, optimize_profit, optimize_welfare, welfare_scan
 from .sensitivity import SensitivityReport
 
 FIXED_POINT_THETA = 0.5
@@ -68,12 +67,8 @@ def grid_optimize(model: MarketModel, objective: str = "profit") -> GridOptimum:
     grid that checks it.
     """
     if objective == "profit":
-        p_hi, q_hi = profit_box(model)
-        p_axis = np.linspace(0.0, p_hi, GRID_POINTS)
-        q_axis = np.linspace(0.0, q_hi, GRID_POINTS)
-        i, j, value, solved = grid_argmax(model, p_axis, q_axis, model.cost,
-                                          model.user_demand.value(p_axis),
-                                          model.cp_demand.value(q_axis))
+        (p_axis, q_axis), stage = _scan(model, "profit_two_sided", GRID_POINTS)
+        [(i, j, value, solved)] = grid_argmax(model, [stage])
         p, q, cells = p_axis[i], q_axis[j], (p_axis[1] - p_axis[0], q_axis[1] - q_axis[0])
     elif objective == "welfare":
         p_axis, i, value, solved = welfare_scan(model, SEGMENT_POINTS)

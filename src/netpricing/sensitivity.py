@@ -16,7 +16,8 @@ conditions instead of re-optimizing.
   there (no sensitivity parameter moves the ends, which depend only on cost
   and the supports), so both derivatives are 0.
 
-A call solves the two optima and the four equilibria of the dg/dx
+A call solves the two optima, whose global stages share one
+``optimize.grid_argmax`` call, and the four equilibria of the dg/dx
 stencils, nothing more: the Hessians, the hazard slopes and the trace
 slopes below are closed forms at the optima's equilibria.
 
@@ -71,8 +72,8 @@ from .curves import MarketModel, parameter_value, with_parameter
 from .equilibrium import Equilibrium, solve_equilibrium, throughput_response
 from .errors import DomainError, NumericalError
 from .objectives import profit_hessian, welfare_segment_curvature
-from .optimize import (OptimumReport, is_negative_definite, optimize_profit,
-                       optimize_welfare, profit_objective, welfare_objective)
+from .optimize import (OptimumReport, _optima, is_negative_definite, profit_objective,
+                       welfare_objective)
 
 PARAM_REL_STEP = 1e-3
 CONCLUSIVE_EPS = 1e-6
@@ -271,14 +272,13 @@ def optimal_price_sensitivity(model: MarketModel, parameter: str,
     stencil = (with_parameter(model, parameter, base - step),
                with_parameter(model, parameter, base + step))
 
-    profit_base = optimize_profit(model)
+    profit_base, welfare_base = _optima(model, ("profit_two_sided", "welfare_two_sided"))
     if profit_base.boundary:
         raise NumericalError("profit optimum is not interior")
     dp_star, dq_star = _implicit_derivatives(
         profit_objective, profit_hessian(model, profit_base.equilibrium), stencil, step,
         np.array([profit_base.prices.user, profit_base.prices.cp]), "profit")
 
-    welfare_base = optimize_welfare(model)
     dp_ring = dq_ring = 0.0
     if not welfare_base.held:
         dp_ring, = _implicit_derivatives(

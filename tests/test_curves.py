@@ -275,6 +275,22 @@ def test_demand_domain_errors():
             CpPowerDemand(beta=bad)
 
 
+def test_domain_error_on_an_array_names_its_first_bad_entry():
+    # the message shows the first failing price and counts the failures,
+    # however long the array
+    with pytest.raises(DomainError) as info:
+        UserPowerDemand().value(-np.linspace(0.001, 1.0, 300))
+    assert str(info.value) == ("price must be a nonnegative number, got -0.001 "
+                               "(at 300 of 300 entries, the first at index 0)")
+    with pytest.raises(DomainError) as info:
+        UserPowerDemand().value(np.array([0.5, math.nan, 0.1, -0.3]))
+    assert str(info.value) == ("price must be a nonnegative number, got nan "
+                               "(at 2 of 4 entries, the first at index 1)")
+    with pytest.raises(DomainError) as info:
+        MM1Queue().congestion(np.linspace(0.0, 3.0, 10_000), 1.0)
+    assert len(str(info.value)) < 120
+
+
 @pytest.mark.parametrize("demand, price", [
     (UserPowerDemand(alpha=1e300), 0.5),        # 1 - p**1e-300 rounds to 0 at every p > 0
     (CustomDemand(lambda p: np.maximum(0.5 - p, 0.0)), 0.7),

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from netpricing import (CapacitySharing, ConvergenceError, CpPowerDemand,
-                        CustomDemand, DegenerateBaselineError, ExponentialGain,
-                        MarketModel, MM1Queue, ReciprocalGain,
+                        CustomDemand, DegenerateBaselineError, DomainError, ExponentialGain,
+                        MarketModel, MM1Queue, PricePair, ReciprocalGain,
                         UserPowerDemand, baseline_model, evaluate_objectives,
                         grid_optimize, growth_rates, optimize_one_sided,
                         optimal_price_sensitivity, optimize_profit, optimize_welfare,
@@ -76,8 +76,9 @@ def test_profit_worked_example_prices():
 def best_grid_profit(model: MarketModel, points: int) -> float:
     """The largest profit on a points x points grid over the clamped price box."""
     p_axis, q_axis = (np.linspace(0.0, hi, points) for hi in optimize.profit_box(model))
-    return optimize.grid_argmax(model, p_axis, q_axis, model.cost, model.user_demand.value(p_axis),
-                                model.cp_demand.value(q_axis))[2]
+    stage = (p_axis, q_axis, model.cost, model.user_demand.value(p_axis),
+             model.cp_demand.value(q_axis))
+    return optimize.grid_argmax(model, [stage])[0][2]
 
 
 def test_profit_beats_dense_grid():
@@ -268,9 +269,9 @@ def test_welfare_scan_takes_surpluses_only_where_both_demands_are_positive(monke
         user_demand=CustomDemand(user_value), cp_demand=CpPowerDemand(beta=1.0), cost=0.9)
     weights = []
 
-    def grid_argmax(model, a, b, *args):
-        weights.append(b)
-        return argmax(model, a, b, *args)
+    def grid_argmax(model, stages):
+        weights.append(stages[0][0])
+        return argmax(model, stages)
     argmax = optimize.grid_argmax
     monkeypatch.setattr(optimize, "grid_argmax", grid_argmax)
     calls.clear()
@@ -288,11 +289,13 @@ def test_welfare_scan_takes_surpluses_only_where_both_demands_are_positive(monke
 @pytest.mark.parametrize("gain", [ReciprocalGain(), ExponentialGain()])
 @pytest.mark.parametrize("law", [CapacitySharing(), MM1Queue()])
 def test_optima_report_their_grid_solves(gain, law):
-    # the 101 x 101 profit grid is pruned, not solved whole (10,201 points)
+    # each global stage is pruned, not solved whole: the 101 x 101 profit
+    # grid (10,201 points) by a table of 256 intervals and 6 * 6 incumbent
+    # points, the 2001-point welfare and one-sided axes by 128 and 101
     model = baseline_model(gain=gain, congestion=law)
-    assert 0 < optimize_profit(model).grid_solves < 1000
-    assert optimize_welfare(model).grid_solves == 2001
-    assert optimize_one_sided(model, "profit").grid_solves == 2001
+    assert 256 + 1 + 6 * 6 < optimize_profit(model).grid_solves < 1000
+    assert 128 + 1 + 101 < optimize_welfare(model).grid_solves < 1000
+    assert 128 + 1 + 101 < optimize_one_sided(model, "profit").grid_solves < 1000
     assert optimize_one_sided(model, "welfare").grid_solves == 0
 
 
@@ -364,6 +367,13 @@ def test_one_sided_profit_matches_dense_1d_grid():
     values = (p_axis - model.cost) * lam
     assert report.objective >= float(values.max()) - 1e-8
     assert abs(report.prices.user - float(p_axis[int(values.argmax())])) <= 2e-6
+
+
+@pytest.mark.parametrize("user, cp", [(math.nan, 0.0), (0.2, math.nan), (-0.1, 0.2)])
+def test_price_pair_rejects_a_price_that_is_not_a_nonnegative_number(user, cp):
+    with pytest.raises(DomainError, match=f"prices must be nonnegative numbers, "
+                                          f"got p = {user}, q = {cp}"):
+        PricePair(user, cp)
 
 
 def test_one_sided_welfare_is_cost_on_user_side():

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import netpricing.optimize as optimize_mod
 import netpricing.oracle as oracle_mod
+import netpricing.sensitivity as sensitivity_mod
 from netpricing import (CapacitySharing, CpPowerDemand, CustomCongestion,
                         CustomDemand, CustomGain, ExponentialGain,
                         MarketModel, MM1Queue, ReciprocalGain, UserPowerDemand,
@@ -39,9 +40,14 @@ def vanishing_demand_model(cost):
 
 def profit_grid_argmax(model, p_axis, q_axis):
     """``optimize.grid_argmax`` of the profit on the grid p_axis x q_axis."""
-    return optimize_mod.grid_argmax(model, p_axis, q_axis, model.cost,
-                                    model.user_demand.value(p_axis),
-                                    model.cp_demand.value(q_axis))
+    [found] = optimize_mod.grid_argmax(model, [profit_stage(model, p_axis, q_axis)])
+    return found
+
+
+def profit_stage(model, p_axis, q_axis):
+    """The ``grid_argmax`` stage of the profit on the grid p_axis x q_axis."""
+    return (p_axis, q_axis, model.cost, model.user_demand.value(p_axis),
+            model.cp_demand.value(q_axis))
 
 
 def test_fixed_point_closed_forms():
@@ -119,23 +125,27 @@ def test_grid_respects_explicit_ranges_and_validates():
 # the pruned profit argmax against an exhaustive evaluation
 # ---------------------------------------------------------------------------
 
-def exhaustive_argmax(model, p_axis, q_axis):
-    """Solve every point of the profit grid p_axis x q_axis and keep the first
-    maximum (i, j, value) in row-major order, as ``np.argmax`` does; rows go
-    in blocks to bound memory."""
-    m_vals, n_vals = model.user_demand.value(p_axis), model.cp_demand.value(q_axis)
+def exhaustive_stage_argmax(model, a, b, c, m_vals, n_vals):
+    """Solve every point of a ``grid_argmax`` stage's grid a x b and keep the
+    first maximum (i, j, value) of (a_i + b_j - c) * lam(m_i n_j) in
+    row-major order, as ``np.argmax`` does; rows go in blocks to bound memory."""
     best_value, best_k = -math.inf, 0
-    for row0 in range(0, p_axis.size, _ROWS_PER_BLOCK):
+    for row0 in range(0, a.size, _ROWS_PER_BLOCK):
         rows = slice(row0, row0 + _ROWS_PER_BLOCK)
         lam = solve_many(model.gain, model.congestion,
                          np.outer(m_vals[rows], n_vals).reshape(-1),
                          model.capacity, model.sensitivity)
-        values = (p_axis[rows, None] + q_axis[None, :] - model.cost).reshape(-1) * lam
+        values = (a[rows, None] + b[None, :] - c).reshape(-1) * lam
         k = int(np.argmax(values))
         if values[k] > best_value:
-            best_value, best_k = float(values[k]), row0 * q_axis.size + k
-    i, j = divmod(best_k, q_axis.size)
+            best_value, best_k = float(values[k]), row0 * b.size + k
+    i, j = divmod(best_k, b.size)
     return i, j, best_value
+
+
+def exhaustive_argmax(model, p_axis, q_axis):
+    """``exhaustive_stage_argmax`` of the profit on the grid p_axis x q_axis."""
+    return exhaustive_stage_argmax(model, *profit_stage(model, p_axis, q_axis))
 
 
 def assert_exact(model, p_axis, q_axis):
@@ -176,8 +186,9 @@ def test_pruned_profit_argmax_on_sub_ranges_and_three_point_axes(grid):
 @pytest.mark.parametrize("gain", [ReciprocalGain(), ExponentialGain()])
 @pytest.mark.parametrize("law", sorted(BUILTIN_LAWS))
 def test_optimizers_own_grids_are_exhaustive(gain, law):
-    # optimize_profit's 101 x 101 grid (pruned) and optimize_one_sided's
-    # 2001 points of p at q = 0 (solved whole)
+    # optimize_profit's 101 x 101 grid and optimize_one_sided's 2001 points
+    # of p at q = 0, each pruned by its table (256 and 128 intervals) beyond
+    # the table and the incumbent points
     model = baseline_model(gain=gain, congestion=BUILTIN_LAWS[law], beta=1.6, cost=0.5)
     p_hi, q_hi = optimize_mod.profit_box(model)
     solved = []
@@ -187,7 +198,7 @@ def test_optimizers_own_grids_are_exhaustive(gain, law):
         want_i, want_j, want_value = exhaustive_argmax(model, p_axis, q_axis)
         assert (i, j, value.hex()) == (want_i, want_j, want_value.hex())
         solved.append(count)
-    assert solved[0] < 1000 and solved[1] == 2001
+    assert 256 + 1 + 6 * 6 < solved[0] < 1000 and 128 + 1 + 101 * 1 < solved[1] < 1000
 
 
 def test_pruned_profit_argmax_with_scalar_custom_curves():
@@ -223,18 +234,19 @@ def test_grid_without_demand_prunes_nothing():
 
 @pytest.mark.parametrize("grid, solved", [
     ((axis(3), axis(3)), 3 * 3),            # < 8 + 1 + 1 * 1: 8 table intervals
-    ((axis(87), axis(3)), 87 * 3),          # < 256 + 1 + 5 * 1
-    ((axis(174), axis(3)), 174 * 3),        # = 512 + 1 + 9 * 1 incumbent points
+    ((axis(6), axis(3)), 6 * 3),            # = 16 + 1 + 1 * 1 incumbent point
+    ((axis(18, 0.6, 0.95), axis(1, 0.3, 0.3)), 18 * 1),    # a line, = 16 + 1 + 1 * 1
 ])
 def test_grid_no_larger_than_the_bound_is_solved_whole(grid, solved):
-    # the bound would solve the table and the incumbent points anyway
+    # the bound would solve the table (the first power of two at least
+    # 2 * ceil(sqrt(points)) intervals) and the incumbent points anyway
     assert assert_exact(baseline_model(beta=2.0), *grid)[1] == solved
 
 
 def test_grid_one_point_past_the_size_rule_is_bounded():
-    _, solved = assert_exact(baseline_model(beta=2.0), axis(175), axis(3))
-    bound_solves = 512 + 1 + 9 * 1
-    assert bound_solves < solved < bound_solves + 175 * 3
+    _, solved = assert_exact(baseline_model(beta=2.0), axis(19, 0.6, 0.95), axis(1, 0.3, 0.3))
+    bound_solves = 16 + 1 + 1 * 1
+    assert bound_solves < solved < bound_solves + 19 * 1
 
 
 def test_non_monotone_throughput_table_raises(monkeypatch):
@@ -258,6 +270,40 @@ def test_baseline_grids_solve_under_one_percent(gain, law):
     _, solved = assert_exact(baseline_model(gain=gain, congestion=BUILTIN_LAWS[law]),
                              axis(2001), axis(2001))
     assert solved < 0.01 * 2001 * 2001
+
+
+def mixed_stage(model, kind, points):
+    """A ``grid_argmax`` stage of one of the shapes that a shared call mixes."""
+    if kind == "grid":          # the profit on a 2-D grid
+        return profit_stage(model, axis(points), axis(min(points, 51)))
+    if kind == "line":          # the profit on one axis, at q = 0
+        return profit_stage(model, axis(points), np.zeros(1))
+    if kind == "vanishing":     # no user demand from its support p = 1 on
+        return profit_stage(model, axis(points, 0.0, 2.0), axis(3))
+    weights, zero, c, mn, one = optimize_mod._scan(model, "welfare_two_sided", points)[1]
+    if kind == "welfare_column":
+        return weights, zero, c, mn, one
+    return zero, weights, c, one, mn            # the same welfare as one row
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(gain=st.sampled_from([ReciprocalGain(), ExponentialGain()]),
+       law=st.sampled_from(sorted(BUILTIN_LAWS)),
+       alpha=st.floats(0.3, 3.0), beta=st.floats(0.2, 3.0), cost=st.floats(0.05, 1.9),
+       capacity=st.floats(0.3, 6.0), sensitivity=st.floats(0.3, 3.0),
+       specs=st.lists(st.tuples(
+           st.sampled_from(["grid", "line", "vanishing", "welfare_column", "welfare_row"]),
+           st.sampled_from([3, 18, 19, 101, 401, 2001])), min_size=1, max_size=4))
+def test_shared_call_argmax_is_each_stage_alone_and_exhaustive(gain, law, alpha, beta, cost,
+                                                               capacity, sensitivity, specs):
+    model = baseline_model(gain=gain, congestion=BUILTIN_LAWS[law], alpha=alpha, beta=beta,
+                           cost=cost, capacity=capacity, sensitivity=sensitivity)
+    stages = [mixed_stage(model, kind, points) for kind, points in specs]
+    for stage, (i, j, value, _) in zip(stages, optimize_mod.grid_argmax(model, stages)):
+        [(alone_i, alone_j, alone_value, _)] = optimize_mod.grid_argmax(model, [stage])
+        want_i, want_j, want_value = exhaustive_stage_argmax(model, *stage)
+        assert ((i, j, value.hex()) == (alone_i, alone_j, alone_value.hex())
+                == (want_i, want_j, want_value.hex()))
 
 
 def test_grid_chunking_invariance(monkeypatch):
@@ -301,7 +347,10 @@ def test_welfare_scan_is_exhaustive(model, points):
     p_axis, k, value, solved = optimize_mod.welfare_scan(model, points)
     want_k, want_value = exhaustive_welfare_argmax(model, points)
     assert (k, value.hex()) == (want_k, want_value.hex())
-    assert p_axis.size == solved == points
+    # a table of 128 intervals (2 * ceil(sqrt(points)) <= 128), every 20th
+    # point as the incumbent, and the points the bound keeps
+    assert p_axis.size == points
+    assert 128 + 1 + -(-points // 20) < solved < points // 2
 
 
 def test_only_grid_argmax_solves_grids(monkeypatch):
@@ -320,4 +369,33 @@ def test_only_grid_argmax_solves_grids(monkeypatch):
     optimal_price_sensitivity(model, "capacity")
     grid_optimize(model, "profit")
     grid_optimize(model, "welfare")
-    assert callers and set(callers) == {("throughput", "grid_argmax")}
+    # two solve_many calls each: the shared table with the incumbent points,
+    # then the points the bound keeps
+    assert len(callers) == 4 * 2 and set(callers) == {("values", "grid_argmax")}
+
+
+def test_a_row_and_a_sensitivity_each_make_two_solves_their_reports_count(monkeypatch):
+    # growth_rates and optimal_price_sensitivity search all their optima in
+    # one grid_argmax call, and the reports' grid_solves add up to its points
+    handed, reports = [], []
+
+    def counted(gain, congestion, mn, *args):
+        handed.append(mn.size)
+        return solve_many(gain, congestion, mn, *args)
+
+    def recorded(model, kinds):
+        reports.extend(optima(model, kinds))
+        return reports[-len(kinds):]
+    optima = optimize_mod._optima
+    monkeypatch.setattr(optimize_mod, "solve_many", counted)
+    monkeypatch.setattr(sensitivity_mod, "_optima", recorded)
+    model = baseline_model(capacity=1.3)
+    rates = growth_rates(model)
+    assert len(handed) == 2
+    assert sum(handed) == sum(report.grid_solves for report in (
+        rates.profit_two_sided, rates.profit_one_sided, rates.welfare_two_sided,
+        rates.welfare_one_sided))
+    handed.clear()
+    optimal_price_sensitivity(model, "capacity")
+    assert len(handed) == 2 and len(reports) == 2
+    assert sum(handed) == sum(report.grid_solves for report in reports)

@@ -285,13 +285,14 @@ def test_no_trace_solves_and_no_hessian_stencils(monkeypatch):
 
 def test_one_optimum_of_each_kind_per_call(monkeypatch):
     calls = []
-    for name in ("optimize_profit", "optimize_welfare"):
-        def counted(model, _name=name, _optimize=getattr(sensitivity_mod, name)):
-            calls.append(_name)
-            return _optimize(model)
-        monkeypatch.setattr(sensitivity_mod, name, counted)
+    optimum = optimize_mod._optimum
+
+    def counted(model, kind, *args):
+        calls.append(kind)
+        return optimum(model, kind, *args)
+    monkeypatch.setattr(optimize_mod, "_optimum", counted)
     optimal_price_sensitivity(baseline_model(beta=2.0), "capacity")
-    assert sorted(calls) == ["optimize_profit", "optimize_welfare"]
+    assert sorted(calls) == ["profit_two_sided", "welfare_two_sided"]
 
 
 @settings(derandomize=True, database=None, max_examples=40, deadline=None)
