@@ -12,6 +12,7 @@ domain too), 2 numerical failure, 3 verification mismatch.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -28,6 +29,7 @@ from .sensitivity import optimal_price_sensitivity
 FIXED_POINT_AGREEMENT = 1e-10
 
 
+@functools.cache             # built at the first ``main`` call, then reused
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="netpricing",

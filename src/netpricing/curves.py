@@ -182,9 +182,24 @@ class _CustomCurve:
 # ---------------------------------------------------------------------------
 
 def _check_gain_args(phi, sensitivity) -> None:
-    if not sensitivity > 0:
-        raise DomainError(f"sensitivity must be positive, got {sensitivity}")
+    try:
+        if not sensitivity > 0:
+            raise DomainError(f"sensitivity must be positive, got {sensitivity}")
+    except ValueError:
+        if not isinstance(sensitivity, np.ndarray):
+            raise
+        # an array, one sensitivity per point: name its first bad entry
+        _require(sensitivity > 0, "sensitivity must be positive, got {}", sensitivity)
     _require(phi >= 0, "congestion level must be nonnegative")
+
+
+def _per_run(fn: Callable[[float], float], x: np.ndarray) -> np.ndarray:
+    """``fn`` of each entry of x in float arithmetic, whose bits numpy's log
+    and power do not always match; once per run of equal entries."""
+    flat = x.ravel()
+    runs = np.flatnonzero(np.r_[True, flat[1:] != flat[:-1]])
+    return np.repeat([fn(v) for v in flat[runs].tolist()],
+                     np.diff(np.r_[runs, flat.size])).reshape(x.shape)
 
 
 class GainCurve:
@@ -239,11 +254,19 @@ class ExponentialGain(GainCurve):
 
     def slope(self, phi, sensitivity):
         _check_gain_args(phi, sensitivity)
-        return -math.log(sensitivity + 1.0) * (sensitivity + 1.0) ** (-phi)
+        try:
+            rate = math.log(sensitivity + 1.0)
+        except TypeError:       # an array, one sensitivity per point
+            rate = _per_run(math.log, sensitivity + 1.0)
+        return -rate * (sensitivity + 1.0) ** (-phi)
 
     def curvature(self, phi, sensitivity):
         _check_gain_args(phi, sensitivity)
-        return math.log(sensitivity + 1.0) ** 2 * (sensitivity + 1.0) ** (-phi)
+        try:
+            rate_squared = math.log(sensitivity + 1.0) ** 2
+        except TypeError:       # an array, one sensitivity per point
+            rate_squared = _per_run(lambda base: math.log(base) ** 2, sensitivity + 1.0)
+        return rate_squared * (sensitivity + 1.0) ** (-phi)
 
 
 @dataclass(frozen=True)
@@ -284,8 +307,12 @@ class CustomGain(GainCurve, _CustomCurve):
 # ---------------------------------------------------------------------------
 
 def _check_capacity(capacity) -> None:
-    if not capacity > 0:
-        raise DomainError(f"capacity must be positive, got {capacity}")
+    try:
+        if capacity > 0:
+            return
+    except ValueError:      # an array, one capacity per point: name its first bad entry
+        return _require(capacity > 0, "capacity must be positive, got {}", capacity)
+    raise DomainError(f"capacity must be positive, got {capacity}")
 
 
 class CongestionCurve:
@@ -398,7 +425,10 @@ class MM1Queue(CongestionCurve):
 
     def throughput_limit(self, capacity):
         _check_capacity(capacity)
-        return math.nextafter(capacity, 0.0)
+        try:
+            return math.nextafter(capacity, 0.0)
+        except TypeError:       # an array, one capacity per point
+            return np.nextafter(capacity, 0.0)
 
 
 @dataclass(frozen=True)

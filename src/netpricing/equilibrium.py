@@ -110,16 +110,21 @@ def solve_for_demands(gain: GainCurve, congestion: CongestionCurve,
 
 
 def solve_many(gain: GainCurve, congestion: CongestionCurve, mn: np.ndarray,
-               capacity: float, sensitivity: float) -> np.ndarray:
+               capacity, sensitivity) -> np.ndarray:
     """``solve_for_demands`` over an array of demand products; returns lam.
 
-    Backs the dense-grid oracle and the scan stages of the optimizers.  Each
-    round works only on the points that have not converged yet.
+    Backs the dense-grid oracle and the scan stages of the optimizers.  The
+    capacity and the sensitivity are floats, or arrays of ``mn``'s shape that
+    give each point its own (a sweep's rows in one call; the builtin curves
+    take both, a custom curve arrays only if its callables broadcast in
+    them).  Each round works only on the points that have not converged yet.
     """
     mn = np.asarray(mn, dtype=float)
     lam = np.zeros(mn.shape)
     todo = np.flatnonzero(mn > 0.0)
     m = mn.reshape(-1)[todo]
+    capacity, sensitivity = (v.reshape(-1)[todo] if isinstance(v, np.ndarray) else v
+                             for v in (capacity, sensitivity))
     lo = np.zeros_like(m)
     hi = np.minimum(m, congestion.throughput_limit(capacity))
     x = m * gain.value(congestion.congestion(0.5 * hi, capacity), sensitivity)
@@ -134,6 +139,8 @@ def solve_many(gain: GainCurve, congestion: CongestionCurve, mn: np.ndarray,
         lam_flat[todo[done]] = x[done] - step[done]
         left = ~done
         todo, m, x, lo, hi, h, step = (a[left] for a in (todo, m, x, lo, hi, h, step))
+        capacity, sensitivity = (v[left] if isinstance(v, np.ndarray) else v
+                                 for v in (capacity, sensitivity))
         rising = h > 0.0
         hi = np.where(rising, x, hi)
         lo = np.where(rising, lo, x)

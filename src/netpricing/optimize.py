@@ -20,26 +20,28 @@ are read from the accepted iterate and its equilibrium:
 
 Both objectives are a price-dependent weight times the throughput, so one
 routine is the global stage of every optimizer and of the ``--verify`` grid
-oracle (``oracle.grid_optimize``).  ``grid_argmax`` returns, for each of its
-stages, the first maximum of (a_i + b_j - c) * lam(m_i n_j) on a grid in
-row-major order, value included, exactly as solving every point would, by
-branch and bound.  A profit grid passes a = p, b = q, c = cost and m(p),
-n(q); a welfare scan is one column, a = s_m + s_n, b = c = 0,
-m = m(p) n(cost - p), n = 1.  ``_optima`` passes all the searched optima of
-``growth_rates`` or of a sensitivity in one call.  The exhaustive argmaxes in
-``tests/test_oracle.py`` are its independent references.  lam depends on the
+oracle (``oracle.grid_optimize``).  ``grid_argmax`` returns, for each stage
+of each model's search, the first maximum of (a_i + b_j - c) * lam(m_i n_j)
+on a grid in row-major order, value included, exactly as solving every point
+would, by branch and bound (the exhaustive argmaxes in
+``tests/test_oracle.py`` are its references).  A profit grid passes a = p,
+b = q, c = cost and m(p), n(q); a welfare scan is one column,
+a = s_m + s_n, b = c = 0, m = m(p) n(cost - p), n = 1.  lam depends on the
 prices only through the demand product T and rises with it (at fixed lam,
 h(lam) = lam - T rho(Phi(lam, mu)) falls as T rises), so one table bounds
-every stage: lam at N + 1 evenly spaced T_k on [0, the largest max m * max n],
-N the smallest power of two at least 2 ceil(sqrt(P)) for the call's P grid
-points (256 for a 101^2 grid or a sweep row, 4096 for 2001^2, 128 for a lone
-2001-point scan; a falling table raises ``NumericalError``).  A point's value
-is at most max(a_i + b_j - c, 0) * lam(T_k) (1 + ``BOUND_SLACK``), T_k the
-first node at or above m_i n_j.  One ``solve_many`` call solves the table and
-every ``_INCUMBENT_STRIDE``-th point of each axis, whose best value is its
-stage's incumbent; one more solves the points whose bound reaches it (about
-4% of a 101^2 grid, 0.4% of a 2001^2 one and 6-8% of a sweep row on the
-builtin baselines, table included), or every point when that is no more.
+all stages of a search: lam at N + 1 evenly spaced T_k on [0, its largest
+max m * max n], N the smallest power of two at least 2 ceil(sqrt(P)) for its
+P grid points (256 for a 101^2 grid or a sweep row, 4096 for 2001^2, 128 for
+a lone 2001-point scan; a falling table raises ``NumericalError``).  A
+point's value is at most max(a_i + b_j - c, 0) * lam(T_k) (1 +
+``BOUND_SLACK``), T_k the first node at or above m_i n_j.  One ``solve_many``
+call solves every search's table and every ``_INCUMBENT_STRIDE``-th point of
+each axis, whose best value is its stage's incumbent; one more solves the
+points whose bound reaches it (about 4% of a 101^2 grid, 0.4% of a 2001^2
+one and 6-8% of a sweep row on the builtin baselines, table included), or a
+search's every point when that is no more.  ``_starts`` passes all the
+searched optima of ``growth_rates``, of a sensitivity or of every row of a
+sweep in one call; each point takes its own model's capacity and sensitivity.
 
 Newton is projected onto the price box: a coordinate at an edge whose
 gradient points out of the box is held exactly there, so corner optima
@@ -248,16 +250,18 @@ def _kept_points(a, b, c, m_vals, n_vals, incumbent: float, table: np.ndarray,
     max(a_i + b_j - c, 0) * table[ceil(m_i n_j scale)] reaches ``incumbent``.
 
     A point whose bound is below the incumbent is strictly below the grid
-    maximum, so dropping it cannot move the first-occurrence argmax.  Each
-    chunk of rows first bounds whole columns by its largest a and m (the
-    weight and the rounding are monotone, so no point bound exceeds its
-    column's), then bounds the points of the columns that remain.
+    maximum, so dropping it cannot move the first-occurrence argmax.  A grid
+    of more than one chunk of rows bounds, per chunk, whole columns first by
+    its largest a and m (the weight and the rounding are monotone, so no point
+    bound exceeds its column's), then the points of the columns that remain.
     """
     def value_bound(a_i, b_j, mn):
         return np.maximum(a_i + b_j - c, 0.0) * table.take(
             np.ceil(mn * scale).astype(np.intp), mode="clip")
 
     rows_per_chunk = max(1, _CHUNK // b.size)
+    if a.size <= rows_per_chunk:        # one chunk: its column bounds would keep most columns
+        return np.nonzero(value_bound(a[:, None], b, np.outer(m_vals, n_vals)) >= incumbent)
     kept_i, kept_j = [], []
     for row0 in range(0, a.size, rows_per_chunk):
         a_rows = a[row0:row0 + rows_per_chunk]
@@ -271,45 +275,55 @@ def _kept_points(a, b, c, m_vals, n_vals, incumbent: float, table: np.ndarray,
     return np.concatenate(kept_i), np.concatenate(kept_j)
 
 
-def grid_argmax(model: MarketModel, stages) -> list[tuple[int, int, float, int]]:
-    """For each stage (a, b, c, m_vals, n_vals), the first-occurrence argmax
-    (i, j) of (a_i + b_j - c) * lam(m_i n_j) on the grid a x b, its value,
-    and the equilibria solved for it (the table counts in the first stage's).
+def grid_argmax(searches) -> list[list[tuple[int, int, float, int]]]:
+    """For each search (model, stages) and each of its stages (a, b, c,
+    m_vals, n_vals), the first-occurrence argmax (i, j) of
+    (a_i + b_j - c) * lam(m_i n_j) on the grid a x b, its value, and the
+    equilibria solved for it (a search's table counts in its first stage's).
+    The weight rises with a_i and b_j, m_vals and n_vals are nonnegative, and
+    the models share one gain and one congestion law (module docstring)."""
+    stages = [stage for _, group in searches for stage in group]
+    owners = [k for k, (_, group) in enumerate(searches) for _ in group]
 
-    In every stage the weight rises with a_i and b_j, and m_vals and n_vals
-    are nonnegative.  The stages share one throughput table and at most two
-    ``solve_many`` calls (module docstring).
-    """
-    def values(points, head=np.empty(0)):
-        """lam at ``head`` and each stage's values at its ``points`` (i, j), in one solve."""
-        mn = [m_vals[i] * n_vals[j] for (i, j), (*_, m_vals, n_vals) in zip(points, stages)]
-        lam = solve_many(model.gain, model.congestion, np.concatenate([head, *mn]),
-                         model.capacity, model.sensitivity)
-        ends = np.cumsum([head.size, *(v.size for v in mn)])
-        return lam[:head.size], [(a[i] + b[j] - c) * lam[lo:hi] for (i, j), (a, b, c, *_), lo, hi
-                                 in zip(points, stages, ends, ends[1:])]
+    def values(points, heads):
+        """lam at each search's ``heads`` (all or none) and each stage's values
+        at its ``points`` (i, j), in one solve under each point's model."""
+        mn = [*heads, *(m_vals[i] * n_vals[j]
+                        for (i, j), (*_, m_vals, n_vals) in zip(points, stages))]
+        sizes = [v.size for v in mn]
+        models = [searches[k][0] for k in (*range(len(heads)), *owners)]
+        args = [v[0] if len(set(v)) == 1 else np.repeat(v, sizes)
+                for v in ([m.capacity for m in models], [m.sensitivity for m in models])]
+        lam = np.split(solve_many(models[0].gain, models[0].congestion, np.concatenate(mn),
+                                  *args), np.cumsum(sizes)[:-1])
+        return lam[:len(heads)], [(a[i] + b[j] - c) * v for (i, j), (a, b, c, *_), v
+                                  in zip(points, stages, lam[len(heads):])]
 
-    total = sum(a.size * b.size for a, b, *_ in stages)
-    steps = 1 << (2 * math.isqrt(total - 1) + 1).bit_length()     # table intervals
-    incumbents = [_every(a.size, b.size, _INCUMBENT_STRIDE) for a, b, *_ in stages]
-    counts = [i.size for i, _ in incumbents]
-    if total <= steps + 1 + sum(counts):
-        points, counts = [_every(a.size, b.size) for a, b, *_ in stages], [0] * len(stages)
-    else:
-        top = max(float(np.max(m_vals) * np.max(n_vals)) for *_, m_vals, n_vals in stages)
-        lam, incumbent_values = values(incumbents, np.linspace(0.0, top, steps + 1))
-        if np.any(np.diff(lam) < 0.0):
+    heads, scales, incumbents, counts = [], [], [], []
+    for _, group in searches:
+        total = sum(a.size * b.size for a, b, *_ in group)
+        steps = 1 << (2 * math.isqrt(total - 1) + 1).bit_length()     # table intervals
+        every = [_every(a.size, b.size, _INCUMBENT_STRIDE) for a, b, *_ in group]
+        whole = total <= steps + 1 + sum(i.size for i, _ in every)     # solve every point
+        top = 0.0 if whole else max(float(np.max(m) * np.max(n)) for *_, m, n in group)
+        heads.append(np.linspace(0.0, top, 0 if whole else steps + 1))
+        scales.append(steps / top if top > 0.0 else 0.0)
+        incumbents += [(np.empty(0, dtype=np.intp),) * 2 if whole else i for i in every]
+        counts += [0 if whole else i.size + (steps + 1) * (g == 0)
+                   for g, (i, _) in enumerate(every)]
+    lams, incumbent_values = heads, incumbents      # replaced if any search has a table
+    if any(head.size for head in heads):
+        lams, incumbent_values = values(incumbents, heads)
+        if any(np.any(np.diff(lam) < 0.0) for lam in lams):
             raise NumericalError("equilibrium throughput is not monotone in the demand "
                                  "product; the congestion equilibrium may not be unique")
-        table = lam * (1.0 + BOUND_SLACK)
-        scale = steps / top if top > 0.0 else 0.0
-        points = [_kept_points(*stage, float(np.max(v)), table, scale)
-                  for stage, v in zip(stages, incumbent_values)]
-        counts[0] += steps + 1
-    found = []
-    for (i, j), v, count in zip(points, values(points)[1], counts):
-        k = int(np.argmax(v))
-        found.append((int(i[k]), int(j[k]), float(v[k]), count + i.size))
+    points = [_kept_points(*stage, float(np.max(v)), lams[k] * (1.0 + BOUND_SLACK), scales[k])
+              if heads[k].size else _every(stage[0].size, stage[1].size)
+              for stage, v, k in zip(stages, incumbent_values, owners)]
+    found = [[] for _ in searches]
+    for (i, j), v, count, k in zip(points, values(points, [])[1], counts, owners):
+        best = int(np.argmax(v))
+        found[k].append((int(i[best]), int(j[best]), float(v[best]), count + i.size))
     return found
 
 
@@ -356,15 +370,22 @@ def _optimum(model: MarketModel, kind: str, axes, start, solved: int) -> Optimum
     )
 
 
+def _starts(models, kinds) -> list[list[tuple]]:
+    """For each model, the arguments of ``_optimum`` after each of ``kinds``
+    (a scan's axes, its best point and its solve count), from one
+    ``grid_argmax`` call on every model's scans."""
+    scans = [[_scan(model, kind, _COARSE_POINTS if kind == "profit_two_sided" else _SCAN_POINTS)
+              for kind in kinds] for model in models]
+    found = grid_argmax([(model, [stage for _, stage in group])
+                         for model, group in zip(models, scans)])
+    return [[(axes, tuple(v[k] for v, k in zip(axes, (i, j))), solved)
+             for (axes, _), (i, j, _, solved) in zip(group, best)]
+            for group, best in zip(scans, found)]
+
+
 def _optima(model: MarketModel, kinds) -> list[OptimumReport]:
-    """The searched optima of ``kinds``, each "profit_two_sided",
-    "profit_one_sided" or "welfare_two_sided": one ``grid_argmax`` call on
-    every kind's scan, then ``_optimum`` from each argmax."""
-    scans = [_scan(model, kind, _COARSE_POINTS if kind == "profit_two_sided" else _SCAN_POINTS)
-             for kind in kinds]
-    return [_optimum(model, kind, axes, tuple(v[k] for v, k in zip(axes, (i, j))), solved)
-            for kind, (axes, _), (i, j, _, solved)
-            in zip(kinds, scans, grid_argmax(model, [stage for _, stage in scans]))]
+    """The searched optima of ``kinds``: ``_optimum`` from each of the model's ``_starts``."""
+    return [_optimum(model, kind, *start) for kind, start in zip(kinds, _starts([model], kinds)[0])]
 
 
 def _scan(model: MarketModel, kind: str, points: int):
@@ -412,7 +433,7 @@ def welfare_scan(model: MarketModel, points: int) -> tuple[np.ndarray, int, floa
     index, value and solve count of the first maximum of the welfare
     (s_m + s_n) * lam on them, 0 where a demand is 0 (``_scan``)."""
     (p_axis,), stage = _scan(model, "welfare_two_sided", points)
-    [(k, _, value, solved)] = grid_argmax(model, [stage])
+    [[(k, _, value, solved)]] = grid_argmax([(model, [stage])])
     return p_axis, k, value, solved
 
 
@@ -499,10 +520,18 @@ class GrowthRates:
     welfare_one_sided: OptimumReport
 
 
+_GROWTH_KINDS = ("profit_two_sided", "profit_one_sided", "welfare_two_sided")
+
+
 def growth_rates(model: MarketModel) -> GrowthRates:
     """All four optima plus both growth rates; errors on a degenerate baseline."""
-    profit_two, profit_one, welfare_two = _optima(
-        model, ("profit_two_sided", "profit_one_sided", "welfare_two_sided"))
+    return _growth_rates(model, _starts([model], _GROWTH_KINDS)[0])
+
+
+def _growth_rates(model: MarketModel, starts) -> GrowthRates:
+    """``growth_rates`` from the model's ``_starts`` of ``_GROWTH_KINDS``."""
+    profit_two, profit_one, welfare_two = (
+        _optimum(model, kind, *start) for kind, start in zip(_GROWTH_KINDS, starts))
     welfare_one = optimize_one_sided(model, "welfare")
     if profit_one.objective <= 0.0:
         raise DegenerateBaselineError(

@@ -68,7 +68,7 @@ def grid_optimize(model: MarketModel, objective: str = "profit") -> GridOptimum:
     """
     if objective == "profit":
         (p_axis, q_axis), stage = _scan(model, "profit_two_sided", GRID_POINTS)
-        [(i, j, value, solved)] = grid_argmax(model, [stage])
+        [[(i, j, value, solved)]] = grid_argmax([(model, [stage])])
         p, q, cells = p_axis[i], q_axis[j], (p_axis[1] - p_axis[0], q_axis[1] - q_axis[0])
     elif objective == "welfare":
         p_axis, i, value, solved = welfare_scan(model, SEGMENT_POINTS)

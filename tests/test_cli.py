@@ -54,6 +54,19 @@ def test_set_overrides_defaults(capsys):
     assert "congestion = 1" in capsys.readouterr().out
 
 
+def test_successive_calls_do_not_share_overrides(capsys):
+    # one parser serves every main call; the --set list of one call must not
+    # reach the next (argparse appends to a copy of the default list)
+    assert main(["solve-eq", "--set", "price.user=0", "--set", "price.cp=0",
+                 "--set", "capacity=0.5"]) == 0
+    assert "congestion = 1" in capsys.readouterr().out
+    assert main(["solve-eq", "--set", "price.user=0.2"]) == 1
+    assert "price.cp" in capsys.readouterr().err
+    # at the default capacity 1, not the first call's 0.5
+    assert main(["solve-eq", "--set", "price.user=0", "--set", "price.cp=0"]) == 0
+    assert "congestion = 0.61803398875" in capsys.readouterr().out
+
+
 def test_unknown_key_exits_1(capsys):
     assert main(["solve-eq", "--set", "bogus=1"]) == 1
     assert "config error" in capsys.readouterr().err

@@ -100,6 +100,64 @@ def test_gain_domain_errors():
         ReciprocalGain().elasticity(2.0, -1.0)
 
 
+def _per_point_sensitivities(rng):
+    """Sensitivities as a batched call passes them, runs of equal entries,
+    then entries where numpy's log(s + 1) misses math.log's last bit."""
+    draws = rng.uniform(0.0, 9.0, 200_000)
+    misses = draws[np.log(draws + 1.0) != [math.log(s + 1.0) for s in draws.tolist()]]
+    assert misses.size > 0
+    s = np.concatenate([np.repeat(rng.uniform(0.1, 9.0, 6), 40), misses[:200],
+                        rng.uniform(0.1, 9.0, 100)])
+    return s[:s.size // 4 * 4]
+
+
+@pytest.mark.parametrize("gain", GAINS)
+def test_gain_takes_one_sensitivity_per_point(gain):
+    # an array of sensitivities gives each point, bit for bit, what a call
+    # with that point's sensitivity as a float gives
+    rng = np.random.default_rng(37)
+    s = _per_point_sensitivities(rng)
+    phi = rng.uniform(0.0, 5.0, s.size)
+    for method in (gain.value, gain.slope, gain.curvature):
+        want = [method(phi[k:k + 1], float(s[k]))[0] for k in range(s.size)]
+        assert np.array_equal(method(phi, s), want)
+        assert np.array_equal(method(phi.reshape(4, -1), s.reshape(4, -1)),
+                              np.reshape(want, (4, -1)))
+
+
+@pytest.mark.parametrize("curve", CONGESTIONS)
+def test_congestion_law_takes_one_capacity_per_point(curve):
+    rng = np.random.default_rng(41)
+    mu = np.concatenate([np.repeat([0.5, 2.5], 30), rng.uniform(0.2, 10.0, 200)])
+    lam = mu * rng.uniform(0.0, 0.99, mu.size)
+    for method in (curve.congestion, curve.congestion_slope, curve.congestion_curvature,
+                   curve.congestion_capacity_slope, curve.congestion_cross_slope):
+        want = [method(lam[k:k + 1], float(mu[k]))[0] for k in range(mu.size)]
+        assert np.array_equal(method(lam, mu), want)
+    assert np.array_equal(np.broadcast_to(curve.throughput_limit(mu), mu.shape),
+                          [curve.throughput_limit(float(v)) for v in mu])
+
+
+def test_per_point_arguments_name_their_first_bad_entry():
+    with pytest.raises(DomainError) as info:
+        ExponentialGain().slope(np.full(4, 0.5), np.array([1.0, 2.0, -0.5, 0.0]))
+    assert str(info.value) == ("sensitivity must be positive, got -0.5 "
+                               "(at 2 of 4 entries, the first at index 2)")
+    with pytest.raises(DomainError) as info:
+        ReciprocalGain().value(np.full(3, 0.5), np.array([1.0, math.nan, 2.0]))
+    assert str(info.value) == ("sensitivity must be positive, got nan "
+                               "(at 1 of 3 entries, the first at index 1)")
+    for law in CONGESTIONS:
+        with pytest.raises(DomainError) as info:
+            law.congestion(np.zeros(3), np.array([1.0, 0.0, -2.0]))
+        assert str(info.value) == ("capacity must be positive, got 0.0 "
+                                   "(at 2 of 3 entries, the first at index 1)")
+    with pytest.raises(DomainError) as info:
+        MM1Queue().throughput_limit(np.array([1.0, -1.0]))
+    assert str(info.value) == ("capacity must be positive, got -1.0 "
+                               "(at 1 of 2 entries, the first at index 1)")
+
+
 def test_custom_gain_numeric_slope_and_vector_fallback():
     custom = CustomGain(lambda phi, s: math.exp(-s * (0.5 * phi + 0.1 * phi * phi)))
     analytic = lambda phi, s: -s * (0.5 + 0.2 * phi) * math.exp(-s * (0.5 * phi + 0.1 * phi * phi))

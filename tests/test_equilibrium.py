@@ -163,6 +163,24 @@ def test_solve_many_matches_scalar():
             assert abs(lam - l) <= 1e-13 * max(1.0, l)
 
 
+@pytest.mark.parametrize("gain", [ReciprocalGain(), ExponentialGain()])
+@pytest.mark.parametrize("congestion", [CapacitySharing(), MM1Queue()])
+def test_solve_many_takes_one_capacity_and_sensitivity_per_point(gain, congestion):
+    # several models' demand products in one call, each point with its
+    # model's capacity and sensitivity, solve bit for bit as each model alone
+    rng = np.random.default_rng(31)
+    models = [(float(rng.uniform(0.5, 5.0)), float(rng.uniform(0.3, 4.0))) for _ in range(5)]
+    models.append(models[0])                # a repeated model: a run split in two
+    products = [rng.uniform(0.0, 1.0, size) for size in (40, 1, 17, 0, 33, 9)]
+    products[2][:5] = 0.0
+    sizes = [v.size for v in products]
+    lam = solve_many(gain, congestion, np.concatenate(products),
+                     np.repeat([mu for mu, _ in models], sizes),
+                     np.repeat([s for _, s in models], sizes))
+    want = [solve_many(gain, congestion, mn, mu, s) for mn, (mu, s) in zip(products, models)]
+    assert np.array_equal(lam, np.concatenate(want))
+
+
 def test_newton_takes_few_rounds_on_random_models():
     rng = np.random.default_rng(59)
     for _ in range(1000):

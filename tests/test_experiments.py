@@ -3,13 +3,17 @@
 import dataclasses
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from netpricing import (PricePair, ScenarioConfig, SweepResult, baseline_model, emit_csv,
-                        optimize_profit, optimize_welfare, parse_config, run_sweep,
+import netpricing.optimize as optimize_mod
+from netpricing import (PricePair, ScenarioConfig, SweepResult, SweepRow, baseline_model,
+                        emit_csv, optimize_profit, optimize_welfare, parse_config, run_sweep,
                         verify_optima, verify_sweep)
-from netpricing.errors import ConfigError, VerificationError
-from netpricing.experiments import ALL_COLUMNS, PRICE_COLUMNS, format_value, parse_csv
+from netpricing.equilibrium import solve_many
+from netpricing.errors import ConfigError, ConvergenceError, VerificationError
+from netpricing.experiments import (ALL_COLUMNS, PRICE_COLUMNS, format_value, parse_csv,
+                                    sweep_values)
 
 
 def small_sweep_config(**overrides) -> ScenarioConfig:
@@ -94,6 +98,78 @@ def test_capacity_sweep_matches_golden_csv(tmp_path, gain, law):
     path = emit_csv(run_sweep(cfg), tmp_path / "sweep.csv")
     golden = GOLDEN_DIR / f"sweep_capacity_{gain}_{law}.csv"
     assert path.read_bytes() == golden.read_bytes()
+
+
+def _golden_sweeps() -> dict[str, str]:
+    """The config of every sweep in tests/data, by file name."""
+    sweeps = {f"sweep_capacity_{gain}_{law}.csv": f"gain = {gain}\ncongestion = {law}\n"
+              "sweep.parameter = capacity\nsweep.range = 0.5:2:3"
+              for gain in ("reciprocal", "exponential") for law in ("sharing", "mm1")}
+    sweeps.update({f"sweep_{parameter}_{gain}_{law}.csv": f"gain = {gain}\ncongestion = {law}\n"
+                   f"sweep.parameter = {parameter}\nsweep.range = 0.5:3:3"
+                   for parameter in ("alpha", "beta", "sensitivity")
+                   for gain in ("reciprocal", "exponential") for law in ("sharing", "mm1")})
+    # two DomainError rows (a sensitivity of -0.5 and of 0), then two good rows
+    sweeps["sweep_sensitivity_mixed_mm1.csv"] = ("congestion = mm1\ncapacity = 2.5\n"
+                                                 "sweep.parameter = sensitivity\n"
+                                                 "sweep.range = -0.5:1:4")
+    return sweeps
+
+
+GOLDEN_SWEEPS = _golden_sweeps()
+
+
+@pytest.mark.parametrize("name", [name for name in GOLDEN_SWEEPS
+                                  if not name.startswith("sweep_capacity_")])
+def test_sweep_matches_golden_csv(tmp_path, name):
+    # the alpha, beta and sensitivity sweeps of each gain x law model, and a
+    # sweep whose first rows fail to build their model
+    path = emit_csv(run_sweep(parse_config(GOLDEN_SWEEPS[name])), tmp_path / "sweep.csv")
+    assert path.read_bytes() == (GOLDEN_DIR / name).read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(path.name for path in GOLDEN_DIR.glob("sweep_*.csv")))
+def test_sweep_run_whole_equals_its_rows_run_one_at_a_time(tmp_path, name):
+    # the rows of a sweep share their solves, yet no row reads another's:
+    # each row's bytes are those of a one-row sweep at its parameter value
+    cfg = parse_config(GOLDEN_SWEEPS[name])
+    whole = emit_csv(run_sweep(cfg), tmp_path / "whole.csv").read_bytes()
+    rows = tuple(row for value in sweep_values(cfg)
+                 for row in run_sweep(dataclasses.replace(cfg, sweep_range=(value, value, 1))).rows)
+    one_at_a_time = emit_csv(SweepResult(parameter=cfg.sweep_parameter, columns=ALL_COLUMNS,
+                                         rows=rows), tmp_path / "rows.csv").read_bytes()
+    assert whole == one_at_a_time == (GOLDEN_DIR / name).read_bytes()
+
+
+def test_a_sweep_makes_two_solve_many_calls(monkeypatch):
+    # every row's global stages go through one grid_argmax call
+    sizes = []
+
+    def counted(gain, congestion, mn, capacity, sensitivity):
+        sizes.append(mn.size)
+        return solve_many(gain, congestion, mn, capacity, sensitivity)
+    monkeypatch.setattr(optimize_mod, "solve_many", counted)
+    cfg = parse_config(GOLDEN_SWEEPS["sweep_capacity_exponential_mm1.csv"])
+    assert all(row.error is None for row in run_sweep(cfg).rows)
+    assert len(sizes) == 2
+
+
+def test_a_row_whose_search_fails_carries_its_error_alone(monkeypatch):
+    # a solve that raises whenever the middle row's capacity is in its input:
+    # the shared search fails, so every row searches alone; only the middle
+    # row carries the error, and every other row is as without the fault
+    cfg = parse_config(GOLDEN_SWEEPS["sweep_capacity_reciprocal_mm1.csv"])
+    clean = run_sweep(cfg).rows
+    bad = clean[1].param_value
+
+    def failing(gain, congestion, mn, capacity, sensitivity):
+        if np.any(np.asarray(capacity) == bad):
+            raise ConvergenceError("injected failure")
+        return solve_many(gain, congestion, mn, capacity, sensitivity)
+    monkeypatch.setattr(optimize_mod, "solve_many", failing)
+    rows = run_sweep(cfg).rows
+    assert rows[1] == SweepRow(param_value=bad, error="ConvergenceError: injected failure")
+    assert rows[0] == clean[0] and rows[2] == clean[2]
 
 
 def test_csv_uses_lf_and_12_digits(tmp_path):

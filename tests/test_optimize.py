@@ -78,7 +78,7 @@ def best_grid_profit(model: MarketModel, points: int) -> float:
     p_axis, q_axis = (np.linspace(0.0, hi, points) for hi in optimize.profit_box(model))
     stage = (p_axis, q_axis, model.cost, model.user_demand.value(p_axis),
              model.cp_demand.value(q_axis))
-    return optimize.grid_argmax(model, [stage])[0][2]
+    return optimize.grid_argmax([(model, [stage])])[0][0][2]
 
 
 def test_profit_beats_dense_grid():
@@ -269,9 +269,9 @@ def test_welfare_scan_takes_surpluses_only_where_both_demands_are_positive(monke
         user_demand=CustomDemand(user_value), cp_demand=CpPowerDemand(beta=1.0), cost=0.9)
     weights = []
 
-    def grid_argmax(model, stages):
-        weights.append(stages[0][0])
-        return argmax(model, stages)
+    def grid_argmax(searches):
+        weights.append(searches[0][1][0][0])
+        return argmax(searches)
     argmax = optimize.grid_argmax
     monkeypatch.setattr(optimize, "grid_argmax", grid_argmax)
     calls.clear()

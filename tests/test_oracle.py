@@ -40,7 +40,7 @@ def vanishing_demand_model(cost):
 
 def profit_grid_argmax(model, p_axis, q_axis):
     """``optimize.grid_argmax`` of the profit on the grid p_axis x q_axis."""
-    [found] = optimize_mod.grid_argmax(model, [profit_stage(model, p_axis, q_axis)])
+    [[found]] = optimize_mod.grid_argmax([(model, [profit_stage(model, p_axis, q_axis)])])
     return found
 
 
@@ -299,11 +299,54 @@ def test_shared_call_argmax_is_each_stage_alone_and_exhaustive(gain, law, alpha,
     model = baseline_model(gain=gain, congestion=BUILTIN_LAWS[law], alpha=alpha, beta=beta,
                            cost=cost, capacity=capacity, sensitivity=sensitivity)
     stages = [mixed_stage(model, kind, points) for kind, points in specs]
-    for stage, (i, j, value, _) in zip(stages, optimize_mod.grid_argmax(model, stages)):
-        [(alone_i, alone_j, alone_value, _)] = optimize_mod.grid_argmax(model, [stage])
+    [shared] = optimize_mod.grid_argmax([(model, stages)])
+    for stage, (i, j, value, _) in zip(stages, shared):
+        [[(alone_i, alone_j, alone_value, _)]] = optimize_mod.grid_argmax([(model, [stage])])
         want_i, want_j, want_value = exhaustive_stage_argmax(model, *stage)
         assert ((i, j, value.hex()) == (alone_i, alone_j, alone_value.hex())
                 == (want_i, want_j, want_value.hex()))
+
+
+@pytest.mark.parametrize("points, chunk", [
+    ((101, 101), optimize_mod._CHUNK),      # one chunk: no column pre-pass
+    ((2001, 1), optimize_mod._CHUNK),       # a one-sided axis, one chunk
+    ((401, 401), optimize_mod._CHUNK),      # 163 rows per chunk
+    ((101, 101), 1000),                     # 9 rows per chunk
+])
+def test_kept_points_are_the_points_whose_bound_reaches_the_incumbent(monkeypatch, points,
+                                                                     chunk):
+    model = baseline_model(beta=2.0, capacity=0.8)
+    a, b, c, m_vals, n_vals = profit_stage(model, axis(points[0]), axis(points[1]))
+    top = float(np.max(m_vals) * np.max(n_vals))
+    steps = 256
+    table = solve_many(model.gain, model.congestion, np.linspace(0.0, top, steps + 1),
+                       model.capacity, model.sensitivity) * (1.0 + optimize_mod.BOUND_SLACK)
+    bound = np.maximum(a[:, None] + b[None, :] - c, 0.0) * table.take(
+        np.ceil(np.outer(m_vals, n_vals) * (steps / top)).astype(np.intp), mode="clip")
+    monkeypatch.setattr(optimize_mod, "_CHUNK", chunk)
+    for incumbent in np.quantile(bound, [0.5, 0.9, 0.99]):
+        kept = optimize_mod._kept_points(a, b, c, m_vals, n_vals, float(incumbent), table,
+                                         steps / top)
+        want = np.nonzero(bound >= incumbent)
+        assert all(np.array_equal(k, w) for k, w in zip(kept, want))
+
+
+def test_models_in_one_call_each_get_their_call_alone():
+    # one call on several models, which differ in capacity and sensitivity,
+    # gives each model's argmaxes and solve counts bit for bit as a call on
+    # that model alone; a model whose stages are solved whole rides along
+    searches = []
+    for capacity, sensitivity, points in ((0.8, 1.0, 101), (2.5, 1.0, 101), (2.5, 3.0, 101),
+                                          (1.3, 0.4, 9)):
+        model = baseline_model(gain=ExponentialGain(), congestion=MM1Queue(),
+                               capacity=capacity, sensitivity=sensitivity)
+        searches.append((model, [profit_stage(model, axis(points), axis(points)),
+                                 optimize_mod._scan(model, "welfare_two_sided", 2001)[1]]))
+    shared = optimize_mod.grid_argmax(searches)
+    for search, found in zip(searches, shared):
+        [alone] = optimize_mod.grid_argmax([search])
+        assert [(i, j, v.hex(), n) for i, j, v, n in found] == [
+            (i, j, v.hex(), n) for i, j, v, n in alone]
 
 
 def test_grid_chunking_invariance(monkeypatch):
