@@ -77,11 +77,10 @@ def _require(ok, message: str, *args) -> None:
 
 
 def _custom_callable(fn: Callable, probe_args: tuple | None = None) -> Callable:
-    """Wrap a user callable so its first argument may be a float or an array.
-
-    One call on ``probe_args`` decides whether ``fn`` broadcasts; without
-    them arrays are always mapped over their elements.  Floats give floats.
-    """
+    """Wrap a user callable so its first argument may be a float or an array,
+    and then each further one a float or an array of its shape.  One call on
+    ``probe_args`` (arrays of one shape) decides whether ``fn`` broadcasts; if
+    not, arrays are mapped, every array argument together with the first."""
     try:
         broadcasts = probe_args is not None and np.shape(fn(*probe_args)) == probe_args[0].shape
     except (TypeError, ValueError, ArithmeticError):
@@ -92,7 +91,9 @@ def _custom_callable(fn: Callable, probe_args: tuple | None = None) -> Callable:
             return float(fn(x, *args))
         if broadcasts:
             return np.asarray(fn(x, *args), dtype=float)
-        return np.array([float(fn(float(v), *args)) for v in x.flat]).reshape(x.shape)
+        columns = (np.broadcast_to(np.asarray(v, dtype=float), x.shape).ravel().tolist()
+                   for v in (x, *args))
+        return np.array([float(fn(*v)) for v in zip(*columns)]).reshape(x.shape)
     return call
 
 
@@ -286,7 +287,7 @@ class CustomGain(GainCurve, _CustomCurve):
 
     def __post_init__(self):
         value, slope, curvature = _custom_partials(
-            self.value_fn, self.slope_fn, (np.array([0.5, 1.0]), 1.0), math.inf)
+            self.value_fn, self.slope_fn, (np.array([0.5, 1.0]), np.ones(2)), math.inf)
         vars(self).update(_value=value, _slope=slope, _curvature=curvature)
 
     def value(self, phi, sensitivity):
@@ -451,7 +452,7 @@ class CustomCongestion(CongestionCurve, _CustomCurve):
     def __post_init__(self):
         inverse = self._bisect_inverse if self.inverse_fn is None else self.inverse_fn
         vars(self).update(_inverse=_custom_callable(inverse), _congestion=_custom_callable(
-            self.congestion_fn, (np.array([0.25, 0.5]), 1.0)))
+            self.congestion_fn, (np.array([0.25, 0.5]), np.ones(2))))
 
     def congestion(self, throughput, capacity):
         _check_capacity(capacity)
@@ -459,7 +460,18 @@ class CustomCongestion(CongestionCurve, _CustomCurve):
         try:
             return self._congestion(throughput, capacity)
         except (ArithmeticError, ValueError) as exc:
+            if isinstance(throughput, np.ndarray):      # name the first entry undefined alone
+                _require(np.vectorize(self._defined, otypes=[bool])(throughput, capacity),
+                         "congestion law undefined at throughput {}: {}", throughput, exc)
+                throughput = f"array of {throughput.size} entries"
             raise DomainError(f"congestion law undefined at throughput {throughput}: {exc}") from exc
+
+    def _defined(self, throughput: float, capacity: float) -> bool:
+        try:
+            self._congestion(throughput, capacity)
+        except (ArithmeticError, ValueError):
+            return False
+        return True
 
     def implied_throughput(self, phi, capacity):
         floor = self.congestion_floor(capacity)

@@ -1,13 +1,13 @@
 """Config-driven parameter sweeps with deterministic CSV output.
 
-Each sweep row rebuilds the model at one parameter value, computes all four
-optima from scratch, and records prices, objectives, growth rates, and the
-equilibrium state at the two two-sided optima.  The rows share the solves of
-one global search (``optimize._starts``), each with its own grids and table,
-then refine their optima alone: no row reads another's result (no warm
-starts), so every row depends on its parameter value alone.  Numerical
-failures are captured per row in the ``error`` column rather than aborting
-the sweep; if the shared search fails, each row searches alone.
+Each sweep row builds the model at one parameter value once, computes all
+four optima from scratch, and records prices, objectives, growth rates, and
+the equilibrium state at the two two-sided optima.  The rows whose model
+builds share one global search (``optimize._starts``), each with its own
+grids and table, then refine their optima alone: no row reads another's
+result (no warm starts), so every row depends on its parameter value alone.
+Numerical failures are captured per row in the ``error`` column rather than
+aborting the sweep; if the shared search fails, each row searches alone.
 
 CSV output is RFC-4180 style: comma separated, header row, LF line endings,
 12 significant digits.  Identical configs produce byte-identical files.
@@ -15,7 +15,6 @@ CSV output is RFC-4180 style: comma separated, header row, LF line endings,
 
 from __future__ import annotations
 
-from contextlib import suppress
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -90,13 +89,13 @@ def _row_from_rates(value: float, rates: GrowthRates) -> SweepRow:
     )
 
 
-def _evaluate_row(base_model: MarketModel, parameter: str, value: float, shared) -> SweepRow:
-    """The row at ``value``; its search is the next of ``shared``, which holds
-    one per row whose model builds, or without ``shared`` its own."""
+def _evaluate_row(value: float, model, starts) -> SweepRow:
+    """The row at ``value`` from its model or build error and ``_starts`` (None: its own)."""
     try:
-        model = with_parameter(base_model, parameter, value)
-        starts = next(shared) if shared else _starts([model], _GROWTH_KINDS)[0]
-        return _row_from_rates(value, _growth_rates(model, starts))
+        if isinstance(model, Exception):
+            raise model
+        rates = _growth_rates(model, starts or _starts([model], _GROWTH_KINDS)[0])
+        return _row_from_rates(value, rates)
     except (NumericalError, ValueError) as exc:
         return SweepRow(param_value=value, error=f"{type(exc).__name__}: {exc}")
 
@@ -106,15 +105,19 @@ def run_sweep(cfg: ScenarioConfig) -> SweepResult:
     parameter = cfg.sweep_parameter
     values = sweep_values(cfg)
     base_model = build_model(cfg)
-    models = []
+    built = []
     for value in values:
-        with suppress(NumericalError, ValueError):      # the row reports it below
-            models.append(with_parameter(base_model, parameter, value))
+        try:
+            built.append(with_parameter(base_model, parameter, value))
+        except (NumericalError, ValueError) as exc:     # the row reports it
+            built.append(exc)
+    models = [model for model in built if isinstance(model, MarketModel)]
     try:
-        shared = iter(_starts(models, _GROWTH_KINDS)) if models else None
+        shared = iter(_starts(models, _GROWTH_KINDS) if models else [])
     except (NumericalError, ValueError):        # each row searches alone
-        shared = None
-    rows = tuple(_evaluate_row(base_model, parameter, v, shared) for v in values)
+        shared = iter([None] * len(models))
+    rows = tuple(_evaluate_row(v, m, next(shared) if isinstance(m, MarketModel) else None)
+                 for v, m in zip(values, built))
     columns = ALL_COLUMNS if cfg.output_columns == "all" else PRICE_COLUMNS
     return SweepResult(parameter=parameter, columns=columns, rows=rows)
 

@@ -13,35 +13,37 @@ are read from the accepted iterate and its equilibrium:
   optimum searches 101 x 101 points of the clamped price box; the one-sided
   one is the same search on 2001 points of p and the one point q = 0, a
   box with no room in q, which holds q there;
-* welfare: q = cost - p on the zero-profit segment; ``welfare_scan`` at
-  2001 points of p, then Newton on the derivative along the segment,
+* welfare: q = cost - p on the zero-profit segment; ``grid_argmax`` on 2001
+  points of p, then Newton on the derivative along the segment,
   dW/dp - dW/dq.  The one-sided welfare benchmark has no freedom left: it
   is (cost, 0).
 
 Both objectives are a price-dependent weight times the throughput, so one
-routine is the global stage of every optimizer and of the ``--verify`` grid
-oracle (``oracle.grid_optimize``).  ``grid_argmax`` returns, for each stage
-of each model's search, the first maximum of (a_i + b_j - c) * lam(m_i n_j)
-on a grid in row-major order, value included, exactly as solving every point
-would, by branch and bound (the exhaustive argmaxes in
-``tests/test_oracle.py`` are its references).  A profit grid passes a = p,
-b = q, c = cost and m(p), n(q); a welfare scan is one column,
-a = s_m + s_n, b = c = 0, m = m(p) n(cost - p), n = 1.  lam depends on the
-prices only through the demand product T and rises with it (at fixed lam,
-h(lam) = lam - T rho(Phi(lam, mu)) falls as T rises), so one table bounds
-all stages of a search: lam at N + 1 evenly spaced T_k on [0, its largest
-max m * max n], N the smallest power of two at least 2 ceil(sqrt(P)) for its
-P grid points (256 for a 101^2 grid or a sweep row, 4096 for 2001^2, 128 for
-a lone 2001-point scan; a falling table raises ``NumericalError``).  A
-point's value is at most max(a_i + b_j - c, 0) * lam(T_k) (1 +
-``BOUND_SLACK``), T_k the first node at or above m_i n_j.  One ``solve_many``
-call solves every search's table and every ``_INCUMBENT_STRIDE``-th point of
-each axis, whose best value is its stage's incumbent; one more solves the
-points whose bound reaches it (about 4% of a 101^2 grid, 0.4% of a 2001^2
-one and 6-8% of a sweep row on the builtin baselines, table included), or a
-search's every point when that is no more.  ``_starts`` passes all the
-searched optima of ``growth_rates``, of a sensitivity or of every row of a
-sweep in one call; each point takes its own model's capacity and sensitivity.
+search, ``_starts``, is the global stage of every optimizer and of the
+``--verify`` grid oracle (``oracle.grid_optimize``).  It scans each kind at
+its caller's points (the optimizers' ``_POINTS``, the oracle's finer ones) and
+passes all the searched optima of ``growth_rates``, of a sensitivity, of a
+re-optimization stencil or of every row of a sweep to one ``grid_argmax``
+call, each point under its own model's capacity and sensitivity.
+``grid_argmax`` returns, for each stage of each model's search, the first
+maximum of (a_i + b_j - c) lam(m_i n_j) on a grid in row-major order, value
+included, exactly as solving every point would, by branch and bound (the
+exhaustive argmaxes in ``tests/test_oracle.py`` are its references).  A
+profit grid passes a = p, b = q, c = cost and m(p), n(q); a welfare scan is
+one column, a = s_m + s_n, b = c = 0, m = m(p) n(cost - p), n = 1.  lam
+depends on the prices only through the demand product T and rises with it
+(at fixed lam, h(lam) = lam - T rho(Phi(lam, mu)) falls as T rises), so one
+table bounds all stages of a search, however few its points: lam at N + 1
+evenly spaced T_k on [0, its largest max m * max n], N the smallest power of
+two at least 2 ceil(sqrt(P)) for its P grid points (256 for a 101^2 grid or a
+sweep row, 4096 for 2001^2, 128 for a lone 2001-point scan; a falling table
+raises ``NumericalError``).  A point's value is at most
+max(a_i + b_j - c, 0) lam(T_k) (1 + ``BOUND_SLACK``), T_k the first node at
+or above m_i n_j.  One ``solve_many`` call solves every search's table and
+every ``_INCUMBENT_STRIDE``-th point of each axis, whose best value is its
+stage's incumbent; one more solves the points whose bound reaches it (about
+4% of a 101^2 grid, 0.4% of a 2001^2 one and 6-8% of a sweep row on the
+builtin baselines, table included).
 
 Newton is projected onto the price box: a coordinate at an edge whose
 gradient points out of the box is held exactly there, so corner optima
@@ -92,8 +94,7 @@ STEP_TOL = 1e-13            # price move below which prices are resolved
 ROUNDOFF = 4.0 * np.finfo(float).eps
 BOUNDARY_EPS = 1e-6
 _CLAMP = 1.0 - 1e-9
-_COARSE_POINTS = 101
-_SCAN_POINTS = 2001
+_POINTS = {"profit_two_sided": 101, "profit_one_sided": 2001, "welfare_two_sided": 2001}
 BOUND_SLACK = 1e-8                  # relative slack of the profit bound: 10x NEWTON_REL_TOL
 _INCUMBENT_STRIDE = 20              # every this many grid points per axis is an incumbent point
 _CHUNK = 65_536                     # grid points bounded per pass step
@@ -238,7 +239,7 @@ def profit_box(model: MarketModel) -> tuple[float, float]:
     return model.user_demand.support * _CLAMP, model.cp_demand.support * _CLAMP
 
 
-def _every(rows: int, cols: int, stride: int = 1) -> list[np.ndarray]:
+def _every(rows: int, cols: int, stride: int) -> list[np.ndarray]:
     """Indices [i, j], row-major, of every ``stride``-th row and column of a rows x cols grid."""
     kept_cols = -(-cols // stride)
     return [stride * k for k in np.divmod(np.arange(-(-rows // stride) * kept_cols), kept_cols)]
@@ -303,22 +304,17 @@ def grid_argmax(searches) -> list[list[tuple[int, int, float, int]]]:
     for _, group in searches:
         total = sum(a.size * b.size for a, b, *_ in group)
         steps = 1 << (2 * math.isqrt(total - 1) + 1).bit_length()     # table intervals
-        every = [_every(a.size, b.size, _INCUMBENT_STRIDE) for a, b, *_ in group]
-        whole = total <= steps + 1 + sum(i.size for i, _ in every)     # solve every point
-        top = 0.0 if whole else max(float(np.max(m) * np.max(n)) for *_, m, n in group)
-        heads.append(np.linspace(0.0, top, 0 if whole else steps + 1))
+        top = max(float(np.max(m) * np.max(n)) for *_, m, n in group)
+        heads.append(np.linspace(0.0, top, steps + 1))
         scales.append(steps / top if top > 0.0 else 0.0)
-        incumbents += [(np.empty(0, dtype=np.intp),) * 2 if whole else i for i in every]
-        counts += [0 if whole else i.size + (steps + 1) * (g == 0)
-                   for g, (i, _) in enumerate(every)]
-    lams, incumbent_values = heads, incumbents      # replaced if any search has a table
-    if any(head.size for head in heads):
-        lams, incumbent_values = values(incumbents, heads)
-        if any(np.any(np.diff(lam) < 0.0) for lam in lams):
-            raise NumericalError("equilibrium throughput is not monotone in the demand "
-                                 "product; the congestion equilibrium may not be unique")
+        every = [_every(a.size, b.size, _INCUMBENT_STRIDE) for a, b, *_ in group]
+        incumbents += every
+        counts += [i.size + (steps + 1) * (g == 0) for g, (i, _) in enumerate(every)]
+    lams, incumbent_values = values(incumbents, heads)
+    if any(np.any(np.diff(lam) < 0.0) for lam in lams):
+        raise NumericalError("equilibrium throughput is not monotone in the demand "
+                             "product; the congestion equilibrium may not be unique")
     points = [_kept_points(*stage, float(np.max(v)), lams[k] * (1.0 + BOUND_SLACK), scales[k])
-              if heads[k].size else _every(stage[0].size, stage[1].size)
               for stage, v, k in zip(stages, incumbent_values, owners)]
     found = [[] for _ in searches]
     for (i, j), v, count, k in zip(points, values(points, [])[1], counts, owners):
@@ -336,12 +332,12 @@ def profit_objective(model: MarketModel):
     return objective
 
 
-def _optimum(model: MarketModel, kind: str, axes, start, solved: int) -> OptimumReport:
-    """Projected Newton on the ``kind``'s objective from ``start``, the best
-    point of a scan on ``axes`` that solved ``solved`` equilibria, and the
-    report of where it ends.  The box runs from each axis's first point to its
-    last (a one-point axis holds its price); a fallback step is the widest
-    cell among the other axes."""
+def _optimum(model: MarketModel, kind: str, start) -> OptimumReport:
+    """Projected Newton on the ``kind``'s objective from a ``_starts`` entry,
+    and the report of where it ends.  The box runs from each axis's first
+    point to its last (a one-point axis holds its price); a fallback step is
+    the widest cell among the other axes."""
+    axes, point, _, solved = start
     welfare = kind == "welfare_two_sided"
     objective = (welfare_objective if welfare else profit_objective)(model)
     diagnostics = _welfare_diagnostics if welfare else _profit_diagnostics
@@ -352,7 +348,7 @@ def _optimum(model: MarketModel, kind: str, axes, start, solved: int) -> Optimum
     lo, hi = np.array([v[0] for v in axes]), np.array([v[-1] for v in axes])
     width = max((v[-1] - v[0]) / (v.size - 1) for v in axes if v.size > 1)
     x, value, report, steps, termination = _projected_newton(
-        objective, hessian, start, lo, hi, width)
+        objective, hessian, point, lo, hi, width)
     eq = report.equilibrium
     held = tuple(bool(v in (l, h)) for v, l, h in zip(x, lo, hi))
     return OptimumReport(
@@ -370,22 +366,23 @@ def _optimum(model: MarketModel, kind: str, axes, start, solved: int) -> Optimum
     )
 
 
-def _starts(models, kinds) -> list[list[tuple]]:
-    """For each model, the arguments of ``_optimum`` after each of ``kinds``
-    (a scan's axes, its best point and its solve count), from one
-    ``grid_argmax`` call on every model's scans."""
-    scans = [[_scan(model, kind, _COARSE_POINTS if kind == "profit_two_sided" else _SCAN_POINTS)
-              for kind in kinds] for model in models]
+def _starts(models, kinds, points=_POINTS) -> list[list[tuple]]:
+    """For each model and each of ``kinds``, the axes of its ``_scan`` at
+    ``points[kind]``, the best point, its value and the equilibria solved,
+    from one ``grid_argmax`` call on every model's scans."""
+    scans = [[_scan(model, kind, points[kind]) for kind in kinds] for model in models]
     found = grid_argmax([(model, [stage for _, stage in group])
                          for model, group in zip(models, scans)])
-    return [[(axes, tuple(v[k] for v, k in zip(axes, (i, j))), solved)
-             for (axes, _), (i, j, _, solved) in zip(group, best)]
+    return [[(axes, tuple(v[k] for v, k in zip(axes, (i, j))), value, solved)
+             for (axes, _), (i, j, value, solved) in zip(group, best)]
             for group, best in zip(scans, found)]
 
 
-def _optima(model: MarketModel, kinds) -> list[OptimumReport]:
-    """The searched optima of ``kinds``: ``_optimum`` from each of the model's ``_starts``."""
-    return [_optimum(model, kind, *start) for kind, start in zip(kinds, _starts([model], kinds)[0])]
+def _optima(models, kinds) -> list[list[OptimumReport]]:
+    """For each model, the searched optima of ``kinds``: ``_optimum`` from
+    each of its ``_starts``, all searched in one call."""
+    return [[_optimum(model, kind, start) for kind, start in zip(kinds, starts)]
+            for model, starts in zip(models, _starts(models, kinds))]
 
 
 def _scan(model: MarketModel, kind: str, points: int):
@@ -413,7 +410,7 @@ def _scan(model: MarketModel, kind: str, points: int):
 
 def optimize_profit(model: MarketModel) -> OptimumReport:
     """Two-sided profit maximizer over the clamped price box."""
-    return _optima(model, ("profit_two_sided",))[0]
+    return _optima([model], ("profit_two_sided",))[0][0]
 
 
 def welfare_segment(model: MarketModel) -> tuple[float, float]:
@@ -426,15 +423,6 @@ def welfare_segment(model: MarketModel) -> tuple[float, float]:
     if not lo < hi:
         raise DomainError("empty zero-profit segment")
     return lo, hi
-
-
-def welfare_scan(model: MarketModel, points: int) -> tuple[np.ndarray, int, float, int]:
-    """``points`` evenly spaced user prices on ``welfare_segment``, and the
-    index, value and solve count of the first maximum of the welfare
-    (s_m + s_n) * lam on them, 0 where a demand is 0 (``_scan``)."""
-    (p_axis,), stage = _scan(model, "welfare_two_sided", points)
-    [[(k, _, value, solved)]] = grid_argmax([(model, [stage])])
-    return p_axis, k, value, solved
 
 
 def _welfare_diagnostics(model: MarketModel, eq: Equilibrium,
@@ -470,9 +458,9 @@ def welfare_objective(model: MarketModel):
 
 
 def optimize_welfare(model: MarketModel) -> OptimumReport:
-    """Welfare maximizer on the zero-profit segment p + q = cost: the
-    ``welfare_scan`` search, then ``_optimum`` along the segment from its best point."""
-    return _optima(model, ("welfare_two_sided",))[0]
+    """Welfare maximizer on the zero-profit segment p + q = cost: a scan of
+    user prices on it, then ``_optimum`` along the segment from its best point."""
+    return _optima([model], ("welfare_two_sided",))[0][0]
 
 
 def optimize_one_sided(model: MarketModel, kind: str) -> OptimumReport:
@@ -482,7 +470,7 @@ def optimize_one_sided(model: MarketModel, kind: str) -> OptimumReport:
     pinned by the zero-profit constraint at (cost, 0).
     """
     if kind == "profit":
-        return _optima(model, ("profit_one_sided",))[0]
+        return _optima([model], ("profit_one_sided",))[0][0]
     if kind == "welfare":
         p = model.cost
         report = evaluate_objectives(model, p, 0.0)
@@ -531,7 +519,7 @@ def growth_rates(model: MarketModel) -> GrowthRates:
 def _growth_rates(model: MarketModel, starts) -> GrowthRates:
     """``growth_rates`` from the model's ``_starts`` of ``_GROWTH_KINDS``."""
     profit_two, profit_one, welfare_two = (
-        _optimum(model, kind, *start) for kind, start in zip(_GROWTH_KINDS, starts))
+        _optimum(model, kind, start) for kind, start in zip(_GROWTH_KINDS, starts))
     welfare_one = optimize_one_sided(model, "welfare")
     if profit_one.objective <= 0.0:
         raise DegenerateBaselineError(

@@ -10,17 +10,16 @@
   prices, the reference for the implicit-function price sensitivities
   (``reoptimization_gap`` compares a sensitivity report with it).
 
-``grid_optimize`` runs the optimizers' own global-stage routine,
-``optimize.grid_argmax``, on fixed grids finer than theirs: ``GRID_POINTS``
-= 2001 points per profit axis, against the optimizers' 101 x 101 profit
-grid, and ``SEGMENT_POINTS`` = 4001 points on the welfare segment, every
-point of the optimizer's 2001-point start scan plus each midpoint, so the
-check does not rest on the grid Newton started from, and a segment end at
-which an optimum is held stays on the grid.  The oracle checks that Newton
-refinement ends within a cell of the best grid point, not how that point was
-found.  The independent references for the routine are the exhaustive
-argmaxes in the test tree (``tests/test_oracle.py``), which solve every grid
-point.
+``grid_optimize`` runs the optimizers' own search, ``optimize._starts``, on
+fixed scans finer than theirs: ``GRID_POINTS`` = 2001 points per profit
+axis, against the optimizers' 101 x 101 profit grid, and ``SEGMENT_POINTS``
+= 4001 points on the welfare segment, every point of the optimizer's
+2001-point start scan plus each midpoint, so the check does not rest on the
+grid Newton started from, and a segment end at which an optimum is held
+stays on the grid.  The oracle checks that Newton refinement ends within a
+cell of the best grid point, not how that point was found.  The independent
+references for the search are the exhaustive argmaxes in the test tree
+(``tests/test_oracle.py``), which solve every grid point.
 
 These ship in the library, not the test tree, so the CLI can re-verify any
 result against them (``--verify``).
@@ -34,7 +33,7 @@ import numpy as np
 
 from .curves import MarketModel, parameter_value, with_parameter
 from .errors import ConvergenceError, DomainError, NumericalError
-from .optimize import _scan, grid_argmax, optimize_profit, optimize_welfare, welfare_scan
+from .optimize import _optima, _starts
 from .sensitivity import SensitivityReport
 
 FIXED_POINT_THETA = 0.5
@@ -43,6 +42,7 @@ FIXED_POINT_REL_TOL = 1e-12
 REOPTIMIZATION_AGREEMENT = 1e-4     # relative to the largest |price derivative|
 GRID_POINTS = 2001                  # per profit axis
 SEGMENT_POINTS = 2 * GRID_POINTS - 1    # welfare segment: a 2001-point scan and its midpoints
+_POINTS = {"profit_two_sided": GRID_POINTS, "welfare_two_sided": SEGMENT_POINTS}
 
 
 @dataclass(frozen=True)
@@ -62,22 +62,19 @@ def grid_optimize(model: MarketModel, objective: str = "profit") -> GridOptimum:
 
     The first (lexicographically smallest) maximizer wins.  The profit grid
     is ``GRID_POINTS`` per axis over the clamped price box; the welfare grid
-    is ``optimize.welfare_scan`` at ``SEGMENT_POINTS`` on the zero-profit
-    segment p + q = cost, so that the optimizer's own start scan is not the
-    grid that checks it.
+    is ``SEGMENT_POINTS`` user prices on the zero-profit segment
+    p + q = cost, so that the optimizer's own start scan is not the grid
+    that checks it.
     """
-    if objective == "profit":
-        (p_axis, q_axis), stage = _scan(model, "profit_two_sided", GRID_POINTS)
-        [[(i, j, value, solved)]] = grid_argmax([(model, [stage])])
-        p, q, cells = p_axis[i], q_axis[j], (p_axis[1] - p_axis[0], q_axis[1] - q_axis[0])
-    elif objective == "welfare":
-        p_axis, i, value, solved = welfare_scan(model, SEGMENT_POINTS)
-        # the cells stay the spacing of p; cost - p rounds differently
-        p, q, cells = p_axis[i], model.cost - p_axis[i], (p_axis[1] - p_axis[0],) * 2
-    else:
+    kind = f"{objective}_two_sided"
+    if kind not in _POINTS:
         raise DomainError(f"unknown objective {objective!r}")
+    [[(axes, point, value, solved)]] = _starts([model], [kind], _POINTS)
+    # welfare scans p alone; its cells are p's spacing (cost - p rounds differently)
+    p, q = point if objective == "profit" else (point[0], model.cost - point[0])
+    cells = [v[1] - v[0] for v in axes]
     return GridOptimum(price_user=float(p), price_cp=float(q), value=value,
-                       cell_user=float(cells[0]), cell_cp=float(cells[1]),
+                       cell_user=float(cells[0]), cell_cp=float(cells[-1]),
                        solved_points=solved)
 
 
@@ -121,14 +118,13 @@ def reoptimized_price_derivatives(model: MarketModel, parameter: str,
                                   step: float) -> tuple[float, float, float, float]:
     """(dp*/dx, dq*/dx, dp_o/dx, dq_o/dx) by re-optimizing at x -/+ ``step``.
 
-    Four optima, central-differenced; the profit optima must be interior on
-    both sides of the stencil.
+    Four optima, searched in one call and central-differenced; the profit
+    optima must be interior on both sides of the stencil.
     """
     base = parameter_value(model, parameter)
-    lo_model = with_parameter(model, parameter, base - step)
-    hi_model = with_parameter(model, parameter, base + step)
-    profit_lo, profit_hi = optimize_profit(lo_model), optimize_profit(hi_model)
-    welfare_lo, welfare_hi = optimize_welfare(lo_model), optimize_welfare(hi_model)
+    [profit_lo, welfare_lo], [profit_hi, welfare_hi] = _optima(
+        [with_parameter(model, parameter, base + d) for d in (-step, step)],
+        ("profit_two_sided", "welfare_two_sided"))
     if profit_lo.boundary or profit_hi.boundary:
         raise NumericalError("profit optimum is not interior across the stencil")
 

@@ -17,7 +17,7 @@ conditions instead of re-optimizing.
   and the supports), so both derivatives are 0.
 
 A call solves the two optima, whose global stages share one
-``optimize.grid_argmax`` call, and the four equilibria of the dg/dx
+``optimize._starts`` search, and the four equilibria of the dg/dx
 stencils, nothing more: the Hessians, the hazard slopes and the trace
 slopes below are closed forms at the optima's equilibria.
 
@@ -272,7 +272,7 @@ def optimal_price_sensitivity(model: MarketModel, parameter: str,
     stencil = (with_parameter(model, parameter, base - step),
                with_parameter(model, parameter, base + step))
 
-    profit_base, welfare_base = _optima(model, ("profit_two_sided", "welfare_two_sided"))
+    [[profit_base, welfare_base]] = _optima([model], ("profit_two_sided", "welfare_two_sided"))
     if profit_base.boundary:
         raise NumericalError("profit optimum is not interior")
     dp_star, dq_star = _implicit_derivatives(

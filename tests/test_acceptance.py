@@ -251,9 +251,12 @@ def test_criterion_05_profit_optimum_structure():
                 worst_hazard_gap = max(worst_hazard_gap, hazard_gap)
                 worst_kkt = max(worst_kkt, d.kkt_residual)
                 worst_lerner = max(worst_lerner, d.lerner_residual)
-                assert hazard_gap <= 1e-5
-                assert d.kkt_residual <= 1e-5
-                assert d.lerner_residual <= 1e-5
+                # 100x the worst residuals on the builtin models (gain x law x
+                # beta in {0.2, 1, 2}, M/M/1 at capacity 1 and 2.5) and the
+                # video-like model: 1.25e-10, 3.69e-10 and 1.47e-10
+                assert hazard_gap <= 1.3e-8
+                assert d.kkt_residual <= 3.7e-8
+                assert d.lerner_residual <= 1.5e-8
     worst_shortfall = 0.0
     for gain in GAINS.values():
         for congestion in CONGESTIONS.values():
@@ -307,7 +310,8 @@ def test_criterion_07_welfare_optimum_structure():
                 report = optimize_welfare(model)
                 assert not report.boundary
                 worst = max(worst, report.diagnostics.ramsey_residual)
-                assert report.diagnostics.ramsey_residual <= 1e-5
+                # 100x the worst residual on the models of criterion 05: 5.31e-13
+                assert report.diagnostics.ramsey_residual <= 5.4e-11
                 assert abs(report.prices.total - model.cost) <= 4e-16
     free = optimize_welfare(baseline_model(beta=2.0, capacity=1e6))
     d = free.diagnostics
@@ -330,12 +334,14 @@ def test_criterion_08_sensitivity_corollaries():
         assert cap.profit_context.elasticity_slope < 0.0
         profit_check, welfare_check = cap.predictions
         assert profit_check.conclusive and profit_check.signs_satisfied
-        assert profit_check.ratio_residual <= 1e-2
+        # 100x the worst residual on the models of criterion 05, at this
+        # step and at half of it: 6.69e-10
+        assert profit_check.ratio_residual <= 6.7e-8
         assert welfare_check.conclusive and welfare_check.signs_satisfied
         assert cap.profit_price_derivs[0] < 0 and cap.profit_price_derivs[1] < 0
 
         sens = optimal_price_sensitivity(model, "sensitivity")
-        assert sens.predictions[0].ratio_residual <= 1e-2
+        assert sens.predictions[0].ratio_residual <= 6.7e-8
         assert abs(sens.welfare_price_derivs[0] + sens.welfare_price_derivs[1]) <= 1e-6
 
         # halving the step flips no sign

@@ -580,6 +580,45 @@ def test_custom_callable_is_probed_once():
     assert array_shapes == [(2,)]
 
 
+_GAIN_METHODS = ("value", "slope", "curvature", "elasticity")
+_LAW_METHODS = ("congestion", "congestion_slope", "congestion_curvature",
+                "congestion_capacity_slope", "congestion_cross_slope")
+
+
+@pytest.mark.parametrize("curve, methods", [
+    *((gain, _GAIN_METHODS) for gain in _GAINS[2:]),
+    *((law, _LAW_METHODS) for law in _LAWS[2:]),
+    # broadcasts in the throughput alone, so it is mapped
+    (CustomCongestion(lambda lam, mu: lam / math.sqrt(mu)), _LAW_METHODS),
+])
+def test_custom_curves_take_an_argument_per_point(curve, methods):
+    # a sensitivity or capacity per point, as a search over several models
+    # passes them: a scalar-only callable is mapped over every array argument
+    # together with the first, and each point equals its float call bit for bit
+    xs, per_point = np.array([0.0, 0.1, 0.4, 0.9]), np.array([0.7, 1.3, 2.0, 0.4])
+    for method in methods:
+        got = getattr(curve, method)(xs, per_point)
+        want = [getattr(curve, method)(float(x), float(a)) for x, a in zip(xs, per_point)]
+        assert [v.hex() for v in got] == [v.hex() for v in want], method
+
+
+def test_an_undefined_custom_law_names_its_first_bad_entry():
+    # a law that rejects throughputs at or above capacity, solved at a
+    # capacity the search's demand products exceed
+    def saturating(lam, mu):
+        if np.any(np.asarray(lam) >= mu):
+            raise ValueError("saturated")
+        return 1.0 / (mu - lam)
+    law = CustomCongestion(saturating)
+    with pytest.raises(DomainError) as error:
+        law.congestion(np.linspace(0.0, 1.0, 1001), 0.5)
+    assert str(error.value) == ("congestion law undefined at throughput 0.5: saturated "
+                                "(at 501 of 1001 entries, the first at index 500)")
+    with pytest.raises(DomainError) as error:
+        growth_rates(baseline_model(congestion=law, capacity=0.5))
+    assert len(str(error.value)) < 200 and "the first at index" in str(error.value)
+
+
 def test_custom_curves_pickle_by_their_callables():
     xs = np.array([0.1, 0.4])
     for curve, method, args in ((CustomGain(_scalar_only_gain), "slope", (1.3,)),

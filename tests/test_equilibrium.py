@@ -163,11 +163,14 @@ def test_solve_many_matches_scalar():
             assert abs(lam - l) <= 1e-13 * max(1.0, l)
 
 
-@pytest.mark.parametrize("gain", [ReciprocalGain(), ExponentialGain()])
-@pytest.mark.parametrize("congestion", [CapacitySharing(), MM1Queue()])
+@pytest.mark.parametrize("gain", [ReciprocalGain(), ExponentialGain(),
+                                  CustomGain(lambda phi, s: math.exp(-math.log1p(s) * phi))])
+@pytest.mark.parametrize("congestion", [CapacitySharing(), MM1Queue(),
+                                        CustomCongestion(lambda lam, mu: float(lam) / mu)])
 def test_solve_many_takes_one_capacity_and_sensitivity_per_point(gain, congestion):
     # several models' demand products in one call, each point with its
-    # model's capacity and sensitivity, solve bit for bit as each model alone
+    # model's capacity and sensitivity, solve bit for bit as each model alone;
+    # a scalar-only custom callable is mapped over the points
     rng = np.random.default_rng(31)
     models = [(float(rng.uniform(0.5, 5.0)), float(rng.uniform(0.3, 4.0))) for _ in range(5)]
     models.append(models[0])                # a repeated model: a run split in two

@@ -6,10 +6,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import netpricing.experiments as experiments_mod
 import netpricing.optimize as optimize_mod
 from netpricing import (PricePair, ScenarioConfig, SweepResult, SweepRow, baseline_model,
                         emit_csv, optimize_profit, optimize_welfare, parse_config, run_sweep,
                         verify_optima, verify_sweep)
+from netpricing.curves import with_parameter
 from netpricing.equilibrium import solve_many
 from netpricing.errors import ConfigError, ConvergenceError, VerificationError
 from netpricing.experiments import (ALL_COLUMNS, PRICE_COLUMNS, format_value, parse_csv,
@@ -152,6 +154,27 @@ def test_a_sweep_makes_two_solve_many_calls(monkeypatch):
     cfg = parse_config(GOLDEN_SWEEPS["sweep_capacity_exponential_mm1.csv"])
     assert all(row.error is None for row in run_sweep(cfg).rows)
     assert len(sizes) == 2
+
+
+def test_a_sweep_builds_each_row_model_once(monkeypatch):
+    # the golden sweep whose first rows fail to build: every row's model is
+    # built once, failed or not, and only the rows that build are searched
+    built, searched = [], []
+
+    def counted_build(model, parameter, value):
+        built.append(value)
+        return with_parameter(model, parameter, value)
+
+    def counted_search(models, kinds, *args):
+        searched.append(len(models))
+        return starts(models, kinds, *args)
+    starts = optimize_mod._starts
+    monkeypatch.setattr(experiments_mod, "with_parameter", counted_build)
+    monkeypatch.setattr(experiments_mod, "_starts", counted_search)
+    cfg = parse_config(GOLDEN_SWEEPS["sweep_sensitivity_mixed_mm1.csv"])
+    rows = run_sweep(cfg).rows
+    assert built == sweep_values(cfg)
+    assert searched == [sum(row.error is None for row in rows)]
 
 
 def test_a_row_whose_search_fails_carries_its_error_alone(monkeypatch):

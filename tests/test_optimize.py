@@ -235,9 +235,10 @@ def test_welfare_congestion_free_proportionality():
 def test_welfare_beats_dense_segment_scan():
     model = baseline_model(beta=2.0, capacity=0.8)
     report = optimize_welfare(model)
-    p_axis, k, value, _ = optimize.welfare_scan(model, 10001)
+    [[((p_axis,), (p,), value, _)]] = optimize._starts([model], ["welfare_two_sided"],
+                                                       {"welfare_two_sided": 10001})
     assert report.objective >= value - 1e-8
-    assert abs(report.prices.user - p_axis[k]) <= p_axis[1] - p_axis[0]
+    assert abs(report.prices.user - p) <= p_axis[1] - p_axis[0]
 
 
 def test_welfare_root_in_a_sliver_next_to_the_segment_end():
@@ -275,7 +276,8 @@ def test_welfare_scan_takes_surpluses_only_where_both_demands_are_positive(monke
     argmax = optimize.grid_argmax
     monkeypatch.setattr(optimize, "grid_argmax", grid_argmax)
     calls.clear()
-    p_axis = optimize.welfare_scan(model, 201)[0]
+    [[((p_axis,), *_)]] = optimize._starts([model], ["welfare_two_sided"],
+                                          {"welfare_two_sided": 201})
     scan_calls = len(calls)
     # the scan's calls: the demand levels, then the surpluses at positive demand
     calls.clear()

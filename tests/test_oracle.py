@@ -16,9 +16,11 @@ from netpricing import (CapacitySharing, CpPowerDemand, CustomCongestion,
                         baseline_model, finite_difference, fixed_point_equilibrium,
                         grid_optimize, growth_rates, optimal_price_sensitivity,
                         optimize_profit, optimize_welfare, solve_equilibrium)
+from netpricing.curves import parameter_value, with_parameter
 from netpricing.equilibrium import solve_many
 from netpricing.errors import DomainError, NumericalError
 from netpricing.experiments import verify_optima
+from netpricing.oracle import reoptimized_price_derivatives
 
 BUILTIN_LAWS = {"sharing": CapacitySharing(), "mm1": MM1Queue()}
 _ROWS_PER_BLOCK = 128
@@ -232,21 +234,34 @@ def test_grid_without_demand_prunes_nothing():
     assert solved == 1024 + 1 + 21 * 13 + 401 * 257
 
 
-@pytest.mark.parametrize("grid, solved", [
-    ((axis(3), axis(3)), 3 * 3),            # < 8 + 1 + 1 * 1: 8 table intervals
-    ((axis(6), axis(3)), 6 * 3),            # = 16 + 1 + 1 * 1 incumbent point
-    ((axis(18, 0.6, 0.95), axis(1, 0.3, 0.3)), 18 * 1),    # a line, = 16 + 1 + 1 * 1
+def profit_bound(model, stage, steps):
+    """The bound of every point of a profit stage's grid under a table of
+    ``steps`` intervals, slack included, worked out point by point."""
+    a, b, c, m_vals, n_vals = stage
+    top = float(np.max(m_vals) * np.max(n_vals))
+    table = solve_many(model.gain, model.congestion, np.linspace(0.0, top, steps + 1),
+                       model.capacity, model.sensitivity) * (1.0 + optimize_mod.BOUND_SLACK)
+    return table, np.maximum(a[:, None] + b[None, :] - c, 0.0) * table.take(
+        np.ceil(np.outer(m_vals, n_vals) * (steps / top)).astype(np.intp), mode="clip")
+
+
+@pytest.mark.parametrize("grid, steps", [
+    ((axis(3), axis(3)), 8),                # 2 * ceil(sqrt(9)) = 6 -> 8 table intervals
+    ((axis(6), axis(3)), 16),               # 2 * ceil(sqrt(18)) = 10 -> 16
+    ((axis(18, 0.6, 0.95), axis(1, 0.3, 0.3)), 16),        # a line
+    ((axis(19, 0.6, 0.95), axis(1, 0.3, 0.3)), 16),
 ])
-def test_grid_no_larger_than_the_bound_is_solved_whole(grid, solved):
-    # the bound would solve the table (the first power of two at least
-    # 2 * ceil(sqrt(points)) intervals) and the incumbent points anyway
-    assert assert_exact(baseline_model(beta=2.0), *grid)[1] == solved
-
-
-def test_grid_one_point_past_the_size_rule_is_bounded():
-    _, solved = assert_exact(baseline_model(beta=2.0), axis(19, 0.6, 0.95), axis(1, 0.3, 0.3))
-    bound_solves = 16 + 1 + 1 * 1
-    assert bound_solves < solved < bound_solves + 19 * 1
+def test_a_grid_smaller_than_its_table_is_bounded_too(grid, steps):
+    # however few its points, a search solves its table, every 20th point of
+    # each axis as the incumbent, and the points whose bound reaches it
+    model = baseline_model(beta=2.0)
+    stage = profit_stage(model, *grid)
+    _, bound = profit_bound(model, stage, steps)
+    a, b, c, m_vals, n_vals = stage
+    incumbents = (a[::20], b[::20], c, m_vals[::20], n_vals[::20])
+    incumbent = exhaustive_stage_argmax(model, *incumbents)[2]
+    kept = np.count_nonzero(bound >= incumbent)
+    assert assert_exact(model, *grid)[1] == steps + 1 + a[::20].size * b[::20].size + kept
 
 
 def test_non_monotone_throughput_table_raises(monkeypatch):
@@ -316,13 +331,11 @@ def test_shared_call_argmax_is_each_stage_alone_and_exhaustive(gain, law, alpha,
 def test_kept_points_are_the_points_whose_bound_reaches_the_incumbent(monkeypatch, points,
                                                                      chunk):
     model = baseline_model(beta=2.0, capacity=0.8)
-    a, b, c, m_vals, n_vals = profit_stage(model, axis(points[0]), axis(points[1]))
-    top = float(np.max(m_vals) * np.max(n_vals))
+    stage = profit_stage(model, axis(points[0]), axis(points[1]))
+    a, b, c, m_vals, n_vals = stage
     steps = 256
-    table = solve_many(model.gain, model.congestion, np.linspace(0.0, top, steps + 1),
-                       model.capacity, model.sensitivity) * (1.0 + optimize_mod.BOUND_SLACK)
-    bound = np.maximum(a[:, None] + b[None, :] - c, 0.0) * table.take(
-        np.ceil(np.outer(m_vals, n_vals) * (steps / top)).astype(np.intp), mode="clip")
+    top = float(np.max(m_vals) * np.max(n_vals))
+    table, bound = profit_bound(model, stage, steps)
     monkeypatch.setattr(optimize_mod, "_CHUNK", chunk)
     for incumbent in np.quantile(bound, [0.5, 0.9, 0.99]):
         kept = optimize_mod._kept_points(a, b, c, m_vals, n_vals, float(incumbent), table,
@@ -334,7 +347,7 @@ def test_kept_points_are_the_points_whose_bound_reaches_the_incumbent(monkeypatc
 def test_models_in_one_call_each_get_their_call_alone():
     # one call on several models, which differ in capacity and sensitivity,
     # gives each model's argmaxes and solve counts bit for bit as a call on
-    # that model alone; a model whose stages are solved whole rides along
+    # that model alone; a model with a small grid rides along
     searches = []
     for capacity, sensitivity, points in ((0.8, 1.0, 101), (2.5, 1.0, 101), (2.5, 3.0, 101),
                                           (1.3, 0.4, 9)):
@@ -363,7 +376,7 @@ def test_grid_chunking_invariance(monkeypatch):
 
 def exhaustive_welfare_argmax(model, points):
     """Solve every one of ``points`` evenly spaced user prices on the
-    zero-profit segment and keep the first maximum (k, value) of the welfare
+    zero-profit segment and keep the first maximum (p, value) of the welfare
     (s_m + s_n) * lam, 0 where a demand is 0."""
     lo, hi = optimize_mod.welfare_segment(model)
     p_axis = np.linspace(lo, hi, points)
@@ -376,7 +389,7 @@ def exhaustive_welfare_argmax(model, points):
     values[both] = (model.user_demand.per_unit_surplus(p_axis[both])
                     + model.cp_demand.per_unit_surplus(q_axis[both])) * lam[both]
     k = int(np.argmax(values))
-    return k, float(values[k])
+    return p_axis[k], float(values[k])
 
 
 @pytest.mark.parametrize("points", [2001, 4001])     # the optimizer's scan and the oracle's
@@ -387,12 +400,19 @@ def exhaustive_welfare_argmax(model, points):
 ], ids=["reciprocal-sharing", "reciprocal-mm1", "exponential-sharing", "exponential-mm1",
         "vanishing"])
 def test_welfare_scan_is_exhaustive(model, points):
-    p_axis, k, value, solved = optimize_mod.welfare_scan(model, points)
-    want_k, want_value = exhaustive_welfare_argmax(model, points)
-    assert (k, value.hex()) == (want_k, want_value.hex())
+    # each scan through the route that runs it: the optimizers' through
+    # ``_starts``, the oracle's through ``grid_optimize``
+    if points == oracle_mod.SEGMENT_POINTS:
+        best = grid_optimize(model, "welfare")
+        p, value, solved = best.price_user, best.value, best.solved_points
+    else:
+        [[((p_axis,), (p,), value, solved)]] = optimize_mod._starts([model],
+                                                                    ["welfare_two_sided"])
+        assert p_axis.size == points
+    want_p, want_value = exhaustive_welfare_argmax(model, points)
+    assert (p, value.hex()) == (want_p, want_value.hex())
     # a table of 128 intervals (2 * ceil(sqrt(points)) <= 128), every 20th
     # point as the incumbent, and the points the bound keeps
-    assert p_axis.size == points
     assert 128 + 1 + -(-points // 20) < solved < points // 2
 
 
@@ -412,9 +432,27 @@ def test_only_grid_argmax_solves_grids(monkeypatch):
     optimal_price_sensitivity(model, "capacity")
     grid_optimize(model, "profit")
     grid_optimize(model, "welfare")
+    reoptimized_price_derivatives(model, "capacity", 1e-3)
     # two solve_many calls each: the shared table with the incumbent points,
-    # then the points the bound keeps
-    assert len(callers) == 4 * 2 and set(callers) == {("values", "grid_argmax")}
+    # then the points the bound keeps; the four re-optimized optima share theirs
+    assert len(callers) == 5 * 2 and set(callers) == {("values", "grid_argmax")}
+
+
+@pytest.mark.parametrize("parameter", ["capacity", "sensitivity"])
+def test_reoptimized_stencil_optima_are_each_model_alone(parameter):
+    # the stencil's two models differ in capacity or sensitivity and share
+    # one search, in which scalar-only custom curves take a value per point
+    gain = CustomGain(lambda phi, s: math.exp(-s * (0.5 * phi + 0.1 * phi * phi)))
+    law = CustomCongestion(lambda lam, mu: math.expm1(lam) / mu)
+    model = baseline_model(gain=gain, congestion=law, capacity=1.3)
+    base = parameter_value(model, parameter)
+    step = 1e-3 * base
+    optima = [(optimize_profit(m), optimize_welfare(m))
+              for m in (with_parameter(model, parameter, base + d) for d in (-step, step))]
+    want = [d for lo, hi in zip(*optima)
+            for d in ((hi.prices.user - lo.prices.user) / (2 * step),
+                      (hi.prices.cp - lo.prices.cp) / (2 * step))]
+    assert list(reoptimized_price_derivatives(model, parameter, step)) == want
 
 
 def test_a_row_and_a_sensitivity_each_make_two_solves_their_reports_count(monkeypatch):
@@ -426,9 +464,10 @@ def test_a_row_and_a_sensitivity_each_make_two_solves_their_reports_count(monkey
         handed.append(mn.size)
         return solve_many(gain, congestion, mn, *args)
 
-    def recorded(model, kinds):
-        reports.extend(optima(model, kinds))
-        return reports[-len(kinds):]
+    def recorded(models, kinds):
+        found = optima(models, kinds)
+        reports.extend(report for group in found for report in group)
+        return found
     optima = optimize_mod._optima
     monkeypatch.setattr(optimize_mod, "solve_many", counted)
     monkeypatch.setattr(sensitivity_mod, "_optima", recorded)
