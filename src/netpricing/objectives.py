@@ -39,8 +39,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .curves import MarketModel
 from .equilibrium import (Equilibrium, solve_equilibrium, throughput_curvature,
                           throughput_response)
@@ -144,12 +142,13 @@ def _weighted_hessian(model: MarketModel, eq: Equilibrium, weight) -> tuple[floa
     return h_pp, h_pq, h_qq
 
 
-def profit_hessian(model: MarketModel, eq: Equilibrium) -> np.ndarray:
-    """[[U_pp, U_pq], [U_pq, U_qq]] at the equilibrium's prices; zero where
-    demand vanishes, as the gradients are."""
+def profit_hessian(model: MarketModel, eq: Equilibrium):
+    """((U_pp, U_pq), (U_pq, U_qq)) at the equilibrium's prices, the form
+    ``optimize.concave_step`` takes; zero where demand vanishes, as the
+    gradients are."""
     margin = eq.price_user + eq.price_cp - model.cost
     u_pp, u_pq, u_qq = _weighted_hessian(model, eq, lambda *_: (margin, 1.0, 1.0, 0.0, 0.0))
-    return np.array([[u_pp, u_pq], [u_pq, u_qq]])
+    return (u_pp, u_pq), (u_pq, u_qq)
 
 
 def welfare_segment_curvature(model: MarketModel, eq: Equilibrium) -> float:

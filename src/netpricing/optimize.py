@@ -53,9 +53,11 @@ analytic (``objectives.profit_hessian`` and
 derivatives), taken from the equilibrium an accepted iterate already solved,
 so a step costs one objective evaluation plus any backtracking trials; a
 profit optimum takes about 4 evaluations and a welfare or one-sided optimum
-about 3.  Where the Hessian is not finite or not negative definite the step
-is one scan cell along the gradient's signs.  Every step is backtracked on
-the objective.  Prices are accepted once the free gradient is below
+about 3.  Refinement runs in Python floats: the iterate, gradient, box and
+step are floats, and the Newton step is ``concave_step``, -H^-1 g on the free
+coordinates, which the implicit-function sensitivities share.  Where the
+Hessian is not finite or not negative definite the step is one scan cell
+along the gradient's signs.  Every step is backtracked on the objective.  Prices are accepted once the free gradient is below
 ``GRAD_TOL`` or a step moves them less than ``STEP_TOL``; reaching
 ``NEWTON_MAX_STEPS`` raises ``ConvergenceError``.  When only one coordinate
 has room in the box (welfare, one-sided profit) Newton also keeps the
@@ -77,6 +79,7 @@ residual whose condition does not apply is None, never inf or nan.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,7 +94,7 @@ from .objectives import evaluate_objectives, profit_hessian, welfare_segment_cur
 NEWTON_MAX_STEPS = 50
 GRAD_TOL = 1e-10            # free gradient entries at which prices are stationary
 STEP_TOL = 1e-13            # price move below which prices are resolved
-ROUNDOFF = 4.0 * np.finfo(float).eps
+ROUNDOFF = 4.0 * sys.float_info.epsilon
 BOUNDARY_EPS = 1e-6
 _CLAMP = 1.0 - 1e-9
 _POINTS = {"profit_two_sided": 101, "profit_one_sided": 2001, "welfare_two_sided": 2001}
@@ -100,70 +103,73 @@ _INCUMBENT_STRIDE = 20              # every this many grid points per axis is an
 _CHUNK = 65_536                     # grid points bounded per pass step
 
 
-def is_negative_definite(hess: np.ndarray) -> bool:
-    """Whether a symmetric 1 x 1 or 2 x 2 matrix is finite and negative definite,
-    by Sylvester's criterion: a negative first entry and a positive determinant."""
-    entries = hess.tolist()
-    if not all(math.isfinite(v) for row in entries for v in row):
-        return False
-    if len(entries) == 1:
-        return entries[0][0] < 0.0
-    (a, b), (_, c) = entries
-    return a < 0.0 and a * c - b * b > 0.0
+def concave_step(hess, g):
+    """-H^-1 g for a finite, negative definite 1 x 1 or 2 x 2 matrix H (nested
+    sequences), as a tuple; None for any other H.  Definiteness is Sylvester's
+    criterion: a negative first entry and a positive determinant.  The 1 x 1
+    step is -g / h, which is numpy's 1 x 1 solve bit for bit; the 2 x 2 step
+    stays numpy's solve, whose bits no float elimination reproduces."""
+    if not all(math.isfinite(v) for row in hess for v in row):
+        return None
+    if len(hess) == 1:
+        return (-g[0] / hess[0][0],) if hess[0][0] < 0.0 else None
+    (a, b), (_, c) = hess
+    if a < 0.0 and a * c - b * b > 0.0:
+        return tuple(np.linalg.solve(hess, [-v for v in g]).tolist())
+    return None
 
 
-def _newton_direction(hess: np.ndarray, g: np.ndarray, width: float) -> np.ndarray:
-    """Newton ascent direction from the Hessian and gradient of the free coordinates.
-
-    Falls back to a step of one scan cell (``width``) along the gradient's
-    signs when the Hessian is not finite and negative definite; the signs
-    stay defined where a hazard, and so the gradient, diverges.
-    """
-    if is_negative_definite(hess):
-        return np.linalg.solve(hess, -g)
-    return np.sign(g) * width
+def _sign(v: float) -> float:
+    """numpy's sign: 0 at 0 and NaN at NaN, where ``math.copysign`` gives +-1."""
+    return int(v > 0.0) - int(v < 0.0) if v == v else v
 
 
 def _projected_newton(objective, hessian, x0, lo, hi, width: float):
     """Maximize over the box [lo, hi] from x0; a coordinate with lo = hi is held.
 
     ``objective(x)`` returns the value at the point x, its gradient, and the
-    report the value came from; ``hessian(report)`` returns the Hessian at a
-    report's point and is asked only at accepted iterates.  The result is
-    (x, its value, its report, Newton steps, termination), the termination
-    one of "gradient", "step", "bracket" and "no_free_coordinate".
+    report the value came from; ``hessian(report)`` returns the Hessian rows at
+    a report's point and is asked only at accepted iterates.  A fallback step
+    is ``width`` along the gradient's signs, which stay defined where a
+    hazard, and so the gradient, diverges.  The result is (x, its value, its
+    report, Newton steps, termination), the termination one of "gradient",
+    "step", "bracket" and "no_free_coordinate".
     """
-    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-    x = np.asarray(x0, dtype=float)
-    room = lo < hi
-    k = int(np.argmax(room)) if np.count_nonzero(room) == 1 else None
+    x = [float(v) for v in x0]
+    room = [k for k in range(len(x)) if lo[k] < hi[k]]
+    line = room[0] if len(room) == 1 else None
     f, g, report = objective(x)
-    a, b = -math.inf, math.inf      # on the line of coordinate k: where g[k] changed sign
+    a, b = -math.inf, math.inf      # on the line: where g[line] changed sign
     for steps in range(NEWTON_MAX_STEPS):
-        free = room & ~(((x <= lo) & (g <= 0.0)) | ((x >= hi) & (g >= 0.0)))
-        if not free.any():
+        free = [k for k in room
+                if not ((x[k] <= lo[k] and g[k] <= 0.0) or (x[k] >= hi[k] and g[k] >= 0.0))]
+        if not free:
             return x, f, report, steps, "no_free_coordinate"
-        if np.max(np.abs(g[free])) <= GRAD_TOL:
+        # not max(): Python's max keeps or drops a NaN by argument order
+        if all(abs(g[k]) <= GRAD_TOL for k in free):
             return x, f, report, steps, "gradient"
-        d = np.zeros_like(x)
-        d[free] = _newton_direction(hessian(report)[np.ix_(free, free)], g[free], width)
-        if not np.all(np.isfinite(d)):
-            raise ConvergenceError(f"no finite ascent direction at {x.tolist()}")
+        hess = hessian(report)
+        step = concave_step([[hess[i][j] for j in free] for i in free], [g[k] for k in free])
+        step = dict(zip(free, step or [_sign(g[k]) * width for k in free]))
+        d = [step.get(k, 0.0) for k in range(len(x))]
+        if not all(math.isfinite(v) for v in d):
+            raise ConvergenceError(f"no finite ascent direction at {x}")
         bisect = False
-        if k is not None:
-            # x[k] is now an end of the bracket and d[k] points into it
-            if g[k] > 0.0:
-                a = x[k]
+        if line is not None:
+            # x[line] is now an end of the bracket and d[line] points into it
+            if g[line] > 0.0:
+                a = x[line]
             else:
-                b = x[k]
+                b = x[line]
             if b - a < STEP_TOL:
                 return x, f, report, steps, "bracket"
-            if not a < x[k] + d[k] < b:
-                d[k], bisect = 0.5 * (a + b) - x[k], True
+            if not a < x[line] + d[line] < b:
+                d[line], bisect = 0.5 * (a + b) - x[line], True
         t = 1.0
         while True:
-            x_new = np.clip(x + t * d, lo, hi)
-            if np.max(np.abs(x_new - x)) <= STEP_TOL:
+            # np.clip's order: on a tie (signed zeros) the bound is kept
+            x_new = [min(h, max(l, v + t * dv)) for v, dv, l, h in zip(x, d, lo, hi)]
+            if all(abs(v - w) <= STEP_TOL for v, w in zip(x_new, x)):
                 return x, f, report, steps, "step"
             f_new, g_new, report_new = objective(x_new)
             # objective differences below round-off carry no information
@@ -173,7 +179,7 @@ def _projected_newton(objective, hessian, x0, lo, hi, width: float):
         x, f, g, report = x_new, f_new, g_new, report_new
     raise ConvergenceError(
         f"projected Newton did not converge in {NEWTON_MAX_STEPS} steps "
-        f"(last point {x.tolist()}, gradient {g.tolist()})")
+        f"(last point {x}, gradient {list(g)})")
 
 
 @dataclass(frozen=True)
@@ -328,7 +334,7 @@ def profit_objective(model: MarketModel):
     def objective(x):
         report = evaluate_objectives(model, float(x[0]), float(x[1]))
         g = report.gradients
-        return report.profit, np.array([g.profit_price_user, g.profit_price_cp]), report
+        return report.profit, (g.profit_price_user, g.profit_price_cp), report
     return objective
 
 
@@ -343,14 +349,14 @@ def _optimum(model: MarketModel, kind: str, start) -> OptimumReport:
     diagnostics = _welfare_diagnostics if welfare else _profit_diagnostics
 
     def hessian(r):
-        return (np.array([[welfare_segment_curvature(model, r.equilibrium)]]) if welfare
+        return (((welfare_segment_curvature(model, r.equilibrium),),) if welfare
                 else profit_hessian(model, r.equilibrium))
-    lo, hi = np.array([v[0] for v in axes]), np.array([v[-1] for v in axes])
+    lo, hi = [float(v[0]) for v in axes], [float(v[-1]) for v in axes]
     width = max((v[-1] - v[0]) / (v.size - 1) for v in axes if v.size > 1)
     x, value, report, steps, termination = _projected_newton(
         objective, hessian, point, lo, hi, width)
     eq = report.equilibrium
-    held = tuple(bool(v in (l, h)) for v, l, h in zip(x, lo, hi))
+    held = tuple(v in (l, h) for v, l, h in zip(x, lo, hi))
     return OptimumReport(
         kind=kind,
         prices=PricePair(eq.price_user, eq.price_cp),
@@ -452,8 +458,7 @@ def welfare_objective(model: MarketModel):
     def objective(x):
         report = evaluate_objectives(model, float(x[0]), c - float(x[0]))
         g = report.gradients
-        return (report.surplus_welfare,
-                np.array([g.welfare_price_user - g.welfare_price_cp]), report)
+        return report.surplus_welfare, (g.welfare_price_user - g.welfare_price_cp,), report
     return objective
 
 

@@ -29,8 +29,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .curves import MarketModel, parameter_value, with_parameter
 from .errors import ConvergenceError, DomainError, NumericalError
 from .optimize import _optima, _starts

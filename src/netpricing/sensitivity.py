@@ -22,7 +22,8 @@ stencils, nothing more: the Hessians, the hazard slopes and the trace
 slopes below are closed forms at the optima's equilibria.
 
 The theorem needs an interior profit optimum and a nonsingular curvature
-there: a boundary profit optimum, a Hessian that is not negative definite
+there.  Both solves are ``optimize.concave_step``, the step Newton refinement
+takes, so a boundary profit optimum, a Hessian that is not negative definite
 and an f_p >= 0 raise ``NumericalError``.  ``oracle.reoptimized_price_derivatives``
 re-optimizes at x -/+ the same step as the brute-force reference.
 
@@ -66,13 +67,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .curves import MarketModel, parameter_value, with_parameter
 from .equilibrium import Equilibrium, solve_equilibrium, throughput_response
 from .errors import DomainError, NumericalError
 from .objectives import profit_hessian, welfare_segment_curvature
-from .optimize import (OptimumReport, _optima, is_negative_definite, profit_objective,
+from .optimize import (OptimumReport, _optima, concave_step, profit_objective,
                        welfare_objective)
 
 PARAM_REL_STEP = 1e-3
@@ -248,18 +247,18 @@ def _sign_rules(parameter: str, derivs, profit_ctx: OptimumContext,
     ]
 
 
-def _implicit_derivatives(objective_of, hess: np.ndarray, stencil, step: float,
-                          x: np.ndarray, name: str) -> list[float]:
+def _implicit_derivatives(objective_of, hess, stencil, step: float, x, name: str):
     """-H^-1 dg/dx at the stationary point x, H the Hessian there.
 
     ``stencil`` holds the models with the parameter at base -/+ step; the
     gradient g of ``objective_of(model)`` is evaluated in both at the same
     prices x.
     """
-    if not is_negative_definite(hess):
-        raise NumericalError(f"{name} Hessian {hess.tolist()} is not negative definite")
     g_lo, g_hi = (objective_of(m)(x)[1] for m in stencil)
-    return np.linalg.solve(hess, -(g_hi - g_lo) / (2 * step)).tolist()
+    derivs = concave_step(hess, [(h - l) / (2 * step) for l, h in zip(g_lo, g_hi)])
+    if derivs is None:
+        raise NumericalError(f"{name} Hessian {hess} is not negative definite")
+    return derivs
 
 
 def optimal_price_sensitivity(model: MarketModel, parameter: str,
@@ -277,14 +276,14 @@ def optimal_price_sensitivity(model: MarketModel, parameter: str,
         raise NumericalError("profit optimum is not interior")
     dp_star, dq_star = _implicit_derivatives(
         profit_objective, profit_hessian(model, profit_base.equilibrium), stencil, step,
-        np.array([profit_base.prices.user, profit_base.prices.cp]), "profit")
+        (profit_base.prices.user, profit_base.prices.cp), "profit")
 
     dp_ring = dq_ring = 0.0
     if not welfare_base.held:
         dp_ring, = _implicit_derivatives(
             welfare_objective,
-            np.array([[welfare_segment_curvature(model, welfare_base.equilibrium)]]),
-            stencil, step, np.array([welfare_base.prices.user]), "welfare")
+            ((welfare_segment_curvature(model, welfare_base.equilibrium),),),
+            stencil, step, (welfare_base.prices.user,), "welfare")
         dq_ring = -dp_ring
 
     profit_ctx = _context(model, profit_base)

@@ -25,7 +25,8 @@ def differenced_hessian(objective, x: np.ndarray, free: np.ndarray,
         h = HESSIAN_STEP * max(1.0, abs(x[j]))
         up, down = x.copy(), x.copy()
         up[j], down[j] = min(x[j] + h, hi[j]), max(x[j] - h, lo[j])
-        hess[:, col] = (objective(up)[1][idx] - objective(down)[1][idx]) / (up[j] - down[j])
+        hess[:, col] = (np.asarray(objective(up)[1])[idx]
+                        - np.asarray(objective(down)[1])[idx]) / (up[j] - down[j])
     return 0.5 * (hess + hess.T)
 
 

@@ -145,7 +145,7 @@ def test_projected_newton_holds_edges_and_leaves_non_concave_regions():
 
     x, _, _, _, termination = optimize._projected_newton(
         bowl, lambda x: -2.0 * np.eye(2), [0.5, 0.5], [0.0, 0.0], [1.0, 1.0], 0.1)
-    assert x.tolist() == [1.0, 0.0]
+    assert x == [1.0, 0.0]
     assert termination == "no_free_coordinate"
 
     def wave(x):    # convex at the start, concave around the maximum at 0
@@ -180,6 +180,53 @@ def test_projected_newton_on_a_line_keeps_its_bracket_in_a_pinned_box():
         y, _, _, y_steps, y_termination = optimize._projected_newton(
             embedded, lambda y: np.diag([1.0, 1.0]), start, lo, hi, 0.1)
         assert (y[free], y[pinned], y_steps, y_termination) == (x[0], 0.5, steps, termination)
+
+
+def test_sign_steps_leave_a_coordinate_with_zero_gradient_where_it_is():
+    # the Hessian is never negative definite, so every step is one cell along
+    # the gradient's signs, and the sign of q's zero gradient is 0
+    def ridge(x):
+        return -(x[0] - 0.32) ** 2, np.array([-2.0 * (x[0] - 0.32), 0.0]), x
+
+    x, _, _, steps, termination = optimize._projected_newton(
+        ridge, lambda x: np.eye(2), [0.05, 0.6], [0.0, 0.0], [1.0, 1.0], 0.1)
+    assert x[1] == 0.6 and steps > 0 and termination in ("gradient", "step")
+    assert abs(x[0] - 0.32) <= 1e-9
+
+
+@pytest.mark.parametrize("concave", [True, False])
+@pytest.mark.parametrize("grad", [(math.nan,), (math.nan, 1e-12), (1e-12, math.nan)])
+def test_a_nan_gradient_entry_raises_and_never_ends_on_the_gradient(grad, concave):
+    # a NaN entry is not below GRAD_TOL in either position, and its Newton or
+    # sign step is NaN, never a finite one-cell step
+    def flat(x):
+        return 0.0, np.array(grad), x
+
+    n = len(grad)
+    with pytest.raises(ConvergenceError, match="no finite ascent direction"):
+        optimize._projected_newton(flat, lambda x: (-1.0 if concave else 1.0) * np.eye(n),
+                                   [0.5] * n, [0.0] * n, [1.0] * n, 0.1)
+
+
+def test_concave_step_is_numpys_solve_bit_for_bit():
+    rng = np.random.default_rng(26)
+    size = 20_000
+    hs = -np.exp(rng.uniform(-20.0, 20.0, size))
+    gs = rng.choice([-1.0, 1.0], size) * np.exp(rng.uniform(-20.0, 20.0, size))
+    for h, g in [*zip(hs.tolist(), gs.tolist()), (-1.0, 0.0), (-3.0, -0.0)]:
+        (step,) = optimize.concave_step(((h,),), (g,))
+        assert step.hex() == float(np.linalg.solve([[h]], [-g])[0]).hex()
+    for _ in range(2_000):
+        m = rng.normal(size=(2, 2))
+        hess, g = -(m @ m.T + 0.1 * np.eye(2)), rng.normal(size=2)
+        step = optimize.concave_step(hess.tolist(), g.tolist())
+        assert [v.hex() for v in step] == [v.hex() for v in np.linalg.solve(hess, -g).tolist()]
+    # not finite, not negative, indefinite, singular
+    for hess in (((math.inf,),), ((math.nan,),), ((1.0,),), ((0.0,),), ((-0.0,),),
+                 ((-1.0, math.inf), (math.inf, -1.0)), ((-1.0, 0.0), (0.0, math.nan)),
+                 ((1.0, 0.0), (0.0, -1.0)), ((-1.0, 2.0), (2.0, -1.0)),
+                 ((-1.0, 1.0), (1.0, -1.0)), ((2.0, 0.0), (0.0, 2.0))):
+        assert optimize.concave_step(hess, [1.0] * len(hess)) is None
 
 
 def test_newton_iteration_cap_raises(monkeypatch):

@@ -246,11 +246,11 @@ def test_boundary_profit_optimum_raises():
 
 def test_curvature_that_is_not_negative_raises(monkeypatch):
     model = baseline_model(beta=2.0)
-    monkeypatch.setattr(sensitivity_mod, "is_negative_definite", lambda hess: False)
+    monkeypatch.setattr(sensitivity_mod, "concave_step", lambda hess, g: None)
     with pytest.raises(NumericalError, match="profit Hessian"):
         optimal_price_sensitivity(model, "capacity")
-    monkeypatch.setattr(sensitivity_mod, "is_negative_definite",
-                        lambda hess: hess.shape != (1, 1))
+    monkeypatch.setattr(sensitivity_mod, "concave_step", lambda hess, g: (
+        None if len(hess) == 1 else optimize_mod.concave_step(hess, g)))
     with pytest.raises(NumericalError, match="welfare Hessian"):
         optimal_price_sensitivity(model, "capacity")
 
