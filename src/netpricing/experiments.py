@@ -24,7 +24,7 @@ from .config import ScenarioConfig, build_model
 from .curves import MarketModel, with_parameter
 from .errors import ConfigError, NumericalError, VerificationError
 from .optimize import _GROWTH_KINDS, GrowthRates, OptimumReport, _growth_rates, _starts
-from .oracle import GridOptimum, grid_optimize
+from .oracle import GridOptimum, grid_optima
 
 
 @dataclass(frozen=True)
@@ -113,7 +113,7 @@ def run_sweep(cfg: ScenarioConfig) -> SweepResult:
             built.append(exc)
     models = [model for model in built if isinstance(model, MarketModel)]
     try:
-        shared = iter(_starts(models, _GROWTH_KINDS) if models else [])
+        shared = iter(_starts(models, _GROWTH_KINDS))
     except (NumericalError, ValueError):        # each row searches alone
         shared = iter([None] * len(models))
     rows = tuple(_evaluate_row(v, m, next(shared) if isinstance(m, MarketModel) else None)
@@ -159,10 +159,12 @@ def parse_csv(path: str | Path) -> tuple[list[str], list[list[str]]]:
 class VerificationOutcome:
     max_price_gap: float
     max_value_shortfall: float
+    oracle_solves: int          # equilibria the grid oracle solved
 
     def __str__(self) -> str:
         return (f"max price gap vs oracle {self.max_price_gap:.3e}, "
-                f"max value shortfall {self.max_value_shortfall:.3e}")
+                f"max value shortfall {self.max_value_shortfall:.3e}, "
+                f"{self.oracle_solves} oracle equilibria solved")
 
 
 def _check_against_grid(price_user: float, price_cp: float, objective: float,
@@ -183,35 +185,35 @@ def _check_against_grid(price_user: float, price_cp: float, objective: float,
     return max(gap_p, gap_q), max(0.0, shortfall)
 
 
-def _verify_model(model: MarketModel, label: str,
-                  profit: tuple[float, float, float],
-                  welfare: tuple[float, float, float]) -> VerificationOutcome:
-    """Check one model's profit and welfare optima, each (p, q, objective),
-    against the grid oracle; ``label`` starts each error message."""
-    gaps = [_check_against_grid(*found, grid_optimize(model, objective),
-                                f"{label}{objective} optimum")
-            for objective, found in (("profit", profit), ("welfare", welfare))]
-    return VerificationOutcome(max(g for g, _ in gaps), max(s for _, s in gaps))
+def _verify_models(checks) -> VerificationOutcome:
+    """Check each (label, model, profit, welfare) of ``checks``, its optima
+    each (p, q, objective), against the grid oracle, whose ``grid_optima``
+    searches every model's two scans in one call; ``label`` starts each
+    error message."""
+    grids = grid_optima([model for _, model, *_ in checks])
+    gaps = [_check_against_grid(*found, best, f"{label}{objective} optimum")
+            for (label, _, *optima), bests in zip(checks, grids)
+            for objective, found, best in zip(("profit", "welfare"), optima, bests)]
+    return VerificationOutcome(max((g for g, _ in gaps), default=0.0),
+                               max((s for _, s in gaps), default=0.0),
+                               sum(best.solved_points for bests in grids for best in bests))
 
 
 def verify_optima(model: MarketModel, profit_report: OptimumReport,
                   welfare_report: OptimumReport) -> VerificationOutcome:
     """Cross-check refined optima against the grid oracle."""
-    return _verify_model(
-        model, "",
+    return _verify_models([(
+        "", model,
         (profit_report.prices.user, profit_report.prices.cp, profit_report.objective),
-        (welfare_report.prices.user, welfare_report.prices.cp, welfare_report.objective))
+        (welfare_report.prices.user, welfare_report.prices.cp, welfare_report.objective))])
 
 
 def verify_sweep(cfg: ScenarioConfig, result: SweepResult) -> VerificationOutcome:
-    """Re-run the grid oracle on every successful sweep row."""
+    """Re-run the grid oracle on every successful sweep row, all in one search."""
     base_model = build_model(cfg)
-    outcomes = [
-        _verify_model(with_parameter(base_model, result.parameter, row.param_value),
-                      f"row {row.param_value}: ",
-                      (row.p_star, row.q_star, row.profit_two_sided),
-                      (row.p_welfare, row.q_welfare, row.welfare_two_sided))
-        for row in result.rows if row.error is None and row.p_star is not None]
-    return VerificationOutcome(
-        max((o.max_price_gap for o in outcomes), default=0.0),
-        max((o.max_value_shortfall for o in outcomes), default=0.0))
+    return _verify_models([
+        (f"row {row.param_value}: ",
+         with_parameter(base_model, result.parameter, row.param_value),
+         (row.p_star, row.q_star, row.profit_two_sided),
+         (row.p_welfare, row.q_welfare, row.welfare_two_sided))
+        for row in result.rows if row.error is None and row.p_star is not None])

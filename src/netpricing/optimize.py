@@ -20,30 +20,29 @@ are read from the accepted iterate and its equilibrium:
 
 Both objectives are a price-dependent weight times the throughput, so one
 search, ``_starts``, is the global stage of every optimizer and of the
-``--verify`` grid oracle (``oracle.grid_optimize``).  It scans each kind at
+``--verify`` grid oracle (``oracle.grid_optima``).  It scans each kind at
 its caller's points (the optimizers' ``_POINTS``, the oracle's finer ones) and
 passes all the searched optima of ``growth_rates``, of a sensitivity, of a
-re-optimization stencil or of every row of a sweep to one ``grid_argmax``
-call, each point under its own model's capacity and sensitivity.
-``grid_argmax`` returns, for each stage of each model's search, the first
-maximum of (a_i + b_j - c) lam(m_i n_j) on a grid in row-major order, value
-included, exactly as solving every point would, by branch and bound (the
-exhaustive argmaxes in ``tests/test_oracle.py`` are its references).  A
-profit grid passes a = p, b = q, c = cost and m(p), n(q); a welfare scan is
-one column, a = s_m + s_n, b = c = 0, m = m(p) n(cost - p), n = 1.  lam
-depends on the prices only through the demand product T and rises with it
-(at fixed lam, h(lam) = lam - T rho(Phi(lam, mu)) falls as T rises), so one
-table bounds all stages of a search, however few its points: lam at N + 1
-evenly spaced T_k on [0, its largest max m * max n], N the smallest power of
-two at least 2 ceil(sqrt(P)) for its P grid points (256 for a 101^2 grid or a
-sweep row, 4096 for 2001^2, 128 for a lone 2001-point scan; a falling table
-raises ``NumericalError``).  A point's value is at most
+re-optimization stencil, of every row of a sweep or of the oracle's scans to
+one ``grid_argmax`` call, each point under its own model's capacity and
+sensitivity.  ``grid_argmax`` returns, for each stage of each model's search,
+the first maximum of (a_i + b_j - c) lam(m_i n_j) on a grid in row-major
+order, value included, exactly as solving every point would, by branch and
+bound (the exhaustive argmaxes in ``tests/test_oracle.py`` are its
+references).  A profit grid passes a = p, b = q, c = cost and m(p), n(q); a
+welfare scan is one column, a = s_m + s_n, b = c = 0, m = m(p) n(cost - p),
+n = 1.  lam depends on the prices only through the demand product T and
+rises with it (at fixed lam, h(lam) = lam - T rho(Phi(lam, mu)) falls as T
+rises), so one table bounds all stages of a search, however few its points:
+lam at N + 1 evenly spaced T_k on [0, its largest max m * max n], N the
+smallest power of two at least 2 ceil(sqrt(P)) for its P grid points (a
+falling table raises ``NumericalError``).  A point's value is at most
 max(a_i + b_j - c, 0) lam(T_k) (1 + ``BOUND_SLACK``), T_k the first node at
 or above m_i n_j.  One ``solve_many`` call solves every search's table and
 every ``_INCUMBENT_STRIDE``-th point of each axis, whose best value is its
-stage's incumbent; one more solves the points whose bound reaches it (about
-4% of a 101^2 grid, 0.4% of a 2001^2 one and 6-8% of a sweep row on the
-builtin baselines, table included).
+stage's incumbent; one more solves the points whose bound reaches it, which
+``_kept_points`` finds coarse to fine on a grid of more than ``_BLOCKS``
+points.
 
 Newton is projected onto the price box: a coordinate at an edge whose
 gradient points out of the box is held exactly there, so corner optima
@@ -100,7 +99,8 @@ _CLAMP = 1.0 - 1e-9
 _POINTS = {"profit_two_sided": 101, "profit_one_sided": 2001, "welfare_two_sided": 2001}
 BOUND_SLACK = 1e-8                  # relative slack of the profit bound: 10x NEWTON_REL_TOL
 _INCUMBENT_STRIDE = 20              # every this many grid points per axis is an incumbent point
-_CHUNK = 65_536                     # grid points bounded per pass step
+_BLOCKS = 1 << 14                   # blocks bounded at the coarsest level of a grid
+_CHILD_ROWS, _CHILD_COLS = np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1])  # a block's quarters
 
 
 def concave_step(hess, g):
@@ -257,29 +257,40 @@ def _kept_points(a, b, c, m_vals, n_vals, incumbent: float, table: np.ndarray,
     max(a_i + b_j - c, 0) * table[ceil(m_i n_j scale)] reaches ``incumbent``.
 
     A point whose bound is below the incumbent is strictly below the grid
-    maximum, so dropping it cannot move the first-occurrence argmax.  A grid
-    of more than one chunk of rows bounds, per chunk, whole columns first by
-    its largest a and m (the weight and the rounding are monotone, so no point
-    bound exceeds its column's), then the points of the columns that remain.
+    maximum, so dropping it cannot move the first-occurrence argmax.  The
+    points are bounded coarse to fine, in square blocks of a power-of-two
+    side: the coarsest side leaves at most ``_BLOCKS`` blocks, and each level
+    halves the side of the blocks that the last one kept, down to single
+    points, which are then put back in row-major order.  A block is bounded by its largest a, b, m and n; the weight rises
+    in a and b, the table is nondecreasing and m, n >= 0, so no point's bound
+    exceeds its block's, and a dropped block holds no kept point.  A grid of
+    at most ``_BLOCKS`` points is bounded point by point in one pass.
     """
     def value_bound(a_i, b_j, mn):
         return np.maximum(a_i + b_j - c, 0.0) * table.take(
             np.ceil(mn * scale).astype(np.intp), mode="clip")
 
-    rows_per_chunk = max(1, _CHUNK // b.size)
-    if a.size <= rows_per_chunk:        # one chunk: its column bounds would keep most columns
-        return np.nonzero(value_bound(a[:, None], b, np.outer(m_vals, n_vals)) >= incumbent)
-    kept_i, kept_j = [], []
-    for row0 in range(0, a.size, rows_per_chunk):
-        a_rows = a[row0:row0 + rows_per_chunk]
-        m_rows = m_vals[row0:row0 + rows_per_chunk]
-        column = value_bound(np.max(a_rows), b, np.max(m_rows) * n_vals)
-        live = np.flatnonzero(column >= incumbent)
-        bound = value_bound(a_rows[:, None], b[live], np.outer(m_rows, n_vals[live]))
-        r, h = np.nonzero(bound >= incumbent)
-        kept_i.append(row0 + r)
-        kept_j.append(live[h])
-    return np.concatenate(kept_i), np.concatenate(kept_j)
+    def maxima(side):
+        return [v if side == 1 else np.maximum.reduceat(v, np.arange(0, v.size, side))
+                for v in (a, b, m_vals, n_vals)]
+
+    side = 1
+    while -(-a.size // side) * -(-b.size // side) > _BLOCKS:
+        side *= 2
+    rows, cols, m_max, n_max = maxima(side)
+    i, j = np.nonzero(value_bound(rows[:, None], cols, np.outer(m_max, n_max)) >= incumbent)
+    if side == 1:                   # the points themselves, in np.nonzero's row-major order
+        return i, j
+    while side > 1:
+        side //= 2
+        rows, cols, m_max, n_max = maxima(side)
+        i = (2 * i[:, None] + _CHILD_ROWS).reshape(-1)
+        j = (2 * j[:, None] + _CHILD_COLS).reshape(-1)
+        inside = (i < rows.size) & (j < cols.size)
+        i, j = i[inside], j[inside]
+        live = value_bound(rows[i], cols[j], m_max[i] * n_max[j]) >= incumbent
+        i, j = i[live], j[live]
+    return np.divmod(np.sort(i * b.size + j), b.size)
 
 
 def grid_argmax(searches) -> list[list[tuple[int, int, float, int]]]:
@@ -289,6 +300,8 @@ def grid_argmax(searches) -> list[list[tuple[int, int, float, int]]]:
     equilibria solved for it (a search's table counts in its first stage's).
     The weight rises with a_i and b_j, m_vals and n_vals are nonnegative, and
     the models share one gain and one congestion law (module docstring)."""
+    if not searches:
+        return []
     stages = [stage for _, group in searches for stage in group]
     owners = [k for k, (_, group) in enumerate(searches) for _ in group]
 

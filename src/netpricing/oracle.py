@@ -1,8 +1,9 @@
 """Reference routes used to validate the fast paths.
 
-* ``grid_optimize``: dense-grid argmax of the profit surface or of the
+* ``grid_optima``: dense-grid argmaxes of the profit surface and of the
   zero-profit welfare segment, with a deterministic lexicographic tie-break
-  (smallest user price, then smallest content price);
+  (smallest user price, then smallest content price); ``grid_optimize`` is
+  its one-model, one-objective case;
 * ``fixed_point_equilibrium``: damped fixed-point iteration on the
   congestion map, an alternative to the Newton equilibrium solver;
 * ``finite_difference``: central differencing for gradient cross-checks;
@@ -10,16 +11,19 @@
   prices, the reference for the implicit-function price sensitivities
   (``reoptimization_gap`` compares a sensitivity report with it).
 
-``grid_optimize`` runs the optimizers' own search, ``optimize._starts``, on
+``grid_optima`` runs the optimizers' own search, ``optimize._starts``, on
 fixed scans finer than theirs: ``GRID_POINTS`` = 2001 points per profit
 axis, against the optimizers' 101 x 101 profit grid, and ``SEGMENT_POINTS``
 = 4001 points on the welfare segment, every point of the optimizer's
 2001-point start scan plus each midpoint, so the check does not rest on the
 grid Newton started from, and a segment end at which an optimum is held
-stays on the grid.  The oracle checks that Newton refinement ends within a
-cell of the best grid point, not how that point was found.  The independent
-references for the search are the exhaustive argmaxes in the test tree
-(``tests/test_oracle.py``), which solve every grid point.
+stays on the grid.  It searches every scan of every model it is given in
+one call, so ``--verify`` checks a model's profit grid and welfare scan, or
+all the rows of a sweep, in two ``solve_many`` calls.  The oracle checks
+that Newton refinement ends within a cell of the best grid point, not how
+that point was found.  The independent references for the search are the
+exhaustive argmaxes in the test tree (``tests/test_oracle.py``), which solve
+every grid point.
 
 These ship in the library, not the test tree, so the CLI can re-verify any
 result against them (``--verify``).
@@ -55,8 +59,11 @@ class GridOptimum:
     solved_points: int          # equilibria solved to find the optimum
 
 
-def grid_optimize(model: MarketModel, objective: str = "profit") -> GridOptimum:
-    """Grid argmax of the profit surface or the welfare segment.
+def grid_optima(models, objectives=("profit", "welfare")) -> list[list[GridOptimum]]:
+    """For each model, the grid argmax of each of ``objectives``, all found
+    by one search (``optimize._starts``): a model's scans share its table,
+    which the first objective's ``solved_points`` counts, and keep their own
+    incumbents, so each argmax and its value are the ones its scan gives alone.
 
     The first (lexicographically smallest) maximizer wins.  The profit grid
     is ``GRID_POINTS`` per axis over the clamped price box; the welfare grid
@@ -64,16 +71,25 @@ def grid_optimize(model: MarketModel, objective: str = "profit") -> GridOptimum:
     p + q = cost, so that the optimizer's own start scan is not the grid
     that checks it.
     """
-    kind = f"{objective}_two_sided"
-    if kind not in _POINTS:
-        raise DomainError(f"unknown objective {objective!r}")
-    [[(axes, point, value, solved)]] = _starts([model], [kind], _POINTS)
-    # welfare scans p alone; its cells are p's spacing (cost - p rounds differently)
-    p, q = point if objective == "profit" else (point[0], model.cost - point[0])
-    cells = [v[1] - v[0] for v in axes]
-    return GridOptimum(price_user=float(p), price_cp=float(q), value=value,
-                       cell_user=float(cells[0]), cell_cp=float(cells[-1]),
-                       solved_points=solved)
+    kinds = [f"{objective}_two_sided" for objective in objectives]
+    if not set(kinds) <= _POINTS.keys():
+        raise DomainError(f"unknown objective in {tuple(objectives)!r}")
+
+    def optimum(model, objective, start):
+        axes, point, value, solved = start
+        # welfare scans p alone; its cells are p's spacing (cost - p rounds differently)
+        p, q = point if objective == "profit" else (point[0], model.cost - point[0])
+        cells = [v[1] - v[0] for v in axes]
+        return GridOptimum(price_user=float(p), price_cp=float(q), value=value,
+                           cell_user=float(cells[0]), cell_cp=float(cells[-1]),
+                           solved_points=solved)
+    return [[optimum(model, objective, start) for objective, start in zip(objectives, starts)]
+            for model, starts in zip(models, _starts(models, kinds, _POINTS))]
+
+
+def grid_optimize(model: MarketModel, objective: str = "profit") -> GridOptimum:
+    """``grid_optima`` of one model and one objective."""
+    return grid_optima([model], (objective,))[0][0]
 
 
 def fixed_point_equilibrium(model: MarketModel, price_user: float, price_cp: float,

@@ -212,6 +212,9 @@ def test_error_rows_emit_blank_cells(tmp_path):
     for parsed in rows:
         assert parsed[p_col] == ""
         assert "DegenerateBaselineError" in parsed[error_col]
+    # no row to check: the oracle searches nothing
+    outcome = verify_sweep(small_sweep_config(cost=1.2), result)
+    assert outcome == experiments_mod.VerificationOutcome(0.0, 0.0, 0)
 
 
 def test_verify_sweep_against_small_grid():
@@ -220,6 +223,26 @@ def test_verify_sweep_against_small_grid():
     result = run_sweep(cfg)
     outcome = verify_sweep(cfg, result)
     assert outcome.max_value_shortfall <= 1e-8
+
+
+def test_verify_sweep_searches_every_row_in_one_call(monkeypatch):
+    # the rows share two solve_many calls, and the outcome is each row's
+    # own check combined
+    cfg = small_sweep_config()
+    result = run_sweep(cfg)
+    alone = [verify_sweep(cfg, dataclasses.replace(result, rows=(row,)))
+             for row in result.rows]
+    calls = []
+
+    def counted(*args):
+        calls.append(args[2].size)
+        return solve_many(*args)
+    monkeypatch.setattr(optimize_mod, "solve_many", counted)
+    outcome = verify_sweep(cfg, result)
+    assert len(calls) == 2 and outcome.oracle_solves == sum(calls)
+    assert outcome == experiments_mod.VerificationOutcome(
+        max(o.max_price_gap for o in alone), max(o.max_value_shortfall for o in alone),
+        sum(o.oracle_solves for o in alone))
 
 
 def test_verification_errors_name_the_row_and_the_optimum():

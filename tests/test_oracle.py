@@ -322,26 +322,44 @@ def test_shared_call_argmax_is_each_stage_alone_and_exhaustive(gain, law, alpha,
                 == (want_i, want_j, want_value.hex()))
 
 
-@pytest.mark.parametrize("points, chunk", [
-    ((101, 101), optimize_mod._CHUNK),      # one chunk: no column pre-pass
-    ((2001, 1), optimize_mod._CHUNK),       # a one-sided axis, one chunk
-    ((401, 401), optimize_mod._CHUNK),      # 163 rows per chunk
-    ((101, 101), 1000),                     # 9 rows per chunk
+@pytest.mark.parametrize("points, blocks", [
+    ((101, 101), optimize_mod._BLOCKS),     # within the limit: one pass, point by point
+    ((2001, 1), optimize_mod._BLOCKS),      # a one-sided axis, one pass
+    ((401, 401), optimize_mod._BLOCKS),     # blocks of side 4 at the coarsest level
+    ((2001, 37), optimize_mod._BLOCKS),     # above the limit, with ragged edge blocks
+    ((37, 2001), optimize_mod._BLOCKS),
+    ((2001, 2001), optimize_mod._BLOCKS),   # the oracle's grid: blocks of side 16
+    ((101, 101), 1000),                     # 26 x 26 blocks of side 4
 ])
 def test_kept_points_are_the_points_whose_bound_reaches_the_incumbent(monkeypatch, points,
-                                                                     chunk):
+                                                                     blocks):
+    # a negative incumbent and -inf keep every point
     model = baseline_model(beta=2.0, capacity=0.8)
     stage = profit_stage(model, axis(points[0]), axis(points[1]))
     a, b, c, m_vals, n_vals = stage
     steps = 256
     top = float(np.max(m_vals) * np.max(n_vals))
     table, bound = profit_bound(model, stage, steps)
-    monkeypatch.setattr(optimize_mod, "_CHUNK", chunk)
-    for incumbent in np.quantile(bound, [0.5, 0.9, 0.99]):
+    monkeypatch.setattr(optimize_mod, "_BLOCKS", blocks)
+    for incumbent in (*np.quantile(bound, [0.5, 0.9, 0.99]), -1.0, -math.inf):
         kept = optimize_mod._kept_points(a, b, c, m_vals, n_vals, float(incumbent), table,
                                          steps / top)
         want = np.nonzero(bound >= incumbent)
         assert all(np.array_equal(k, w) for k, w in zip(kept, want))
+
+
+def test_block_pass_under_an_all_zero_table():
+    # no user demand above p = 0.5: the table is 0 everywhere, so every bound
+    # is 0; an incumbent of 0 keeps every point and a positive one none
+    model = vanishing_demand_model(cost=0.7)
+    stage = profit_stage(model, axis(2001, 0.6, 0.9), axis(2001))
+    table = solve_many(model.gain, model.congestion, np.zeros(4096 + 1), model.capacity,
+                       model.sensitivity)
+    assert not table.any()
+    for incumbent, count in ((0.0, 2001 * 2001), (-0.0, 2001 * 2001), (1e-300, 0)):
+        i, j = optimize_mod._kept_points(*stage, incumbent, table, 0.0)
+        assert i.size == count
+        assert np.array_equal(i * 2001 + j, np.arange(count))
 
 
 def test_models_in_one_call_each_get_their_call_alone():
@@ -362,11 +380,11 @@ def test_models_in_one_call_each_get_their_call_alone():
             (i, j, v.hex(), n) for i, j, v, n in alone]
 
 
-def test_grid_chunking_invariance(monkeypatch):
+def test_grid_block_limit_invariance(monkeypatch):
     model = baseline_model(beta=2.0, capacity=0.8)
     full = profit_grid_argmax(model, axis(201), axis(201))
-    for chunk in (1, 1000, 250_000):       # one row, some rows, every row at once
-        monkeypatch.setattr(optimize_mod, "_CHUNK", chunk)
+    for blocks in (1, 1000, 250_000):      # one block, some blocks, every point at once
+        monkeypatch.setattr(optimize_mod, "_BLOCKS", blocks)
         assert profit_grid_argmax(model, axis(201), axis(201)) == full
 
 
@@ -436,6 +454,40 @@ def test_only_grid_argmax_solves_grids(monkeypatch):
     # two solve_many calls each: the shared table with the incumbent points,
     # then the points the bound keeps; the four re-optimized optima share theirs
     assert len(callers) == 5 * 2 and set(callers) == {("values", "grid_argmax")}
+
+
+@pytest.mark.parametrize("model", [
+    *(baseline_model(gain=gain, congestion=law)
+      for gain in (ReciprocalGain(), ExponentialGain()) for law in BUILTIN_LAWS.values()),
+    vanishing_demand_model(cost=0.9),
+], ids=["reciprocal-sharing", "reciprocal-mm1", "exponential-sharing", "exponential-mm1",
+        "vanishing"])
+def test_one_oracle_search_gives_each_objective_its_own_optimum(model):
+    # the profit grid and the welfare scan share one search and its table,
+    # which the profit grid counts; each optimum is its objective's alone
+    [both] = oracle_mod.grid_optima([model])
+    alone = [grid_optimize(model, objective) for objective in ("profit", "welfare")]
+    for shared, own in zip(both, alone):
+        assert ((shared.price_user, shared.price_cp, shared.value.hex(), shared.cell_user,
+                 shared.cell_cp)
+                == (own.price_user, own.price_cp, own.value.hex(), own.cell_user,
+                    own.cell_cp))
+    assert both[0].solved_points == alone[0].solved_points
+
+
+def test_verify_optima_makes_two_solves_and_counts_them(monkeypatch):
+    handed = []
+
+    def counted(gain, congestion, mn, *args):
+        handed.append(mn.size)
+        return solve_many(gain, congestion, mn, *args)
+    model = baseline_model(capacity=1.3)
+    profit, welfare = optimize_profit(model), optimize_welfare(model)
+    monkeypatch.setattr(optimize_mod, "solve_many", counted)
+    outcome = verify_optima(model, profit, welfare)
+    assert len(handed) == 2 and outcome.oracle_solves == sum(handed)
+    assert str(outcome).startswith("max price gap vs oracle ")
+    assert str(outcome).endswith(f", {sum(handed)} oracle equilibria solved")
 
 
 @pytest.mark.parametrize("parameter", ["capacity", "sensitivity"])
