@@ -36,13 +36,14 @@ rises with it (at fixed lam, h(lam) = lam - T rho(Phi(lam, mu)) falls as T
 rises), so one table bounds all stages of a search, however few its points:
 lam at N + 1 evenly spaced T_k on [0, its largest max m * max n], N the
 smallest power of two at least 2 ceil(sqrt(P)) for its P grid points (a
-falling table raises ``NumericalError``).  A point's value is at most
-max(a_i + b_j - c, 0) lam(T_k) (1 + ``BOUND_SLACK``), T_k the first node at
-or above m_i n_j.  One ``solve_many`` call solves every search's table and
-every ``_INCUMBENT_STRIDE``-th point of each axis, whose best value is its
-stage's incumbent; one more solves the points whose bound reaches it, which
-``_kept_points`` finds coarse to fine on a grid of more than ``_BLOCKS``
-points.
+falling table raises ``NumericalError``).  A point's value is at most its
+bound max(a_i + b_j - c, 0) lam(T_k) (1 + ``BOUND_SLACK``), T_k the first
+node at or above m_i n_j, and at least its floor, the same weight times
+lam(T_(k-1)) (1 - ``BOUND_SLACK``), where its margin is nonnegative; a
+stage's best floor is its incumbent.  One ``solve_many`` call solves every
+search's table; one more solves the points whose bound reaches their stage's
+incumbent, which ``_kept_points`` finds, coarse to fine on a grid of more
+than ``_BLOCKS`` points.
 
 Newton is projected onto the price box: a coordinate at an edge whose
 gradient points out of the box is held exactly there, so corner optima
@@ -98,7 +99,6 @@ BOUNDARY_EPS = 1e-6
 _CLAMP = 1.0 - 1e-9
 _POINTS = {"profit_two_sided": 101, "profit_one_sided": 2001, "welfare_two_sided": 2001}
 BOUND_SLACK = 1e-8                  # relative slack of the profit bound: 10x NEWTON_REL_TOL
-_INCUMBENT_STRIDE = 20              # every this many grid points per axis is an incumbent point
 _BLOCKS = 1 << 14                   # blocks bounded at the coarsest level of a grid
 _CHILD_ROWS, _CHILD_COLS = np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1])  # a block's quarters
 
@@ -245,30 +245,33 @@ def profit_box(model: MarketModel) -> tuple[float, float]:
     return model.user_demand.support * _CLAMP, model.cp_demand.support * _CLAMP
 
 
-def _every(rows: int, cols: int, stride: int) -> list[np.ndarray]:
-    """Indices [i, j], row-major, of every ``stride``-th row and column of a rows x cols grid."""
-    kept_cols = -(-cols // stride)
-    return [stride * k for k in np.divmod(np.arange(-(-rows // stride) * kept_cols), kept_cols)]
-
-
-def _kept_points(a, b, c, m_vals, n_vals, incumbent: float, table: np.ndarray,
+def _kept_points(a, b, c, m_vals, n_vals, lam: np.ndarray,
                  scale: float) -> tuple[np.ndarray, np.ndarray]:
     """Indices (i, j), row-major, of the points of the grid a x b whose bound
-    max(a_i + b_j - c, 0) * table[ceil(m_i n_j scale)] reaches ``incumbent``.
+    reaches the grid's best floor (its incumbent), under the throughput table
+    ``lam`` at the nodes T_k = k / ``scale``.
 
-    A point whose bound is below the incumbent is strictly below the grid
-    maximum, so dropping it cannot move the first-occurrence argmax.  The
-    points are bounded coarse to fine, in square blocks of a power-of-two
-    side: the coarsest side leaves at most ``_BLOCKS`` blocks, and each level
-    halves the side of the blocks that the last one kept, down to single
-    points, which are then put back in row-major order.  A block is bounded by its largest a, b, m and n; the weight rises
-    in a and b, the table is nondecreasing and m, n >= 0, so no point's bound
-    exceeds its block's, and a dropped block holds no kept point.  A grid of
-    at most ``_BLOCKS`` points is bounded point by point in one pass.
+    With w = max(a_i + b_j - c, 0) and k = ceil(m_i n_j scale) in the table,
+    a point's bound is w lam[k] (1 + ``BOUND_SLACK``) and its floor
+    w lam[k - 1] (1 - ``BOUND_SLACK``), lam[0] at k = 0.  lam is
+    nondecreasing, so where w > 0 a point's value lies between the two; the
+    incumbent is at most the grid maximum, or 0, which every bound reaches,
+    and dropping a point whose bound is below it cannot move the
+    first-occurrence argmax.  A grid of more than ``_BLOCKS`` points is
+    bounded coarse to fine, in square blocks of a power-of-two side: the
+    coarsest side leaves at most ``_BLOCKS`` blocks, whose first points'
+    floors give a first incumbent, and each level halves the side of the
+    blocks that the last one kept, down to single points, whose best floor
+    raises the incumbent before the last cut.  A block is bounded by its
+    largest a, b, m and n, which no point's bound exceeds (w rises in a and b,
+    lam is nondecreasing and m, n >= 0), so the last cut keeps the points the
+    single pass would; they are put back in row-major order.
     """
-    def value_bound(a_i, b_j, mn):
-        return np.maximum(a_i + b_j - c, 0.0) * table.take(
-            np.ceil(mn * scale).astype(np.intp), mode="clip")
+    upper = lam * (1.0 + BOUND_SLACK)
+    lower = np.concatenate((lam[:1], lam[:-1])) * (1.0 - BOUND_SLACK)  # lam[k - 1] at k
+
+    def weight_node(a_i, b_j, mn):
+        return np.maximum(a_i + b_j - c, 0.0), np.ceil(mn * scale).astype(np.intp)
 
     def maxima(side):
         return [v if side == 1 else np.maximum.reduceat(v, np.arange(0, v.size, side))
@@ -277,10 +280,13 @@ def _kept_points(a, b, c, m_vals, n_vals, incumbent: float, table: np.ndarray,
     side = 1
     while -(-a.size // side) * -(-b.size // side) > _BLOCKS:
         side *= 2
-    rows, cols, m_max, n_max = maxima(side)
-    i, j = np.nonzero(value_bound(rows[:, None], cols, np.outer(m_max, n_max)) >= incumbent)
+    w, k = weight_node(a[::side, None], b[::side], np.outer(m_vals[::side], n_vals[::side]))
+    incumbent = np.max(w * lower.take(k, mode="clip"))     # the blocks' first points
     if side == 1:                   # the points themselves, in np.nonzero's row-major order
-        return i, j
+        return np.nonzero(w * upper.take(k, mode="clip") >= incumbent)
+    rows, cols, m_max, n_max = maxima(side)
+    w, k = weight_node(rows[:, None], cols, np.outer(m_max, n_max))
+    i, j = np.nonzero(w * upper.take(k, mode="clip") >= incumbent)
     while side > 1:
         side //= 2
         rows, cols, m_max, n_max = maxima(side)
@@ -288,7 +294,10 @@ def _kept_points(a, b, c, m_vals, n_vals, incumbent: float, table: np.ndarray,
         j = (2 * j[:, None] + _CHILD_COLS).reshape(-1)
         inside = (i < rows.size) & (j < cols.size)
         i, j = i[inside], j[inside]
-        live = value_bound(rows[i], cols[j], m_max[i] * n_max[j]) >= incumbent
+        w, k = weight_node(rows[i], cols[j], m_max[i] * n_max[j])
+        if side == 1:
+            incumbent = max(incumbent, np.max(w * lower.take(k, mode="clip")))
+        live = w * upper.take(k, mode="clip") >= incumbent
         i, j = i[live], j[live]
     return np.divmod(np.sort(i * b.size + j), b.size)
 
@@ -298,47 +307,45 @@ def grid_argmax(searches) -> list[list[tuple[int, int, float, int]]]:
     m_vals, n_vals), the first-occurrence argmax (i, j) of
     (a_i + b_j - c) * lam(m_i n_j) on the grid a x b, its value, and the
     equilibria solved for it (a search's table counts in its first stage's).
-    The weight rises with a_i and b_j, m_vals and n_vals are nonnegative, and
-    the models share one gain and one congestion law (module docstring)."""
+    One ``solve_many`` call solves every search's table and one more the
+    points that ``_kept_points`` keeps, no other.  The weight rises with a_i
+    and b_j, m_vals and n_vals are nonnegative, and the models share one gain
+    and one congestion law (module docstring)."""
     if not searches:
         return []
     stages = [stage for _, group in searches for stage in group]
     owners = [k for k, (_, group) in enumerate(searches) for _ in group]
 
-    def values(points, heads):
-        """lam at each search's ``heads`` (all or none) and each stage's values
-        at its ``points`` (i, j), in one solve under each point's model."""
-        mn = [*heads, *(m_vals[i] * n_vals[j]
-                        for (i, j), (*_, m_vals, n_vals) in zip(points, stages))]
+    def solve(mn, owner):
+        """lam at each array of demand products in ``mn``, each under the model
+        of its search ``owner``, in one solve."""
         sizes = [v.size for v in mn]
-        models = [searches[k][0] for k in (*range(len(heads)), *owners)]
+        models = [searches[k][0] for k in owner]
         args = [v[0] if len(set(v)) == 1 else np.repeat(v, sizes)
                 for v in ([m.capacity for m in models], [m.sensitivity for m in models])]
-        lam = np.split(solve_many(models[0].gain, models[0].congestion, np.concatenate(mn),
-                                  *args), np.cumsum(sizes)[:-1])
-        return lam[:len(heads)], [(a[i] + b[j] - c) * v for (i, j), (a, b, c, *_), v
-                                  in zip(points, stages, lam[len(heads):])]
+        return np.split(solve_many(models[0].gain, models[0].congestion, np.concatenate(mn),
+                                   *args), np.cumsum(sizes)[:-1])
 
-    heads, scales, incumbents, counts = [], [], [], []
+    heads, scales, counts = [], [], []
     for _, group in searches:
         total = sum(a.size * b.size for a, b, *_ in group)
         steps = 1 << (2 * math.isqrt(total - 1) + 1).bit_length()     # table intervals
         top = max(float(np.max(m) * np.max(n)) for *_, m, n in group)
         heads.append(np.linspace(0.0, top, steps + 1))
         scales.append(steps / top if top > 0.0 else 0.0)
-        every = [_every(a.size, b.size, _INCUMBENT_STRIDE) for a, b, *_ in group]
-        incumbents += every
-        counts += [i.size + (steps + 1) * (g == 0) for g, (i, _) in enumerate(every)]
-    lams, incumbent_values = values(incumbents, heads)
+        counts += [(steps + 1) * (g == 0) for g in range(len(group))]
+    lams = solve(heads, range(len(searches)))
     if any(np.any(np.diff(lam) < 0.0) for lam in lams):
         raise NumericalError("equilibrium throughput is not monotone in the demand "
                              "product; the congestion equilibrium may not be unique")
-    points = [_kept_points(*stage, float(np.max(v)), lams[k] * (1.0 + BOUND_SLACK), scales[k])
-              for stage, v, k in zip(stages, incumbent_values, owners)]
+    points = [_kept_points(*stage, lams[k], scales[k]) for stage, k in zip(stages, owners)]
+    lam = solve([m_vals[i] * n_vals[j] for (i, j), (*_, m_vals, n_vals) in zip(points, stages)],
+                owners)
     found = [[] for _ in searches]
-    for (i, j), v, count, k in zip(points, values(points, [])[1], counts, owners):
-        best = int(np.argmax(v))
-        found[k].append((int(i[best]), int(j[best]), float(v[best]), count + i.size))
+    for (i, j), (a, b, c, *_), v, count, k in zip(points, stages, lam, counts, owners):
+        values = (a[i] + b[j] - c) * v
+        best = int(np.argmax(values))
+        found[k].append((int(i[best]), int(j[best]), float(values[best]), count + i.size))
     return found
 
 

@@ -62,8 +62,9 @@ class GridOptimum:
 def grid_optima(models, objectives=("profit", "welfare")) -> list[list[GridOptimum]]:
     """For each model, the grid argmax of each of ``objectives``, all found
     by one search (``optimize._starts``): a model's scans share its table,
-    which the first objective's ``solved_points`` counts, and keep their own
-    incumbents, so each argmax and its value are the ones its scan gives alone.
+    which the first objective's ``solved_points`` counts, and each scan is
+    pruned against its own best floor, so each argmax and its value are the
+    ones its scan gives alone.
 
     The first (lexicographically smallest) maximizer wins.  The profit grid
     is ``GRID_POINTS`` per axis over the clamped price box; the welfare grid

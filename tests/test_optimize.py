@@ -16,6 +16,7 @@ from netpricing import (CapacitySharing, ConvergenceError, CpPowerDemand,
 from netpricing import optimize
 from netpricing.oracle import reoptimized_price_derivatives
 from netpricing.equilibrium import solve_many
+from test_oracle import bounded_count
 
 
 def exp_gain_example_model(capacity: float = 1.0) -> MarketModel:
@@ -338,13 +339,14 @@ def test_welfare_scan_takes_surpluses_only_where_both_demands_are_positive(monke
 @pytest.mark.parametrize("gain", [ReciprocalGain(), ExponentialGain()])
 @pytest.mark.parametrize("law", [CapacitySharing(), MM1Queue()])
 def test_optima_report_their_grid_solves(gain, law):
-    # each global stage is pruned, not solved whole: the 101 x 101 profit
-    # grid (10,201 points) by a table of 256 intervals and 6 * 6 incumbent
-    # points, the 2001-point welfare and one-sided axes by 128 and 101
+    # each global stage is pruned, not solved whole: it solves its table (256
+    # intervals for the 101 x 101 profit grid, 128 for the 2001-point welfare
+    # and one-sided axes) and the points whose bound reaches its best floor
     model = baseline_model(gain=gain, congestion=law)
-    assert 256 + 1 + 6 * 6 < optimize_profit(model).grid_solves < 1000
-    assert 128 + 1 + 101 < optimize_welfare(model).grid_solves < 1000
-    assert 128 + 1 + 101 < optimize_one_sided(model, "profit").grid_solves < 1000
+    for report, steps in ((optimize_profit(model), 256), (optimize_welfare(model), 128),
+                          (optimize_one_sided(model, "profit"), 128)):
+        stage = optimize._scan(model, report.kind, optimize._POINTS[report.kind])[1]
+        assert report.grid_solves == steps + 1 + bounded_count(model, stage, steps) < 1000
     assert optimize_one_sided(model, "welfare").grid_solves == 0
 
 

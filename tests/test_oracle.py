@@ -189,60 +189,93 @@ def test_pruned_profit_argmax_on_sub_ranges_and_three_point_axes(grid):
 @pytest.mark.parametrize("law", sorted(BUILTIN_LAWS))
 def test_optimizers_own_grids_are_exhaustive(gain, law):
     # optimize_profit's 101 x 101 grid and optimize_one_sided's 2001 points
-    # of p at q = 0, each pruned by its table (256 and 128 intervals) beyond
-    # the table and the incumbent points
+    # of p at q = 0, each pruned by its table (256 and 128 intervals): each
+    # solves its table and the points whose bound reaches its best floor
     model = baseline_model(gain=gain, congestion=BUILTIN_LAWS[law], beta=1.6, cost=0.5)
     p_hi, q_hi = optimize_mod.profit_box(model)
-    solved = []
-    for p_axis, q_axis in [(np.linspace(0.0, p_hi, 101), np.linspace(0.0, q_hi, 101)),
-                           (np.linspace(0.0, p_hi, 2001), np.zeros(1))]:
+    for p_axis, q_axis, steps in [
+            (np.linspace(0.0, p_hi, 101), np.linspace(0.0, q_hi, 101), 256),
+            (np.linspace(0.0, p_hi, 2001), np.zeros(1), 128)]:
         i, j, value, count = profit_grid_argmax(model, p_axis, q_axis)
         want_i, want_j, want_value = exhaustive_argmax(model, p_axis, q_axis)
         assert (i, j, value.hex()) == (want_i, want_j, want_value.hex())
-        solved.append(count)
-    assert 256 + 1 + 6 * 6 < solved[0] < 1000 and 128 + 1 + 101 * 1 < solved[1] < 1000
+        kept = bounded_count(model, profit_stage(model, p_axis, q_axis), steps)
+        assert count == steps + 1 + kept < 1000
+
+
+def scalar_custom_models():
+    """A model with a gain that only takes floats, and one with a law whose
+    inverse is bisected for."""
+    gain = CustomGain(lambda phi, s: math.exp(-s * (0.5 * phi + 0.1 * phi * phi)))
+    law = CustomCongestion(lambda lam, mu: (lam + 0.2 * lam * lam) / mu)
+    return [baseline_model(gain=gain, beta=2.0), baseline_model(congestion=law, capacity=0.7)]
 
 
 def test_pruned_profit_argmax_with_scalar_custom_curves():
-    # a gain that only takes floats, and a law whose inverse is bisected for
-    gain = CustomGain(lambda phi, s: math.exp(-s * (0.5 * phi + 0.1 * phi * phi)))
-    law = CustomCongestion(lambda lam, mu: (lam + 0.2 * lam * lam) / mu)
-    assert_exact(baseline_model(gain=gain, beta=2.0), axis(101), axis(101))
-    assert_exact(baseline_model(congestion=law, capacity=0.7), axis(101), axis(101))
+    for model in scalar_custom_models():
+        assert_exact(model, axis(101), axis(101))
 
 
 def test_cost_above_every_margin_prunes_nothing():
-    # every profit is negative, so the incumbent is too and every point is solved
+    # every margin is negative, so every floor is 0, the incumbent too, and
+    # every bound (0) reaches it: every point is solved
     value, solved = assert_exact(baseline_model(cost=1.5), axis(301, 0.0, 0.5),
                                  axis(301, 0.0, 0.5))
     assert value < 0.0
-    # a table of 1024 intervals (the first power of two >= 2 * 301) and
-    # every 20th point of each axis as the incumbent
-    assert solved == 1024 + 1 + 16 * 16 + 301 * 301
+    # a table of 1024 intervals (the first power of two >= 2 * 301)
+    assert solved == 1024 + 1 + 301 * 301
 
 
 def test_grid_without_demand_prunes_nothing():
     # no user demand above p = 0.5: every throughput, and so the largest
     # demand product, is 0, and the first point's profit is -0.0
     model = vanishing_demand_model(cost=0.7)
-    # the table is flat at 0, so no point is pruned
+    # the table is flat at 0, so every bound and floor is 0 and no point is pruned
     value, solved = assert_exact(model, axis(5, 0.6, 0.9), axis(5))
     assert value.hex() == "-0x0.0p+0"
-    assert solved == 16 + 1 + 1 * 1 + 5 * 5
+    assert solved == 16 + 1 + 5 * 5
     value, solved = assert_exact(model, axis(401, 0.6, 0.9), axis(257))
     assert value.hex() == "-0x0.0p+0"
-    assert solved == 1024 + 1 + 21 * 13 + 401 * 257
+    assert solved == 1024 + 1 + 401 * 257
+
+
+def stage_table(model, stage, steps):
+    """A stage's throughput table of ``steps`` intervals on [0, max m * max n]
+    (lam at its nodes), its nodes per unit demand product, and each grid
+    point's node k: the first at or above m_i n_j, or the last node."""
+    *_, m_vals, n_vals = stage
+    top = float(np.max(m_vals) * np.max(n_vals))
+    scale = steps / top if top > 0.0 else 0.0
+    lam = solve_many(model.gain, model.congestion, np.linspace(0.0, top, steps + 1),
+                     model.capacity, model.sensitivity)
+    k = np.minimum(np.ceil(np.outer(m_vals, n_vals) * scale).astype(np.intp), steps)
+    return lam, scale, k
 
 
 def profit_bound(model, stage, steps):
-    """The bound of every point of a profit stage's grid under a table of
-    ``steps`` intervals, slack included, worked out point by point."""
-    a, b, c, m_vals, n_vals = stage
-    top = float(np.max(m_vals) * np.max(n_vals))
-    table = solve_many(model.gain, model.congestion, np.linspace(0.0, top, steps + 1),
-                       model.capacity, model.sensitivity) * (1.0 + optimize_mod.BOUND_SLACK)
-    return table, np.maximum(a[:, None] + b[None, :] - c, 0.0) * table.take(
-        np.ceil(np.outer(m_vals, n_vals) * (steps / top)).astype(np.intp), mode="clip")
+    """The bound of every point of a stage's grid under a table of ``steps``
+    intervals, worked out point by point: max(a_i + b_j - c, 0) lam(T_k),
+    slack added."""
+    a, b, c, *_ = stage
+    lam, _, k = stage_table(model, stage, steps)
+    return np.maximum(a[:, None] + b[None, :] - c, 0.0) * (
+        lam * (1.0 + optimize_mod.BOUND_SLACK))[k]
+
+
+def profit_floor(model, stage, steps):
+    """The floor of every point of a stage's grid, worked out point by point:
+    the bound's weight times lam at the node below its T_k (node 0 at node
+    0), slack taken off."""
+    a, b, c, *_ = stage
+    lam, _, k = stage_table(model, stage, steps)
+    return np.maximum(a[:, None] + b[None, :] - c, 0.0) * (
+        lam * (1.0 - optimize_mod.BOUND_SLACK))[np.maximum(k - 1, 0)]
+
+
+def bounded_count(model, stage, steps):
+    """How many points of a stage's grid have a bound that reaches its best floor."""
+    return np.count_nonzero(profit_bound(model, stage, steps)
+                            >= np.max(profit_floor(model, stage, steps)))
 
 
 @pytest.mark.parametrize("grid, steps", [
@@ -252,16 +285,68 @@ def profit_bound(model, stage, steps):
     ((axis(19, 0.6, 0.95), axis(1, 0.3, 0.3)), 16),
 ])
 def test_a_grid_smaller_than_its_table_is_bounded_too(grid, steps):
-    # however few its points, a search solves its table, every 20th point of
-    # each axis as the incumbent, and the points whose bound reaches it
+    # however few its points, a search solves its table and the points whose
+    # bound reaches the best floor
     model = baseline_model(beta=2.0)
-    stage = profit_stage(model, *grid)
-    _, bound = profit_bound(model, stage, steps)
+    kept = bounded_count(model, profit_stage(model, *grid), steps)
+    assert assert_exact(model, *grid)[1] == steps + 1 + kept
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(family=st.sampled_from(["builtin", "custom_gain", "custom_law", "vanishing"]),
+       builtin=st.builds(baseline_model,
+                         gain=st.sampled_from([ReciprocalGain(), ExponentialGain()]),
+                         congestion=st.sampled_from(list(BUILTIN_LAWS.values())),
+                         alpha=st.floats(0.3, 3.0), beta=st.floats(0.2, 3.0),
+                         cost=st.floats(0.05, 1.9), capacity=st.floats(0.3, 6.0),
+                         sensitivity=st.floats(0.3, 3.0)),
+       cost=st.floats(0.05, 1.4),
+       kind=st.sampled_from(["grid", "welfare"]),
+       points=st.tuples(st.sampled_from([1, 3, 18, 41, 101]), st.sampled_from([1, 3, 19, 41])),
+       steps=st.sampled_from([8, 256, 4096]),
+       blocks=st.sampled_from([optimize_mod._BLOCKS, 64]))
+def test_the_floor_is_a_bound(family, builtin, cost, kind, points, steps, blocks):
+    # every point with a nonnegative margin is worth at least its floor, and
+    # a point with a negative one has a floor of 0; so the best floor (the
+    # incumbent) is at most the grid maximum, or 0, which every bound reaches
+    model = {"builtin": builtin, "custom_gain": scalar_custom_models()[0],
+             "custom_law": scalar_custom_models()[1],
+             "vanishing": vanishing_demand_model(cost)}[family]
+    if kind == "grid":
+        stage = profit_stage(model, axis(points[0]), axis(points[1]))
+    else:
+        stage = optimize_mod._scan(model, "welfare_two_sided", points[0] * points[1])[1]
     a, b, c, m_vals, n_vals = stage
-    incumbents = (a[::20], b[::20], c, m_vals[::20], n_vals[::20])
-    incumbent = exhaustive_stage_argmax(model, *incumbents)[2]
-    kept = np.count_nonzero(bound >= incumbent)
-    assert assert_exact(model, *grid)[1] == steps + 1 + a[::20].size * b[::20].size + kept
+    margin = a[:, None] + b[None, :] - c
+    values = margin * solve_many(model.gain, model.congestion, np.outer(m_vals, n_vals),
+                                 model.capacity, model.sensitivity)
+    floor = profit_floor(model, stage, steps)
+    assert np.all(values[margin >= 0.0] >= floor[margin >= 0.0])
+    assert not floor[margin < 0.0].any()
+    incumbent = np.max(floor)
+    assert incumbent <= np.max(values) or incumbent == 0.0
+    # and it is the incumbent that the single pass or the block pass keeps to
+    lam, scale, _ = stage_table(model, stage, steps)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(optimize_mod, "_BLOCKS", blocks)
+        kept = optimize_mod._kept_points(*stage, lam, scale)
+    want = np.nonzero(profit_bound(model, stage, steps) >= incumbent)
+    assert all(np.array_equal(k, w) for k, w in zip(kept, want))
+
+
+@pytest.mark.parametrize("blocks", [optimize_mod._BLOCKS, 1])
+def test_a_bound_within_the_slack_of_the_best_floor_is_kept(monkeypatch, blocks):
+    # a table lam(T_k) = k at T_k = k; the last point's floor, lam(T_2) = 2
+    # less the slack, is the best; the middle point's bound, at the same
+    # node, is between that floor and 2, the one below it just under the floor
+    slack = optimize_mod.BOUND_SLACK
+    a = np.array([1.0 - 2.5 * slack, 1.0 - 1.5 * slack, 1.0])
+    stage = (a, np.zeros(1), 0.0, np.array([2.0, 2.0, 3.0]), np.ones(1))
+    bounds = a * (2.0 * (1.0 + slack))
+    assert bounds[0] < 2.0 * (1.0 - slack) < bounds[1] < 2.0
+    monkeypatch.setattr(optimize_mod, "_BLOCKS", blocks)
+    i, j = optimize_mod._kept_points(*stage, np.arange(5.0), 1.0)
+    assert i.tolist() == [1, 2] and j.tolist() == [0, 0]
 
 
 def test_non_monotone_throughput_table_raises(monkeypatch):
@@ -269,22 +354,22 @@ def test_non_monotone_throughput_table_raises(monkeypatch):
 
     def dented(gain, congestion, mn, capacity, sensitivity):
         lam = solve_many(gain, congestion, mn, capacity, sensitivity)
-        if not calls:            # the first solve: the table, then the incumbent
+        if not calls:            # the first solve: the table alone
             lam[lam.size // 2] = 0.0
         calls.append(lam.size)
         return lam
     monkeypatch.setattr(optimize_mod, "solve_many", dented)
     with pytest.raises(NumericalError, match="not monotone"):
         profit_grid_argmax(baseline_model(), axis(201), axis(201))
-    assert calls == [512 + 1 + 11 * 11]
+    assert calls == [512 + 1]
 
 
 @pytest.mark.parametrize("gain", [ReciprocalGain(), ExponentialGain()])
 @pytest.mark.parametrize("law", sorted(BUILTIN_LAWS))
-def test_baseline_grids_solve_under_one_percent(gain, law):
+def test_baseline_grids_solve_under_a_quarter_percent(gain, law):
     _, solved = assert_exact(baseline_model(gain=gain, congestion=BUILTIN_LAWS[law]),
                              axis(2001), axis(2001))
-    assert solved < 0.01 * 2001 * 2001
+    assert solved < 0.0025 * 2001 * 2001
 
 
 def mixed_stage(model, kind, points):
@@ -333,33 +418,29 @@ def test_shared_call_argmax_is_each_stage_alone_and_exhaustive(gain, law, alpha,
 ])
 def test_kept_points_are_the_points_whose_bound_reaches_the_incumbent(monkeypatch, points,
                                                                      blocks):
-    # a negative incumbent and -inf keep every point
+    # the incumbent is the best floor on the whole grid, whether the block
+    # pass finds it or the single pass; tables of several sizes give several
     model = baseline_model(beta=2.0, capacity=0.8)
     stage = profit_stage(model, axis(points[0]), axis(points[1]))
-    a, b, c, m_vals, n_vals = stage
-    steps = 256
-    top = float(np.max(m_vals) * np.max(n_vals))
-    table, bound = profit_bound(model, stage, steps)
     monkeypatch.setattr(optimize_mod, "_BLOCKS", blocks)
-    for incumbent in (*np.quantile(bound, [0.5, 0.9, 0.99]), -1.0, -math.inf):
-        kept = optimize_mod._kept_points(a, b, c, m_vals, n_vals, float(incumbent), table,
-                                         steps / top)
-        want = np.nonzero(bound >= incumbent)
+    for steps in (16, 256, 4096):
+        lam, scale, _ = stage_table(model, stage, steps)
+        kept = optimize_mod._kept_points(*stage, lam, scale)
+        want = np.nonzero(profit_bound(model, stage, steps)
+                          >= np.max(profit_floor(model, stage, steps)))
         assert all(np.array_equal(k, w) for k, w in zip(kept, want))
 
 
 def test_block_pass_under_an_all_zero_table():
     # no user demand above p = 0.5: the table is 0 everywhere, so every bound
-    # is 0; an incumbent of 0 keeps every point and a positive one none
+    # and every floor is 0, and the incumbent of 0 keeps every point
     model = vanishing_demand_model(cost=0.7)
     stage = profit_stage(model, axis(2001, 0.6, 0.9), axis(2001))
     table = solve_many(model.gain, model.congestion, np.zeros(4096 + 1), model.capacity,
                        model.sensitivity)
     assert not table.any()
-    for incumbent, count in ((0.0, 2001 * 2001), (-0.0, 2001 * 2001), (1e-300, 0)):
-        i, j = optimize_mod._kept_points(*stage, incumbent, table, 0.0)
-        assert i.size == count
-        assert np.array_equal(i * 2001 + j, np.arange(count))
+    i, j = optimize_mod._kept_points(*stage, table, 0.0)
+    assert np.array_equal(i * 2001 + j, np.arange(2001 * 2001))
 
 
 def test_models_in_one_call_each_get_their_call_alone():
@@ -429,9 +510,10 @@ def test_welfare_scan_is_exhaustive(model, points):
         assert p_axis.size == points
     want_p, want_value = exhaustive_welfare_argmax(model, points)
     assert (p, value.hex()) == (want_p, want_value.hex())
-    # a table of 128 intervals (2 * ceil(sqrt(points)) <= 128), every 20th
-    # point as the incumbent, and the points the bound keeps
-    assert 128 + 1 + -(-points // 20) < solved < points // 2
+    # a table of 128 intervals (2 * ceil(sqrt(points)) <= 128) and the points
+    # whose bound reaches the best floor
+    stage = optimize_mod._scan(model, "welfare_two_sided", points)[1]
+    assert 128 + 1 + bounded_count(model, stage, 128) == solved < points // 2
 
 
 def test_only_grid_argmax_solves_grids(monkeypatch):
@@ -451,9 +533,9 @@ def test_only_grid_argmax_solves_grids(monkeypatch):
     grid_optimize(model, "profit")
     grid_optimize(model, "welfare")
     reoptimized_price_derivatives(model, "capacity", 1e-3)
-    # two solve_many calls each: the shared table with the incumbent points,
-    # then the points the bound keeps; the four re-optimized optima share theirs
-    assert len(callers) == 5 * 2 and set(callers) == {("values", "grid_argmax")}
+    # two solve_many calls each: the shared table, then the points the bound
+    # keeps; the four re-optimized optima share theirs
+    assert len(callers) == 5 * 2 and set(callers) == {("solve", "grid_argmax")}
 
 
 @pytest.mark.parametrize("model", [
