@@ -30,12 +30,17 @@ relative step 1e-4 (``SECOND_REL_STEP``; differencing a differenced slope
 would lose about four more digits).  Which fallback a curve uses is chosen
 once, at construction.
 
-Each curve method states its formula once, in operators that take a float
-or a numpy array; a float stays in float arithmetic, far cheaper than numpy
-on a float.  Whether a custom callable broadcasts is decided once, at
-construction, from one call on a two-point float array; one that raises or
-returns another shape there is mapped over array elements.  Curve objects
-are immutable and pure, so instances can be shared and used concurrently.
+Each public curve method checks its arguments (``DomainError``), then calls
+its family's kernel of the same name with a leading underscore (``value``
+calls ``_value``), where each builtin formula is written once.  Kernels check
+nothing; code past the input boundary calls them on values it made itself
+(``equilibrium`` says where each check runs).  Each kernel states its formula
+in operators that take a float or a numpy array; a float stays in float
+arithmetic, far cheaper than numpy on a float.  Whether a custom callable
+broadcasts is decided once, at construction, from one call on a two-point
+float array; one that raises or returns another shape there is mapped over
+array elements.  Curve objects are immutable and pure, so instances can be
+shared and used concurrently.
 
 ``PARAMETERS`` are the sweepable model parameters, read by
 ``parameter_value`` and set on a copy by ``with_parameter``.
@@ -207,19 +212,24 @@ class GainCurve:
     """Throughput gain: fraction of desirable throughput achieved under congestion.
 
     Contract: value in (0, 1], equal to 1 at zero congestion, strictly
-    decreasing in the congestion level, vanishing as congestion grows.
+    decreasing in the congestion level, vanishing as congestion grows.  The
+    public methods check phi >= 0 and s > 0, then call the family's kernel
+    ``_value``, ``_slope`` or ``_curvature``.
     """
 
     def value(self, phi, sensitivity):
-        raise NotImplementedError
+        _check_gain_args(phi, sensitivity)
+        return self._value(phi, sensitivity)
 
     def slope(self, phi, sensitivity):
         """d value / d phi (nonpositive)."""
-        raise NotImplementedError
+        _check_gain_args(phi, sensitivity)
+        return self._slope(phi, sensitivity)
 
     def curvature(self, phi, sensitivity):
         """d slope / d phi."""
-        raise NotImplementedError
+        _check_gain_args(phi, sensitivity)
+        return self._curvature(phi, sensitivity)
 
     def elasticity(self, phi, sensitivity):
         """Congestion elasticity phi * |slope| / value; 0 in the phi -> 0 limit."""
@@ -232,16 +242,13 @@ class GainCurve:
 class ReciprocalGain(GainCurve):
     """rho(phi, s) = 1 / (s * phi + 1)."""
 
-    def value(self, phi, sensitivity):
-        _check_gain_args(phi, sensitivity)
+    def _value(self, phi, sensitivity):
         return 1.0 / (sensitivity * phi + 1.0)
 
-    def slope(self, phi, sensitivity):
-        _check_gain_args(phi, sensitivity)
+    def _slope(self, phi, sensitivity):
         return -sensitivity / (sensitivity * phi + 1.0) ** 2
 
-    def curvature(self, phi, sensitivity):
-        _check_gain_args(phi, sensitivity)
+    def _curvature(self, phi, sensitivity):
         return 2.0 * sensitivity * sensitivity / (sensitivity * phi + 1.0) ** 3
 
 
@@ -249,20 +256,17 @@ class ReciprocalGain(GainCurve):
 class ExponentialGain(GainCurve):
     """rho(phi, s) = (s + 1) ** (-phi)."""
 
-    def value(self, phi, sensitivity):
-        _check_gain_args(phi, sensitivity)
+    def _value(self, phi, sensitivity):
         return (sensitivity + 1.0) ** (-phi)
 
-    def slope(self, phi, sensitivity):
-        _check_gain_args(phi, sensitivity)
+    def _slope(self, phi, sensitivity):
         try:
             rate = math.log(sensitivity + 1.0)
         except TypeError:       # an array, one sensitivity per point
             rate = _per_run(math.log, sensitivity + 1.0)
         return -rate * (sensitivity + 1.0) ** (-phi)
 
-    def curvature(self, phi, sensitivity):
-        _check_gain_args(phi, sensitivity)
+    def _curvature(self, phi, sensitivity):
         try:
             rate_squared = math.log(sensitivity + 1.0) ** 2
         except TypeError:       # an array, one sensitivity per point
@@ -290,18 +294,6 @@ class CustomGain(GainCurve, _CustomCurve):
             self.value_fn, self.slope_fn, (np.array([0.5, 1.0]), np.ones(2)), math.inf)
         vars(self).update(_value=value, _slope=slope, _curvature=curvature)
 
-    def value(self, phi, sensitivity):
-        _check_gain_args(phi, sensitivity)
-        return self._value(phi, sensitivity)
-
-    def slope(self, phi, sensitivity):
-        _check_gain_args(phi, sensitivity)
-        return self._slope(phi, sensitivity)
-
-    def curvature(self, phi, sensitivity):
-        _check_gain_args(phi, sensitivity)
-        return self._curvature(phi, sensitivity)
-
 
 # ---------------------------------------------------------------------------
 # Congestion curves: Phi(lam, mu) and its throughput inverse Lambda(phi, mu)
@@ -322,32 +314,55 @@ class CongestionCurve:
     ``congestion`` is increasing in throughput and decreasing in capacity;
     ``implied_throughput`` is its inverse in the throughput argument, hence
     strictly increasing in both the congestion level and the capacity.  The
-    first and second partials of the forward map ``congestion`` in throughput
-    and capacity default to differences of it (the builtin laws override them
-    in closed form): central differences for the first, a three-point second
-    difference for ``congestion_curvature`` and a four-point one for
+    forward map and its partials check a positive capacity and a throughput
+    in the law's domain (``_check``), then call the kernel of the same name
+    with a leading underscore.  The partials' kernels default to differences
+    of ``_congestion`` (the builtin laws override them in closed form):
+    central differences for the first, a three-point second difference for
+    ``congestion_curvature`` and a four-point one for
     ``congestion_cross_slope``.  No solver, statics or objective path calls
     the inverse.
     """
 
     def congestion(self, throughput, capacity):
-        raise NotImplementedError
+        self._check(throughput, capacity)
+        return self._congestion(throughput, capacity)
 
     def congestion_slope(self, throughput, capacity):
         """d congestion / d throughput (positive)."""
-        return _central_diff(lambda x: self.congestion(x, capacity), throughput, 0.0, math.inf)
+        self._check(throughput, capacity)
+        return self._congestion_slope(throughput, capacity)
 
     def congestion_curvature(self, throughput, capacity):
         """d^2 congestion / d throughput^2."""
-        return _second_diff(lambda x: self.congestion(x, capacity), throughput, 0.0, math.inf)
+        self._check(throughput, capacity)
+        return self._congestion_curvature(throughput, capacity)
 
     def congestion_capacity_slope(self, throughput, capacity):
         """d congestion / d capacity (nonpositive)."""
-        return _central_diff(lambda mu: self.congestion(throughput, mu), capacity, 0.0, math.inf)
+        self._check(throughput, capacity)
+        return self._congestion_capacity_slope(throughput, capacity)
 
     def congestion_cross_slope(self, throughput, capacity):
         """d^2 congestion / d throughput d capacity."""
-        return _mixed_diff(self.congestion, throughput, capacity)
+        self._check(throughput, capacity)
+        return self._congestion_cross_slope(throughput, capacity)
+
+    def _check(self, throughput, capacity) -> None:
+        _check_capacity(capacity)
+        _require(throughput >= 0, "throughput must be nonnegative")
+
+    def _congestion_slope(self, throughput, capacity):
+        return _central_diff(lambda x: self._congestion(x, capacity), throughput, 0.0, math.inf)
+
+    def _congestion_curvature(self, throughput, capacity):
+        return _second_diff(lambda x: self._congestion(x, capacity), throughput, 0.0, math.inf)
+
+    def _congestion_capacity_slope(self, throughput, capacity):
+        return _central_diff(lambda mu: self._congestion(throughput, mu), capacity, 0.0, math.inf)
+
+    def _congestion_cross_slope(self, throughput, capacity):
+        return _mixed_diff(self._congestion, throughput, capacity)
 
     def implied_throughput(self, phi, capacity):
         raise NotImplementedError
@@ -365,25 +380,19 @@ class CongestionCurve:
 class CapacitySharing(CongestionCurve):
     """Phi = lam / mu, Lambda = phi * mu; the capacity-sharing law."""
 
-    def congestion(self, throughput, capacity):
-        _check_capacity(capacity)
-        _require(throughput >= 0, "throughput must be nonnegative")
+    def _congestion(self, throughput, capacity):
         return throughput / capacity
 
-    def congestion_slope(self, throughput, capacity):
-        _check_capacity(capacity)
+    def _congestion_slope(self, throughput, capacity):
         return 0.0 * throughput + 1.0 / capacity     # in throughput's shape, as floats
 
-    def congestion_curvature(self, throughput, capacity):
-        _check_capacity(capacity)
+    def _congestion_curvature(self, throughput, capacity):
         return 0.0 * throughput
 
-    def congestion_capacity_slope(self, throughput, capacity):
-        _check_capacity(capacity)
+    def _congestion_capacity_slope(self, throughput, capacity):
         return -throughput / (capacity * capacity)
 
-    def congestion_cross_slope(self, throughput, capacity):
-        _check_capacity(capacity)
+    def _congestion_cross_slope(self, throughput, capacity):
         return 0.0 * throughput - 1.0 / (capacity * capacity)
 
     def implied_throughput(self, phi, capacity):
@@ -396,26 +405,28 @@ class CapacitySharing(CongestionCurve):
 class MM1Queue(CongestionCurve):
     """Phi = 1 / (mu - lam) on lam < mu; Lambda = mu - 1/phi on phi >= 1/mu."""
 
-    def congestion(self, throughput, capacity):
+    def _check(self, throughput, capacity) -> None:
         _check_capacity(capacity)
         _require((throughput >= 0) & (throughput < capacity), "M/M/1 requires 0 <= "
                  "throughput < capacity, got lam={}, mu={}", throughput, capacity)
+
+    def _congestion(self, throughput, capacity):
         return 1.0 / (capacity - throughput)
 
-    def congestion_slope(self, throughput, capacity):
-        phi = self.congestion(throughput, capacity)
+    def _congestion_slope(self, throughput, capacity):
+        phi = self._congestion(throughput, capacity)
         return phi * phi
 
-    def congestion_curvature(self, throughput, capacity):
-        phi = self.congestion(throughput, capacity)
+    def _congestion_curvature(self, throughput, capacity):
+        phi = self._congestion(throughput, capacity)
         return 2.0 * phi * phi * phi
 
-    def congestion_capacity_slope(self, throughput, capacity):
-        phi = self.congestion(throughput, capacity)
+    def _congestion_capacity_slope(self, throughput, capacity):
+        phi = self._congestion(throughput, capacity)
         return -phi * phi
 
-    def congestion_cross_slope(self, throughput, capacity):
-        phi = self.congestion(throughput, capacity)
+    def _congestion_cross_slope(self, throughput, capacity):
+        phi = self._congestion(throughput, capacity)
         return -2.0 * phi * phi * phi
 
     def implied_throughput(self, phi, capacity):
@@ -443,7 +454,9 @@ class CustomCongestion(CongestionCurve, _CustomCurve):
     (no solver calls the inverse, so it is not probed: arrays are mapped).
     As for the builtin laws, a negative or NaN throughput and a congestion
     below the zero-throughput floor raise ``DomainError`` before either
-    callable is reached.
+    callable is reached.  Its kernel raises ``DomainError`` where the callable
+    raises an arithmetic or value error or returns a congestion that is not a
+    nonnegative number, which no later check would see.
     """
 
     congestion_fn: Callable = field(compare=False)
@@ -451,24 +464,24 @@ class CustomCongestion(CongestionCurve, _CustomCurve):
 
     def __post_init__(self):
         inverse = self._bisect_inverse if self.inverse_fn is None else self.inverse_fn
-        vars(self).update(_inverse=_custom_callable(inverse), _congestion=_custom_callable(
+        vars(self).update(_inverse=_custom_callable(inverse), _law=_custom_callable(
             self.congestion_fn, (np.array([0.25, 0.5]), np.ones(2))))
 
-    def congestion(self, throughput, capacity):
-        _check_capacity(capacity)
-        _require(throughput >= 0, "throughput must be nonnegative")
+    def _congestion(self, throughput, capacity):
         try:
-            return self._congestion(throughput, capacity)
+            phi = self._law(throughput, capacity)
         except (ArithmeticError, ValueError) as exc:
             if isinstance(throughput, np.ndarray):      # name the first entry undefined alone
                 _require(np.vectorize(self._defined, otypes=[bool])(throughput, capacity),
                          "congestion law undefined at throughput {}: {}", throughput, exc)
                 throughput = f"array of {throughput.size} entries"
             raise DomainError(f"congestion law undefined at throughput {throughput}: {exc}") from exc
+        _require(phi >= 0, "congestion level must be nonnegative")
+        return phi
 
     def _defined(self, throughput: float, capacity: float) -> bool:
         try:
-            self._congestion(throughput, capacity)
+            self._law(throughput, capacity)
         except (ArithmeticError, ValueError):
             return False
         return True
@@ -511,9 +524,11 @@ class DemandCurve:
     [0, support), zero from the support bound on.  ``curvature`` is the
     second derivative m''.  ``hazard`` is -slope/value, ``surplus`` the
     integral of the demand from the price to the support bound, and
-    ``per_unit_surplus`` their ratio surplus/value.  A family supplies
-    ``_value``, ``_slope``, ``_curvature`` and ``_surplus`` for prices (float
-    or array) in [0, support].
+    ``per_unit_surplus`` their ratio surplus/value.  A family supplies the
+    kernels ``_value``, ``_slope``, ``_curvature`` and ``_surplus`` for
+    prices (float or array) in [0, support]; the public methods check that
+    the price is a nonnegative number and give 0 from the support bound on.
+    ``_level`` is ``value`` at a float price checked already.
     """
 
     support: float
@@ -537,22 +552,24 @@ class DemandCurve:
             return np.where(price < self.support, fn(np.minimum(price, self.support)), 0.0)
         return fn(price) if price < self.support else 0.0
 
-    def _positive_value(self, price):
-        """The demand level, which must be positive: it is 0 from the support
-        bound on, and a demand may reach 0 below it."""
-        value = self.value(price)
-        _require(value > 0, "demand must be positive at the price (it is 0 from the "
+    def _level(self, price: float) -> float:
+        return self._value(price) if price < self.support else 0.0
+
+    def _per_unit(self, amount, level):
+        """amount / level, ``level`` the demand at the price, which must be
+        positive: it is 0 from the support bound on, and may reach 0 below it."""
+        _require(level > 0, "demand must be positive at the price (it is 0 from the "
                  "support bound {} on, and may reach 0 below it)", self.support)
-        return value
+        return amount / level
 
     def hazard(self, price):
         """Decay rate -slope/value; defined only where demand is positive."""
-        return -self.slope(price) / self._positive_value(price)
+        return -self._per_unit(self.slope(price), self.value(price))
 
     def per_unit_surplus(self, price):
         """Average surplus per unit of demand, surplus / value; defined only
         where demand is positive."""
-        return self.surplus(price) / self._positive_value(price)
+        return self._per_unit(self.surplus(price), self.value(price))
 
 
 class _PowerDemand(DemandCurve):

@@ -31,6 +31,15 @@ which ``comparative_statics`` and the objectives' gradients build on.
     D_T    = -rho' Phi_lam - T (rho'' Phi_lam^2 + rho' Phi_lamlam) lam_T.
 
 The first-order path calls no second-derivative curve method.
+
+Domain checks run where inputs enter: prices in ``solve_equilibrium``, and
+capacity and sensitivity in ``MarketModel`` and once per call of
+``solve_for_demands`` and ``solve_many``, whose ``throughput_limit``, start
+probe lam0 = T rho(Phi(hi / 2)) and (scalar) last Phi(lam), the one
+throughput outside the sign bracket, take the public curve methods.  Past
+them, the Newton rounds and everything built on a solved equilibrium call the
+curves' unchecked kernels (``curves``); only a custom law's kernel checks, its
+callable's output.
 """
 
 from __future__ import annotations
@@ -68,10 +77,10 @@ class Equilibrium:
 def _newton_step(gain: GainCurve, congestion: CongestionCurve, mn, lam,
                  capacity: float, sensitivity: float):
     """h(lam), the Newton step h / h' and dPhi/dlam; floats or arrays."""
-    phi = congestion.congestion(lam, capacity)
-    phi_lam = congestion.congestion_slope(lam, capacity)
-    h = lam - mn * gain.value(phi, sensitivity)
-    return h, h / (1.0 - mn * gain.slope(phi, sensitivity) * phi_lam), phi_lam
+    phi = congestion._congestion(lam, capacity)
+    phi_lam = congestion._congestion_slope(lam, capacity)
+    h = lam - mn * gain._value(phi, sensitivity)
+    return h, h / (1.0 - mn * gain._slope(phi, sensitivity) * phi_lam), phi_lam
 
 
 def _require_rising_law(phi_lam) -> None:
@@ -155,8 +164,8 @@ def _elasticity_at(gain: GainCurve, congestion: CongestionCurve, mn: float,
                    phi: float, lam: float, capacity: float, sensitivity: float) -> float:
     if mn <= 0.0:
         return 1.0
-    rho_1 = gain.slope(phi, sensitivity)
-    return 1.0 / (1.0 - mn * rho_1 * congestion.congestion_slope(lam, capacity))
+    rho_1 = gain._slope(phi, sensitivity)
+    return 1.0 / (1.0 - mn * rho_1 * congestion._congestion_slope(lam, capacity))
 
 
 def solve_equilibrium(model: MarketModel, price_user: float, price_cp: float) -> Equilibrium:
@@ -169,7 +178,7 @@ def solve_equilibrium(model: MarketModel, price_user: float, price_cp: float) ->
     if not (price_user >= 0 and price_cp >= 0):
         raise DomainError(f"prices must be nonnegative numbers, got p = {price_user}, "
                           f"q = {price_cp}")
-    m, n = model.demands(price_user, price_cp)
+    m, n = model.user_demand._level(price_user), model.cp_demand._level(price_cp)
     phi, lam, iterations, degenerate = solve_for_demands(
         model.gain, model.congestion, m, n, model.capacity, model.sensitivity)
     eps = _elasticity_at(model.gain, model.congestion, m * n, phi, lam,
@@ -178,7 +187,7 @@ def solve_equilibrium(model: MarketModel, price_user: float, price_cp: float) ->
         congestion=phi,
         throughput=lam,
         elasticity=eps,
-        gap_residual=abs(lam - m * n * model.gain.value(phi, model.sensitivity)),
+        gap_residual=abs(lam - m * n * model.gain._value(phi, model.sensitivity)),
         iterations=iterations,
         price_user=price_user,
         price_cp=price_cp,
@@ -221,9 +230,9 @@ def throughput_response(model: MarketModel, eq: Equilibrium) -> tuple[float, flo
     """(lam_T, lam_mu): lam's responses to the demand product T = m n and to the
     capacity at a solved, non-degenerate equilibrium."""
     phi, s, t = eq.congestion, model.sensitivity, eq.user_level * eq.cp_level
-    phi_mu = model.congestion.congestion_capacity_slope(eq.throughput, model.capacity)
-    return (model.gain.value(phi, s) * eq.elasticity,
-            t * model.gain.slope(phi, s) * phi_mu * eq.elasticity)
+    phi_mu = model.congestion._congestion_capacity_slope(eq.throughput, model.capacity)
+    return (model.gain._value(phi, s) * eq.elasticity,
+            t * model.gain._slope(phi, s) * phi_mu * eq.elasticity)
 
 
 def throughput_curvature(model: MarketModel, eq: Equilibrium) -> tuple[float, float]:
@@ -232,10 +241,10 @@ def throughput_curvature(model: MarketModel, eq: Equilibrium) -> tuple[float, fl
     t = eq.user_level * eq.cp_level
     phi, lam, mu, s = eq.congestion, eq.throughput, model.capacity, model.sensitivity
     lam_t = throughput_response(model, eq)[0]
-    rho_1 = model.gain.slope(phi, s)
-    phi_1 = model.congestion.congestion_slope(lam, mu)
-    d_t = -rho_1 * phi_1 - t * (model.gain.curvature(phi, s) * phi_1 * phi_1
-                                + rho_1 * model.congestion.congestion_curvature(lam, mu)) * lam_t
+    rho_1 = model.gain._slope(phi, s)
+    phi_1 = model.congestion._congestion_slope(lam, mu)
+    d_t = -rho_1 * phi_1 - t * (model.gain._curvature(phi, s) * phi_1 * phi_1
+                                + rho_1 * model.congestion._congestion_curvature(lam, mu)) * lam_t
     return lam_t, eq.elasticity * (rho_1 * phi_1 - d_t) * lam_t
 
 
@@ -249,15 +258,15 @@ def comparative_statics(model: MarketModel, price_user: float,
         raise DomainError("comparative statics need positive demand on both sides")
     m, n, lam, mu = eq.user_level, eq.cp_level, eq.throughput, model.capacity
     lam_t, lam_mu = throughput_response(model, eq)
-    phi_lam = model.congestion.congestion_slope(lam, mu)
-    dlam_dp = lam_t * model.user_demand.slope(price_user) * n
-    dlam_dq = lam_t * m * model.cp_demand.slope(price_cp)
+    phi_lam = model.congestion._congestion_slope(lam, mu)
+    dlam_dp = lam_t * model.user_demand._slope(price_user) * n
+    dlam_dq = lam_t * m * model.cp_demand._slope(price_cp)
     return ComparativeStatics(
         dphi_dm=phi_lam * lam_t * n,
         dlam_dm=lam_t * n,
         dphi_dn=phi_lam * lam_t * m,
         dlam_dn=lam_t * m,
-        dphi_dmu=phi_lam * lam_mu + model.congestion.congestion_capacity_slope(lam, mu),
+        dphi_dmu=phi_lam * lam_mu + model.congestion._congestion_capacity_slope(lam, mu),
         dlam_dmu=lam_mu,
         dphi_dp=phi_lam * dlam_dp,
         dlam_dp=dlam_dp,

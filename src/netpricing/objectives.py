@@ -2,7 +2,9 @@
 
 Profit is margin times carried throughput, U = (p + q - c) * lam.  Welfare
 splits into the user side W_m = s_m(p) * lam and the content side
-W_n = s_n(q) * lam, with s_* the per-unit surpluses.  The reported total
+W_n = s_n(q) * lam, with s_* the per-unit surpluses.  The demand levels m and
+n come from the equilibrium, and each hazard -m'/m and per-unit surplus
+S/m from the demand's slope and surplus kernels over them.  The reported total
 ``welfare`` is W_m + W_n + U.
 
 The welfare gradient entries are the derivatives of the surplus sum
@@ -84,18 +86,18 @@ def evaluate_objectives(model: MarketModel, price_user: float,
     if eq.degenerate:
         return ObjectiveReport(0.0, 0.0, 0.0, 0.0, _ZERO_GRADIENTS, eq, True)
 
-    lam, eps = eq.throughput, eq.elasticity
+    m, n, lam, eps = eq.user_level, eq.cp_level, eq.throughput, eq.elasticity
     margin = price_user + price_cp - model.cost
 
-    s_m = model.user_demand.per_unit_surplus(price_user)
-    s_n = model.cp_demand.per_unit_surplus(price_cp)
+    s_m = model.user_demand._surplus(price_user) / m
+    s_n = model.cp_demand._surplus(price_cp) / n
     profit = margin * lam
     user_welfare = s_m * lam
     cp_welfare = s_n * lam
     surplus_welfare = user_welfare + cp_welfare
 
-    user_hazard = model.user_demand.hazard(price_user)
-    cp_hazard = model.cp_demand.hazard(price_cp)
+    user_hazard = -model.user_demand._slope(price_user) / m
+    cp_hazard = -model.cp_demand._slope(price_cp) / n
     lam_mu = throughput_response(model, eq)[1]
 
     # hazards may diverge at a zero price (convex demands); with an exactly
@@ -131,8 +133,8 @@ def _weighted_hessian(model: MarketModel, eq: Equilibrium, weight) -> tuple[floa
         return 0.0, 0.0, 0.0
     p, q = eq.price_user, eq.price_cp
     m, n, lam = eq.user_level, eq.cp_level, eq.throughput
-    m_1, n_1 = model.user_demand.slope(p), model.cp_demand.slope(q)
-    m_2, n_2 = model.user_demand.curvature(p), model.cp_demand.curvature(q)
+    m_1, n_1 = model.user_demand._slope(p), model.cp_demand._slope(q)
+    m_2, n_2 = model.user_demand._curvature(p), model.cp_demand._curvature(q)
     lam_t, lam_tt = throughput_curvature(model, eq)
     w, w_p, w_q, w_pp, w_qq = weight(m_1, n_1, m_2, n_2)
     t_p, t_q = m_1 * n, m * n_1
@@ -157,7 +159,7 @@ def welfare_segment_curvature(model: MarketModel, eq: Equilibrium) -> float:
     def surplus_terms(demand, price, level, slope, curvature):
         """(s, s', s''): the per-unit surplus and its derivatives, from the hazard
         h = -m'/m and its slope h' = h^2 - m''/m."""
-        s = demand.per_unit_surplus(price)
+        s = demand._surplus(price) / level
         h = -slope / level
         s_1 = h * s - 1.0
         return s, s_1, s_1 * h + s * (h * h - curvature / level)

@@ -223,14 +223,19 @@ class OptimumReport:
     termination: str            # the Newton test that ended the search (``_projected_newton``)
 
 
+def _hazards(model: MarketModel, eq: Equilibrium) -> tuple[float, float]:
+    """Both sides' hazards -m'/m at the equilibrium's prices, m its demand levels."""
+    return (-model.user_demand._per_unit(model.user_demand.slope(eq.price_user), eq.user_level),
+            -model.cp_demand._per_unit(model.cp_demand.slope(eq.price_cp), eq.cp_level))
+
+
 def _profit_diagnostics(model: MarketModel, eq: Equilibrium,
                         held: tuple[bool, ...]) -> OptimumDiagnostics:
     """FOC residuals.  ``held`` flags the prices (p, q) held at a box edge: the
     KKT residual skips them, and the Lerner residual is None if either is."""
     p, q = eq.price_user, eq.price_cp
     margin = p + q - model.cost
-    mh = model.user_demand.hazard(p)
-    nh = model.cp_demand.hazard(q)
+    mh, nh = _hazards(model, eq)
     eps = eq.elasticity
     focs = [abs(h * margin * eps - 1.0) for h, pinned in zip((mh, nh), held) if not pinned]
     lerner = None if any(held) else abs(margin / (p + q) - 1.0 / (eps * (p * mh + q * nh)))
@@ -454,11 +459,9 @@ def welfare_segment(model: MarketModel) -> tuple[float, float]:
 def _welfare_diagnostics(model: MarketModel, eq: Equilibrium,
                          held: tuple[bool]) -> OptimumDiagnostics:
     """Ramsey residual; None when p is held at a segment end (``held``)."""
-    p, q = eq.price_user, eq.price_cp
-    mh = model.user_demand.hazard(p)
-    nh = model.cp_demand.hazard(q)
-    s_m = model.user_demand.per_unit_surplus(p)
-    s_n = model.cp_demand.per_unit_surplus(q)
+    mh, nh = _hazards(model, eq)
+    s_m = model.user_demand._per_unit(model.user_demand.surplus(eq.price_user), eq.user_level)
+    s_n = model.cp_demand._per_unit(model.cp_demand.surplus(eq.price_cp), eq.cp_level)
     eps = eq.elasticity
     share_m = s_m / (s_m + s_n)
     share_n = s_n / (s_m + s_n)

@@ -83,16 +83,16 @@ def _trace_slope(model: MarketModel, eq: Equilibrium) -> float:
     """d eps / d phi along the capacity trace at a solved, non-degenerate equilibrium."""
     t, eps = eq.user_level * eq.cp_level, eq.elasticity
     phi, lam, mu, s = eq.congestion, eq.throughput, model.capacity, model.sensitivity
-    rho_1 = model.gain.slope(phi, s)
+    rho_1 = model.gain._slope(phi, s)
     law = model.congestion
-    phi_lam = law.congestion_slope(lam, mu)
+    phi_lam = law._congestion_slope(lam, mu)
     lam_mu = throughput_response(model, eq)[1]
-    phi_mu = phi_lam * lam_mu + law.congestion_capacity_slope(lam, mu)
+    phi_mu = phi_lam * lam_mu + law._congestion_capacity_slope(lam, mu)
     if not abs(mu * phi_mu) > TRACE_RESOLUTION * phi:
         raise NumericalError("congestion does not respond to capacity")
-    d_mu = -t * (model.gain.curvature(phi, s) * phi_mu * phi_lam
-                 + rho_1 * (law.congestion_curvature(lam, mu) * lam_mu
-                            + law.congestion_cross_slope(lam, mu)))
+    d_mu = -t * (model.gain._curvature(phi, s) * phi_mu * phi_lam
+                 + rho_1 * (law._congestion_curvature(lam, mu) * lam_mu
+                            + law._congestion_cross_slope(lam, mu)))
     return -d_mu * eps * eps / phi_mu
 
 
@@ -105,9 +105,9 @@ def elasticity_slope_vs_congestion(model: MarketModel, price_user: float,
     return _trace_slope(model, solve_equilibrium(model, price_user, price_cp))
 
 
-def _hazard_slope(demand, price: float, h: float) -> float:
-    """h' = h^2 - m''/m of the hazard h = -m'/m at the price."""
-    return h * h - demand.curvature(price) / demand.value(price)
+def _hazard_slope(demand, price: float, h: float, level: float) -> float:
+    """h' = h^2 - m''/m of the hazard h = -m'/m at the price, m = ``level``."""
+    return h * h - demand.curvature(price) / level
 
 
 def _sign(x: float) -> int:
@@ -171,14 +171,15 @@ class SensitivityReport:
 def _context(model: MarketModel, report: OptimumReport) -> OptimumContext:
     p, q = report.prices.user, report.prices.cp
     mh, nh = report.diagnostics.user_hazard, report.diagnostics.cp_hazard
+    eq = report.equilibrium
     return OptimumContext(
         price_user=p,
         price_cp=q,
         user_hazard=mh,
         cp_hazard=nh,
-        user_hazard_slope=_hazard_slope(model.user_demand, p, mh),
-        cp_hazard_slope=_hazard_slope(model.cp_demand, q, nh),
-        elasticity_slope=_trace_slope(model, report.equilibrium),
+        user_hazard_slope=_hazard_slope(model.user_demand, p, mh, eq.user_level),
+        cp_hazard_slope=_hazard_slope(model.cp_demand, q, nh, eq.cp_level),
+        elasticity_slope=_trace_slope(model, eq),
         interior=not report.held,
     )
 

@@ -138,6 +138,22 @@ def test_congestion_law_takes_one_capacity_per_point(curve):
                           [curve.throughput_limit(float(v)) for v in mu])
 
 
+@pytest.mark.parametrize("law", [*CONGESTIONS, CustomCongestion(lambda lam, mu: lam / mu)],
+                         ids=["sharing", "mm1", "custom"])
+def test_every_public_congestion_method_checks_what_congestion_checks(law):
+    # each public partial checks the law's domain before its kernel runs, so
+    # an argument outside it raises the forward map's DomainError from each
+    partials = (law.congestion_slope, law.congestion_curvature,
+                law.congestion_capacity_slope, law.congestion_cross_slope)
+    for lam, mu in ((-0.1, 1.0), (math.nan, 1.0), (0.5, 0.0), (0.5, -1.0)):
+        with pytest.raises(DomainError) as info:
+            law.congestion(lam, mu)
+        for method in partials:
+            with pytest.raises(DomainError) as other:
+                method(lam, mu)
+            assert str(other.value) == str(info.value)
+
+
 def test_per_point_arguments_name_their_first_bad_entry():
     with pytest.raises(DomainError) as info:
         ExponentialGain().slope(np.full(4, 0.5), np.array([1.0, 2.0, -0.5, 0.0]))

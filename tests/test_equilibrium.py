@@ -5,11 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from netpricing import (BracketError, CapacitySharing, CustomCongestion,
+from netpricing import (BracketError, CapacitySharing, CpPowerDemand, CustomCongestion,
                         CustomGain, DomainError, ExponentialGain, MM1Queue,
-                        ReciprocalGain, baseline_model, comparative_statics,
-                        evaluate_objectives, finite_difference, growth_rates,
-                        optimal_price_sensitivity, solve_equilibrium)
+                        ReciprocalGain, UserPowerDemand, baseline_model,
+                        comparative_statics, evaluate_objectives, finite_difference,
+                        growth_rates, optimal_price_sensitivity, solve_equilibrium)
+from netpricing import curves
 from netpricing.curves import DemandCurve
 from netpricing.equilibrium import (PREDICTED_STATIC_SIGNS, solve_for_demands,
                                     solve_many)
@@ -92,6 +93,41 @@ def test_custom_law_undefined_inside_the_bracket_raises_domain_error():
     law = CustomCongestion(lambda lam, mu: 1.0 / (mu - lam))
     with pytest.raises(DomainError):
         solve_equilibrium(baseline_model(congestion=law, capacity=0.5), 0.0, 0.0)
+
+
+@pytest.mark.parametrize("law", [lambda lam, mu: lam / mu - 0.5,
+                                 lambda lam, mu: lam / mu + math.nan],
+                         ids=["negative", "nan"])
+def test_custom_law_without_a_nonnegative_congestion_raises_domain_error(law):
+    # the solver's rounds call the law's kernel, which checks the callable's
+    # output; the scalar and the array path raise alike
+    model = baseline_model(congestion=CustomCongestion(law))
+    for entry in (solve_equilibrium, evaluate_objectives, comparative_statics):
+        with pytest.raises(DomainError, match="congestion level must be nonnegative"):
+            entry(model, 0.2, 0.3)
+    with pytest.raises(DomainError, match="congestion level must be nonnegative"):
+        growth_rates(model)
+
+
+def test_a_solve_checks_its_arguments_a_fixed_number_of_times(monkeypatch):
+    # the checks run at the solver's boundary, not in its Newton rounds
+    calls = []
+
+    def counted(name, fn):
+        def check(*args):
+            calls.append(name)
+            return fn(*args)
+        return check
+    for name in ("_require", "_check_gain_args", "_check_capacity"):
+        monkeypatch.setattr(curves, name, counted(name, getattr(curves, name)))
+    model = baseline_model(congestion=MM1Queue())
+    counts, rounds = [], []
+    for p, q in ((0.1, 0.1), (0.8, 0.8)):
+        calls.clear()
+        rounds.append(solve_equilibrium(model, p, q).iterations)
+        counts.append(sorted(calls))
+    assert rounds[0] != rounds[1]
+    assert counts[0] == counts[1]
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +498,10 @@ def test_first_order_paths_take_no_second_derivatives(monkeypatch):
 
     for owner, name in ((ReciprocalGain, "curvature"), (CapacitySharing, "congestion_curvature"),
                         (CapacitySharing, "congestion_cross_slope"),
-                        (DemandCurve, "curvature")):
+                        (DemandCurve, "curvature"), (ReciprocalGain, "_curvature"),
+                        (CapacitySharing, "_congestion_curvature"),
+                        (CapacitySharing, "_congestion_cross_slope"),
+                        (UserPowerDemand, "_curvature"), (CpPowerDemand, "_curvature")):
         monkeypatch.setattr(owner, name, second_derivative)
     model = baseline_model(capacity=1.3)
     solve_equilibrium(model, 0.2, 0.3)
