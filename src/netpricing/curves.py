@@ -645,7 +645,10 @@ class CustomDemand(DemandCurve, _CustomCurve):
     from point evaluations.  Slope falls back to central differences and the
     surplus integral to adaptive Simpson quadrature unless analytic
     callables are supplied; the curvature differences the slope callable
-    when there is one and the value callable otherwise.
+    when there is one and the value callable otherwise.  A level that is not
+    a finite nonnegative number below the support raises ``DomainError``
+    where it is read (and in the surplus quadrature, which a NaN or infinite
+    integrand never lets converge).
     """
 
     value_fn: Callable = field(compare=False)
@@ -658,9 +661,15 @@ class CustomDemand(DemandCurve, _CustomCurve):
         probe = (np.array([0.25, 0.5]) * self.support,)
         value, slope, curvature = _custom_partials(self.value_fn, self.slope_fn, probe,
                                                    self.support)
+
+        def level(x):
+            m = value(x)
+            _require(((m >= 0.0) & (m < math.inf)) | (x >= self.support), "demand callable "
+                     "returned {} at price {}, not a finite nonnegative level", m, x)
+            return m
         surplus = _custom_callable(self.surplus_fn, probe) if self.surplus_fn is not None else (
-            _custom_callable(lambda x: adaptive_simpson(value, x, self.support)))
-        vars(self).update(_value=value, _slope=slope, _curvature=curvature, _surplus=surplus)
+            _custom_callable(lambda x: adaptive_simpson(level, x, self.support)))
+        vars(self).update(_value=level, _slope=slope, _curvature=curvature, _surplus=surplus)
 
 
 # ---------------------------------------------------------------------------

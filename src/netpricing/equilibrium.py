@@ -19,13 +19,15 @@ congestion elasticity of demand versus supply,
     eps = 1 / D = 1 / (1 - T rho'(phi) Phi_lam(lam, mu))  in (0, 1].
 
 This module is the one place that differentiates h, in throughput space.
-``throughput_response`` gives lam's first-order responses to T and to the
-capacity,
+lam's first-order responses to T and to the capacity are
 
-    lam_T = rho eps,        lam_mu = T rho' Phi_mu eps,
+    lam_T = rho eps,        lam_mu = T rho' Phi_mu eps.
 
-which ``comparative_statics`` and the objectives' gradients build on.
-``throughput_curvature`` adds, for the Newton and implicit-function Hessians,
+``comparative_statics`` builds on both, and the objectives' capacity
+gradients and the sensitivities' trace slope on lam_mu, which
+``capacity_response`` returns with the law's partial Phi_mu it is made of, so
+no caller takes Phi_mu twice.  ``throughput_curvature`` gives lam_T and, for
+the Newton and implicit-function Hessians,
 
     lam_TT = d(rho eps)/dT = eps (rho' Phi_lam - D_T) lam_T,
     D_T    = -rho' Phi_lam - T (rho'' Phi_lam^2 + rho' Phi_lamlam) lam_T.
@@ -40,12 +42,18 @@ throughput outside the sign bracket, take the public curve methods.  Past
 them, the Newton rounds and everything built on a solved equilibrium call the
 curves' unchecked kernels (``curves``); only a custom law's kernel checks, its
 callable's output.
+
+``Equilibrium`` and ``ComparativeStatics``, built on every solve, are named
+tuples.  They are immutable, as frozen dataclasses are, and cost less than
+half as much to build, since a frozen dataclass sets each field through
+``object.__setattr__``.  Being tuples, they also unpack, index and compare
+equal to a plain tuple of the same values; ``_replace`` makes a changed copy.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,8 +64,7 @@ NEWTON_REL_TOL = 1e-9           # a step below this fraction of lam is the last
 MAX_ROUNDS = 100                # cap on the rounds of either solver
 
 
-@dataclass(frozen=True)
-class Equilibrium:
+class Equilibrium(NamedTuple):
     """Solved congestion state for one (p, q) price pair."""
 
     congestion: float           # phi = Phi(lam, mu)
@@ -199,8 +206,7 @@ def solve_equilibrium(model: MarketModel, price_user: float, price_cp: float) ->
     )
 
 
-@dataclass(frozen=True)
-class ComparativeStatics:
+class ComparativeStatics(NamedTuple):
     """Equilibrium responses d(phi)/dx and d(lam)/dx for x in {m, n, mu, p, q}."""
 
     dphi_dm: float
@@ -226,13 +232,12 @@ PREDICTED_STATIC_SIGNS = {
 }
 
 
-def throughput_response(model: MarketModel, eq: Equilibrium) -> tuple[float, float]:
-    """(lam_T, lam_mu): lam's responses to the demand product T = m n and to the
+def capacity_response(model: MarketModel, eq: Equilibrium) -> tuple[float, float]:
+    """(Phi_mu, lam_mu): the law's capacity partial and lam's response to the
     capacity at a solved, non-degenerate equilibrium."""
-    phi, s, t = eq.congestion, model.sensitivity, eq.user_level * eq.cp_level
     phi_mu = model.congestion._congestion_capacity_slope(eq.throughput, model.capacity)
-    return (model.gain._value(phi, s) * eq.elasticity,
-            t * model.gain._slope(phi, s) * phi_mu * eq.elasticity)
+    t, rho_1 = eq.user_level * eq.cp_level, model.gain._slope(eq.congestion, model.sensitivity)
+    return phi_mu, t * rho_1 * phi_mu * eq.elasticity
 
 
 def throughput_curvature(model: MarketModel, eq: Equilibrium) -> tuple[float, float]:
@@ -240,7 +245,7 @@ def throughput_curvature(model: MarketModel, eq: Equilibrium) -> tuple[float, fl
     at a solved, non-degenerate equilibrium."""
     t = eq.user_level * eq.cp_level
     phi, lam, mu, s = eq.congestion, eq.throughput, model.capacity, model.sensitivity
-    lam_t = throughput_response(model, eq)[0]
+    lam_t = model.gain._value(phi, s) * eq.elasticity
     rho_1 = model.gain._slope(phi, s)
     phi_1 = model.congestion._congestion_slope(lam, mu)
     d_t = -rho_1 * phi_1 - t * (model.gain._curvature(phi, s) * phi_1 * phi_1
@@ -256,9 +261,10 @@ def comparative_statics(model: MarketModel, price_user: float,
     eq = solve_equilibrium(model, price_user, price_cp)
     if eq.degenerate:
         raise DomainError("comparative statics need positive demand on both sides")
-    m, n, lam, mu = eq.user_level, eq.cp_level, eq.throughput, model.capacity
-    lam_t, lam_mu = throughput_response(model, eq)
-    phi_lam = model.congestion._congestion_slope(lam, mu)
+    m, n = eq.user_level, eq.cp_level
+    phi_mu, lam_mu = capacity_response(model, eq)
+    lam_t = model.gain._value(eq.congestion, model.sensitivity) * eq.elasticity
+    phi_lam = model.congestion._congestion_slope(eq.throughput, model.capacity)
     dlam_dp = lam_t * model.user_demand._slope(price_user) * n
     dlam_dq = lam_t * m * model.cp_demand._slope(price_cp)
     return ComparativeStatics(
@@ -266,7 +272,7 @@ def comparative_statics(model: MarketModel, price_user: float,
         dlam_dm=lam_t * n,
         dphi_dn=phi_lam * lam_t * m,
         dlam_dn=lam_t * m,
-        dphi_dmu=phi_lam * lam_mu + model.congestion._congestion_capacity_slope(lam, mu),
+        dphi_dmu=phi_lam * lam_mu + phi_mu,
         dlam_dmu=lam_mu,
         dphi_dp=phi_lam * dlam_dp,
         dlam_dp=dlam_dp,

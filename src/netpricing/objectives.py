@@ -18,6 +18,9 @@ directly; its derivatives come from ``equilibrium``, which differentiates
 h(lam; T, mu) = lam - T rho(Phi(lam, mu)) = 0 with eps = 1/D, D = 1 - T rho'
 Phi_lam: lam_T = rho eps and lam_mu = T rho' Phi_mu eps.  The capacity
 gradients are M lam_mu and (s_m + s_n) lam_mu, M = p + q - c the margin.
+``ObjectiveReport`` and ``ObjectiveGradients``, built at every evaluation, are
+immutable named tuples, as ``equilibrium.Equilibrium`` is and for its reason:
+they cost less than half as much to build as frozen dataclasses.
 
 Second derivatives, for the optimizers' Newton steps and the implicit-function
 sensitivities, are separate calls that reuse a solved equilibrium and
@@ -39,15 +42,13 @@ h' = h^2 - m''/m, h the hazard.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .curves import MarketModel
-from .equilibrium import (Equilibrium, solve_equilibrium, throughput_curvature,
-                          throughput_response)
+from .equilibrium import Equilibrium, capacity_response, solve_equilibrium, throughput_curvature
 
 
-@dataclass(frozen=True)
-class ObjectiveGradients:
+class ObjectiveGradients(NamedTuple):
     profit_price_user: float    # dU/dp
     profit_price_cp: float      # dU/dq
     profit_capacity: float      # dU/dmu
@@ -59,8 +60,7 @@ class ObjectiveGradients:
 _ZERO_GRADIENTS = ObjectiveGradients(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
 
-@dataclass(frozen=True)
-class ObjectiveReport:
+class ObjectiveReport(NamedTuple):
     profit: float               # U
     user_welfare: float         # W_m
     cp_welfare: float           # W_n
@@ -98,7 +98,7 @@ def evaluate_objectives(model: MarketModel, price_user: float,
 
     user_hazard = -model.user_demand._slope(price_user) / m
     cp_hazard = -model.cp_demand._slope(price_cp) / n
-    lam_mu = throughput_response(model, eq)[1]
+    lam_mu = capacity_response(model, eq)[1]
 
     # hazards may diverge at a zero price (convex demands); with an exactly
     # zero margin the hazard term drops out rather than producing 0 * inf

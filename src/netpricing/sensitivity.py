@@ -32,7 +32,7 @@ the qualitative predictions.  The relevant slope is taken along the
 capacity-parameterized trace: hold prices and sensitivity fixed and let the
 capacity move, so d eps/d phi = (d eps/d mu) / (d phi/d mu).  With the demand
 product T = m n fixed, eps = 1/D with D = 1 - T rho' Phi_lam, and lam_mu =
-T rho' Phi_mu eps from ``equilibrium.throughput_response``, differentiating
+T rho' Phi_mu eps from ``equilibrium.capacity_response``, differentiating
 the equilibrium condition in mu gives
 
     phi_mu = Phi_lam lam_mu + Phi_mu,
@@ -68,7 +68,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .curves import MarketModel, parameter_value, with_parameter
-from .equilibrium import Equilibrium, solve_equilibrium, throughput_response
+from .equilibrium import Equilibrium, capacity_response, solve_equilibrium
 from .errors import DomainError, NumericalError
 from .objectives import profit_hessian, welfare_segment_curvature
 from .optimize import (OptimumReport, _optima, concave_step, profit_objective,
@@ -86,8 +86,8 @@ def _trace_slope(model: MarketModel, eq: Equilibrium) -> float:
     rho_1 = model.gain._slope(phi, s)
     law = model.congestion
     phi_lam = law._congestion_slope(lam, mu)
-    lam_mu = throughput_response(model, eq)[1]
-    phi_mu = phi_lam * lam_mu + law._congestion_capacity_slope(lam, mu)
+    law_mu, lam_mu = capacity_response(model, eq)
+    phi_mu = phi_lam * lam_mu + law_mu
     if not abs(mu * phi_mu) > TRACE_RESOLUTION * phi:
         raise NumericalError("congestion does not respond to capacity")
     d_mu = -t * (model.gain._curvature(phi, s) * phi_mu * phi_lam

@@ -646,14 +646,26 @@ def test_custom_curves_pickle_by_their_callables():
                                       getattr(curve, method)(xs, *args))
 
 
+def _annotated_fields(result) -> dict:
+    """Field name to annotation text of a dataclass or a named tuple, else {}
+    (a named tuple keeps a postponed annotation as a ``ForwardRef``)."""
+    if dataclasses.is_dataclass(result):
+        return {f.name: f.type for f in dataclasses.fields(result)}
+    if isinstance(result, tuple) and hasattr(result, "_fields"):
+        annotations = type(result).__annotations__
+        return {name: annotations[name].__forward_arg__ for name in result._fields}
+    return {}
+
+
 def _float_fields(result, path):
-    """(path, value) of every float-annotated field, through nested dataclasses."""
-    for f in dataclasses.fields(result):
-        value = getattr(result, f.name)
-        if dataclasses.is_dataclass(value):
-            yield from _float_fields(value, f"{path}.{f.name}")
-        elif "float" in f.type:
-            yield f"{path}.{f.name}", value
+    """(path, value) of every float-annotated field, through nested dataclasses
+    and named tuples."""
+    for name, annotation in _annotated_fields(result).items():
+        value = getattr(result, name)
+        if _annotated_fields(value):
+            yield from _float_fields(value, f"{path}.{name}")
+        elif "float" in annotation:
+            yield f"{path}.{name}", value
 
 
 @pytest.mark.parametrize("gain", GAINS)

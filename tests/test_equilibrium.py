@@ -1,16 +1,17 @@
 """Equilibrium solver: closed forms, uniqueness, elasticity, statics."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from netpricing import (BracketError, CapacitySharing, CpPowerDemand, CustomCongestion,
-                        CustomGain, DomainError, ExponentialGain, MM1Queue,
+                        CustomDemand, CustomGain, DomainError, ExponentialGain, MM1Queue,
                         ReciprocalGain, UserPowerDemand, baseline_model,
                         comparative_statics, evaluate_objectives, finite_difference,
                         growth_rates, optimal_price_sensitivity, solve_equilibrium)
-from netpricing import curves
+from netpricing import curves, equilibrium
 from netpricing.curves import DemandCurve
 from netpricing.equilibrium import (PREDICTED_STATIC_SIGNS, solve_for_demands,
                                     solve_many)
@@ -109,6 +110,29 @@ def test_custom_law_without_a_nonnegative_congestion_raises_domain_error(law):
         growth_rates(model)
 
 
+@pytest.mark.parametrize("level", [math.inf, math.nan, -0.5], ids=["inf", "nan", "negative"])
+def test_custom_demand_without_a_finite_nonnegative_level_raises_domain_error(level):
+    # the demand's value kernel checks its callable's output, so a solve stops
+    # at the level, not at the round cap or at the throughput the level produced
+    demand = CustomDemand(lambda p: level)
+    model = replace(baseline_model(congestion=MM1Queue(), capacity=2.0), user_demand=demand)
+    match = "demand callable returned .* not a finite nonnegative level"
+    for entry in (solve_equilibrium, evaluate_objectives, comparative_statics):
+        with pytest.raises(DomainError, match=match):
+            entry(model, 0.3, 0.3)
+    for call in (lambda: growth_rates(model), lambda: demand.value(0.3),
+                 lambda: demand.value(np.array([0.2, 0.3])), lambda: demand.surplus(0.3)):
+        with pytest.raises(DomainError, match=match):
+            call()
+
+
+def test_custom_demand_checks_no_level_from_its_support_on():
+    # from the support bound on the demand is 0 whatever the callable returns there
+    demand = CustomDemand(lambda p: 1.0 - p if p < 1.0 else math.nan)
+    np.testing.assert_array_equal(demand.value(np.array([0.5, 1.0, 1.5])), [0.5, 0.0, 0.0])
+    assert demand.value(1.0) == 0.0
+
+
 def test_a_solve_checks_its_arguments_a_fixed_number_of_times(monkeypatch):
     # the checks run at the solver's boundary, not in its Newton rounds
     calls = []
@@ -128,6 +152,27 @@ def test_a_solve_checks_its_arguments_a_fixed_number_of_times(monkeypatch):
         counts.append(sorted(calls))
     assert rounds[0] != rounds[1]
     assert counts[0] == counts[1]
+
+
+@pytest.mark.parametrize("law", [CapacitySharing(), MM1Queue()], ids=["sharing", "mm1"])
+def test_a_point_op_solves_once_and_takes_the_capacity_partial_once(law, monkeypatch):
+    # the statics reuse the law's capacity partial that lam_mu is built from
+    calls = []
+
+    def counted(name, fn):
+        def kernel(*args):
+            calls.append(name)
+            return fn(*args)
+        return kernel
+    monkeypatch.setattr(equilibrium, "solve_for_demands",
+                        counted("solve", equilibrium.solve_for_demands))
+    monkeypatch.setattr(type(law), "_congestion_capacity_slope",
+                        counted("capacity_slope", type(law)._congestion_capacity_slope))
+    model = baseline_model(congestion=law)
+    for entry in (comparative_statics, evaluate_objectives):
+        calls.clear()
+        entry(model, 0.4, 0.3)
+        assert sorted(calls) == ["capacity_slope", "solve"], entry.__name__
 
 
 # ---------------------------------------------------------------------------
