@@ -1,12 +1,6 @@
-"""Command line front end.
-
-Subcommands: ``solve-eq``, ``optimize``, ``sweep``, ``sensitivity``.  Each
-takes ``--config PATH`` plus repeatable ``--set key=value`` overrides, an
-optional ``--out PATH`` for CSV output, and ``--verify`` to cross-check
-results against the brute-force oracles.
-
-Exit codes: 0 success, 1 config error (a config value outside the model's
-domain too), 2 numerical failure, 3 verification mismatch.
+"""Command line front end: ``main`` runs one subcommand and maps its errors to
+the exit codes.  README.md documents the commands, their output, what
+``--verify`` checks and the exit codes.
 """
 
 from __future__ import annotations

@@ -5,24 +5,8 @@ are ignored, and dotted keys group related settings.  Sweep ranges use
 ``start:stop:count`` with inclusive endpoints.  Unknown keys are rejected so
 typos fail loudly.
 
-Recognized keys (defaults encode the static baseline: unit capacity and
-sensitivity, unit demand shapes, cost 0.7, sharing congestion, reciprocal
-gain):
-
-    gain = reciprocal | exponential
-    congestion = sharing | mm1
-    user_demand.alpha = 1.0
-    cp_demand.beta = 1.0
-    cost = 0.7
-    capacity = 1.0
-    sensitivity = 1.0
-    price.user = 0.3          # solve-eq evaluation point
-    price.cp = 0.3
-    sweep.parameter = alpha | beta | capacity | sensitivity (aliases mu, s)
-    sweep.range = 0.5:3:26
-    output.path = sweep.csv
-    output.columns = all | prices
-    verify = true | false
+``_KEYS`` maps each key to its ``ScenarioConfig`` field and parser; README.md
+lists the keys with their defaults, those of ``curves.baseline_model``.
 """
 
 from __future__ import annotations

@@ -10,25 +10,12 @@ A priced, congestible network platform is assembled from four curves:
 * two demand curves, one per market side: user demand ``m(p)`` and
   content-side demand ``n(q)``, each with hazard rate and surplus integral.
 
-The equilibrium and everything derived from it are differentiated in
-throughput space (``equilibrium``), from the forward law's partials only:
-the throughput elasticity is eps = 1 / (1 - m n rho'(phi) Phi_lam(lam, mu)),
-and its first-order terms take rho, rho', Phi_lam and the congestion law's
-``congestion_capacity_slope`` Phi_mu.  Every curve also states its second
-derivatives, which the optimizers' Newton Hessians, the implicit-function
-sensitivities and the elasticity trace slope use: the gain's ``curvature``
-rho'', the congestion law's ``congestion_curvature`` Phi_lamlam and
-``congestion_cross_slope`` Phi_lammu, and the demand's ``curvature`` m''.
-
-Builtin families are closed-form throughout.  The ``Custom*`` variants accept
-arbitrary value callables and derive slopes, inverses, hazards, and surplus
-integrals numerically (central differences at relative step 1e-6, adaptive
-Simpson quadrature at absolute tolerance 1e-10).  A custom second derivative
-is the central difference of an analytic slope callable when one is given,
-and otherwise a three-point second difference of the value callable at
-relative step 1e-4 (``SECOND_REL_STEP``; differencing a differenced slope
-would lose about four more digits).  Which fallback a curve uses is chosen
-once, at construction.
+Every curve states its first and second derivatives: the gain's ``slope``
+rho' and ``curvature`` rho'', the congestion law's ``congestion_slope``
+Phi_lam, ``congestion_capacity_slope`` Phi_mu, ``congestion_curvature``
+Phi_lamlam and ``congestion_cross_slope`` Phi_lammu, and each demand's
+``slope`` m' and ``curvature`` m''.  ``equilibrium`` differentiates the
+equilibrium from the forward law's partials alone.
 
 Each public curve method checks its arguments (``DomainError``), then calls
 its family's kernel of the same name with a leading underscore (``value``
@@ -36,11 +23,34 @@ calls ``_value``), where each builtin formula is written once.  Kernels check
 nothing; code past the input boundary calls them on values it made itself
 (``equilibrium`` says where each check runs).  Each kernel states its formula
 in operators that take a float or a numpy array; a float stays in float
-arithmetic, far cheaper than numpy on a float.  Whether a custom callable
-broadcasts is decided once, at construction, from one call on a two-point
-float array; one that raises or returns another shape there is mapped over
-array elements.  Curve objects are immutable and pure, so instances can be
-shared and used concurrently.
+arithmetic, far cheaper than numpy on a float.  Curve objects are immutable
+and pure, so instances can be shared and used concurrently.
+
+Builtin families are closed-form throughout.  The ``Custom*`` variants take
+plain callables and derive what they are not given; which fallback a curve
+uses is chosen once, at construction:
+
+* a slope without ``slope_fn``, and each first partial of a custom law, is a
+  central difference at relative step ``FD_REL_STEP``, one-sided at an edge
+  of the domain;
+* a second derivative is the central difference of ``slope_fn`` when one is
+  given, and otherwise a three-point second difference of the value
+  callable at relative step ``SECOND_REL_STEP`` (differencing a differenced
+  slope would lose about four more digits); a law's cross partial Phi_lammu
+  is a four-point difference at the same step;
+* a demand's surplus without ``surplus_fn`` is the adaptive Simpson integral
+  of its level, to absolute tolerance ``QUAD_ABS_TOL``;
+* a law's inverse without ``inverse_fn`` is bisected for.
+
+Whether a callable broadcasts is decided once too: each value, slope or
+surplus callable is called on a two-point float array (a gain's or law's
+also with a two-point array of sensitivities or capacities), and used as-is
+on arrays if it returns an array of that shape, or mapped elementwise if it
+raises ``TypeError``, ``ValueError`` or ``ArithmeticError`` or returns
+another shape.  A mapped callable is mapped over every array argument
+together with the first, so a search over several models can pass a
+capacity and a sensitivity per point.  An ``inverse_fn`` is never probed (no
+solver calls it) and is always mapped.  Float inputs give float results.
 
 ``PARAMETERS`` are the sweepable model parameters, read by
 ``parameter_value`` and set on a copy by ``with_parameter``.
@@ -105,9 +115,8 @@ def _custom_callable(fn: Callable, probe_args: tuple | None = None) -> Callable:
 def _custom_partials(value_fn: Callable, slope_fn: Callable | None, probe: tuple,
                      hi: float) -> tuple[Callable, Callable, Callable]:
     """(value, slope, curvature) of a custom curve on [0, hi] in its first
-    argument; further arguments pass through.  The slope is ``slope_fn`` or a
-    central difference of the value; the curvature a central difference of
-    ``slope_fn`` or, without one, a second difference of the value."""
+    argument, by the module docstring's fallbacks; further arguments pass
+    through."""
     value = _custom_callable(value_fn, probe)
     if slope_fn is None:
         def slope(x, *args):
@@ -278,11 +287,8 @@ class ExponentialGain(GainCurve):
 class CustomGain(GainCurve, _CustomCurve):
     """Gain from a user-supplied value callable (phi, s) -> rho.
 
-    The slope falls back to a central finite difference when no analytic
-    slope callable is supplied; the curvature differences the slope callable
-    when there is one and the value callable otherwise.  The
-    decreasing-to-zero tail cannot be decided from point evaluations; it is
-    only probed numerically (see the test suite), so a custom curve
+    The decreasing-to-zero tail cannot be decided from point evaluations; it
+    is only probed numerically (see the test suite), so a custom curve
     violating it fails late, at solve time.
     """
 
@@ -316,12 +322,10 @@ class CongestionCurve:
     strictly increasing in both the congestion level and the capacity.  The
     forward map and its partials check a positive capacity and a throughput
     in the law's domain (``_check``), then call the kernel of the same name
-    with a leading underscore.  The partials' kernels default to differences
-    of ``_congestion`` (the builtin laws override them in closed form):
-    central differences for the first, a three-point second difference for
-    ``congestion_curvature`` and a four-point one for
-    ``congestion_cross_slope``.  No solver, statics or objective path calls
-    the inverse.
+    with a leading underscore.  The partials' kernels default to the
+    differences of ``_congestion`` that the module docstring lists; the
+    builtin laws override them in closed form.  No solver, statics or
+    objective path calls the inverse.
     """
 
     def congestion(self, throughput, capacity):
@@ -447,16 +451,13 @@ class MM1Queue(CongestionCurve):
 class CustomCongestion(CongestionCurve, _CustomCurve):
     """Congestion law from a user-supplied (throughput, capacity) callable.
 
-    Only monotonicity is required of the callable: the slopes and second
-    derivatives are the differences of the forward map that
-    ``CongestionCurve`` defines,
-    and the inverse is bisected for unless an analytic ``inverse_fn`` is given
-    (no solver calls the inverse, so it is not probed: arrays are mapped).
-    As for the builtin laws, a negative or NaN throughput and a congestion
-    below the zero-throughput floor raise ``DomainError`` before either
-    callable is reached.  Its kernel raises ``DomainError`` where the callable
-    raises an arithmetic or value error or returns a congestion that is not a
-    nonnegative number, which no later check would see.
+    Only monotonicity is required of the callable.  As for the builtin laws,
+    a negative or NaN throughput and a congestion below the zero-throughput
+    floor raise ``DomainError`` before either callable is reached.  Its
+    kernel raises ``DomainError`` where the callable raises an arithmetic or
+    value error or returns a congestion that is not a nonnegative number,
+    which no later check would see; on an array of throughputs it names the
+    first at which the callable raises alone, and counts them.
     """
 
     congestion_fn: Callable = field(compare=False)
@@ -642,13 +643,12 @@ class CustomDemand(DemandCurve, _CustomCurve):
     """Demand from a user-supplied value callable on [0, support].
 
     The support bound must be declared explicitly; it cannot be inferred
-    from point evaluations.  Slope falls back to central differences and the
-    surplus integral to adaptive Simpson quadrature unless analytic
-    callables are supplied; the curvature differences the slope callable
-    when there is one and the value callable otherwise.  A level that is not
-    a finite nonnegative number below the support raises ``DomainError``
-    where it is read (and in the surplus quadrature, which a NaN or infinite
-    integrand never lets converge).
+    from point evaluations.  Below the support a level that is not a finite
+    nonnegative number, or a ``surplus_fn`` value that is not a finite
+    number, raises ``DomainError`` where it is read (the level also in the
+    surplus quadrature, which a NaN or infinite integrand never lets
+    converge).  From the support on both are 0, and the quadrature does not
+    call the value callable there.
     """
 
     value_fn: Callable = field(compare=False)
@@ -667,8 +667,17 @@ class CustomDemand(DemandCurve, _CustomCurve):
             _require(((m >= 0.0) & (m < math.inf)) | (x >= self.support), "demand callable "
                      "returned {} at price {}, not a finite nonnegative level", m, x)
             return m
-        surplus = _custom_callable(self.surplus_fn, probe) if self.surplus_fn is not None else (
-            _custom_callable(lambda x: adaptive_simpson(level, x, self.support)))
+
+        def integrand(x):       # 0 from the support on, where the callable is not called
+            return level(x) if x < self.support else 0.0
+        raw = (_custom_callable(self.surplus_fn, probe) if self.surplus_fn is not None
+               else _custom_callable(lambda x: adaptive_simpson(integrand, x, self.support)))
+
+        def surplus(x):
+            s = raw(x)
+            _require(((s > -math.inf) & (s < math.inf)) | (x >= self.support),
+                     "surplus callable returned {} at price {}, not a finite number", s, x)
+            return s
         vars(self).update(_value=level, _slope=slope, _curvature=curvature, _surplus=surplus)
 
 

@@ -18,36 +18,55 @@ congestion elasticity of demand versus supply,
 
     eps = 1 / D = 1 / (1 - T rho'(phi) Phi_lam(lam, mu))  in (0, 1].
 
-This module is the one place that differentiates h, in throughput space.
-lam's first-order responses to T and to the capacity are
+This module is the one place that differentiates h, in throughput space from
+the forward law's partials, and the one outside ``curves`` that reads the
+curves' rho'', Phi_lamlam, Phi_lammu and Phi_mu.  lam's first-order responses
+to T and to the capacity are
 
     lam_T = rho eps,        lam_mu = T rho' Phi_mu eps.
 
 ``comparative_statics`` builds on both, and the objectives' capacity
-gradients and the sensitivities' trace slope on lam_mu, which
-``capacity_response`` returns with the law's partial Phi_mu it is made of, so
-no caller takes Phi_mu twice.  ``throughput_curvature`` gives lam_T and, for
-the Newton and implicit-function Hessians,
+gradients on lam_mu, which ``capacity_response`` returns with the law's
+partial Phi_mu it is made of, so no caller takes Phi_mu twice.  The
+first-order path calls no second-derivative curve method.  Two functions
+take the second-order terms at a solved equilibrium:
 
-    lam_TT = d(rho eps)/dT = eps (rho' Phi_lam - D_T) lam_T,
-    D_T    = -rho' Phi_lam - T (rho'' Phi_lam^2 + rho' Phi_lamlam) lam_T.
+* ``throughput_curvature`` gives lam_T and, for the Newton and
+  implicit-function Hessians,
 
-The first-order path calls no second-derivative curve method.
+      lam_TT = d(rho eps)/dT = eps (rho' Phi_lam - D_T) lam_T,
+      D_T    = -rho' Phi_lam - T (rho'' Phi_lam^2 + rho' Phi_lamlam) lam_T;
+
+* ``_trace_slope`` gives the slope of eps in phi along the capacity trace,
+  for the sensitivities' sign rules: prices and sensitivity held and the
+  capacity moving, d eps/d phi = (d eps/d mu) / (d phi/d mu).  At fixed T,
+  h = 0 differentiated in mu gives
+
+      phi_mu = Phi_lam lam_mu + Phi_mu,
+      D_mu   = -T (rho'' phi_mu Phi_lam + rho' (Phi_lamlam lam_mu + Phi_lammu)),
+
+  d eps/d mu = -D_mu eps^2, and the slope is -D_mu eps^2 / phi_mu.  A
+  congestion that does not respond to capacity (|mu phi_mu| at most
+  ``TRACE_RESOLUTION`` times phi) leaves it undefined and raises
+  ``NumericalError``.  The partial at fixed capacity is a different object
+  and would falsify the sign rules for capacity-dependent congestion laws.
 
 Domain checks run where inputs enter: prices in ``solve_equilibrium``, and
 capacity and sensitivity in ``MarketModel`` and once per call of
 ``solve_for_demands`` and ``solve_many``, whose ``throughput_limit``, start
-probe lam0 = T rho(Phi(hi / 2)) and (scalar) last Phi(lam), the one
-throughput outside the sign bracket, take the public curve methods.  Past
+probe lam0 and (scalar) last Phi(lam), the one throughput outside the sign
+bracket, take the public curve methods.  Past
 them, the Newton rounds and everything built on a solved equilibrium call the
 curves' unchecked kernels (``curves``); only a custom law's kernel checks, its
 callable's output.
 
-``Equilibrium`` and ``ComparativeStatics``, built on every solve, are named
-tuples.  They are immutable, as frozen dataclasses are, and cost less than
-half as much to build, since a frozen dataclass sets each field through
-``object.__setattr__``.  Being tuples, they also unpack, index and compare
-equal to a plain tuple of the same values; ``_replace`` makes a changed copy.
+The records built on every solve, ``Equilibrium`` and ``ComparativeStatics``
+here and ``objectives.ObjectiveReport`` and ``objectives.ObjectiveGradients``,
+are named tuples.  They are immutable, as frozen dataclasses are, and cost
+less than half as much to build, since a frozen dataclass sets each field
+through ``object.__setattr__``.  Being tuples, they also unpack, index and
+compare equal to a plain tuple of the same values; ``_replace`` makes a
+changed copy.
 """
 
 from __future__ import annotations
@@ -58,10 +77,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .curves import CongestionCurve, GainCurve, MarketModel
-from .errors import BracketError, ConvergenceError, DomainError
+from .errors import BracketError, ConvergenceError, DomainError, NumericalError
 
 NEWTON_REL_TOL = 1e-9           # a step below this fraction of lam is the last
 MAX_ROUNDS = 100                # cap on the rounds of either solver
+TRACE_RESOLUTION = 1e-10        # capacity elasticity of congestion below which it does not respond
 
 
 class Equilibrium(NamedTuple):
@@ -167,14 +187,6 @@ def solve_many(gain: GainCurve, congestion: CongestionCurve, mn: np.ndarray,
     return lam
 
 
-def _elasticity_at(gain: GainCurve, congestion: CongestionCurve, mn: float,
-                   phi: float, lam: float, capacity: float, sensitivity: float) -> float:
-    if mn <= 0.0:
-        return 1.0
-    rho_1 = gain._slope(phi, sensitivity)
-    return 1.0 / (1.0 - mn * rho_1 * congestion._congestion_slope(lam, capacity))
-
-
 def solve_equilibrium(model: MarketModel, price_user: float, price_cp: float) -> Equilibrium:
     """Unique congestion equilibrium at a price pair.
 
@@ -188,13 +200,14 @@ def solve_equilibrium(model: MarketModel, price_user: float, price_cp: float) ->
     m, n = model.user_demand._level(price_user), model.cp_demand._level(price_cp)
     phi, lam, iterations, degenerate = solve_for_demands(
         model.gain, model.congestion, m, n, model.capacity, model.sensitivity)
-    eps = _elasticity_at(model.gain, model.congestion, m * n, phi, lam,
-                         model.capacity, model.sensitivity)
+    mn = m * n
+    eps = 1.0 if mn <= 0.0 else 1.0 / (1.0 - mn * model.gain._slope(phi, model.sensitivity)
+                                       * model.congestion._congestion_slope(lam, model.capacity))
     return Equilibrium(
         congestion=phi,
         throughput=lam,
         elasticity=eps,
-        gap_residual=abs(lam - m * n * model.gain._value(phi, model.sensitivity)),
+        gap_residual=abs(lam - mn * model.gain._value(phi, model.sensitivity)),
         iterations=iterations,
         price_user=price_user,
         price_cp=price_cp,
@@ -252,6 +265,22 @@ def throughput_curvature(model: MarketModel, eq: Equilibrium) -> tuple[float, fl
                                 + rho_1 * model.congestion._congestion_curvature(lam, mu)) * lam_t
     return lam_t, eq.elasticity * (rho_1 * phi_1 - d_t) * lam_t
 
+
+def _trace_slope(model: MarketModel, eq: Equilibrium) -> float:
+    """d eps / d phi along the capacity trace at a solved, non-degenerate equilibrium."""
+    t, eps = eq.user_level * eq.cp_level, eq.elasticity
+    phi, lam, mu, s = eq.congestion, eq.throughput, model.capacity, model.sensitivity
+    rho_1 = model.gain._slope(phi, s)
+    law = model.congestion
+    phi_lam = law._congestion_slope(lam, mu)
+    law_mu, lam_mu = capacity_response(model, eq)
+    phi_mu = phi_lam * lam_mu + law_mu
+    if not abs(mu * phi_mu) > TRACE_RESOLUTION * phi:
+        raise NumericalError("congestion does not respond to capacity")
+    d_mu = -t * (model.gain._curvature(phi, s) * phi_mu * phi_lam
+                 + rho_1 * (law._congestion_curvature(lam, mu) * lam_mu
+                            + law._congestion_cross_slope(lam, mu)))
+    return -d_mu * eps * eps / phi_mu
 
 def comparative_statics(model: MarketModel, price_user: float,
                         price_cp: float) -> ComparativeStatics:

@@ -144,13 +144,6 @@ def emit_csv(result: SweepResult, path: str | Path) -> Path:
     return path
 
 
-def parse_csv(path: str | Path) -> tuple[list[str], list[list[str]]]:
-    text = Path(path).read_text(encoding="utf-8")
-    lines = [line for line in text.split("\n") if line]
-    header = lines[0].split(",")
-    return header, [line.split(",") for line in lines[1:]]
-
-
 # ---------------------------------------------------------------------------
 # Oracle verification
 # ---------------------------------------------------------------------------

@@ -14,13 +14,9 @@ derivatives).  The matching finite-difference checks therefore difference
 W_m + W_n, while the profit gradients difference U itself.
 
 lam depends on the prices only through T = m(p) n(q), and on the capacity
-directly; its derivatives come from ``equilibrium``, which differentiates
-h(lam; T, mu) = lam - T rho(Phi(lam, mu)) = 0 with eps = 1/D, D = 1 - T rho'
-Phi_lam: lam_T = rho eps and lam_mu = T rho' Phi_mu eps.  The capacity
-gradients are M lam_mu and (s_m + s_n) lam_mu, M = p + q - c the margin.
-``ObjectiveReport`` and ``ObjectiveGradients``, built at every evaluation, are
-immutable named tuples, as ``equilibrium.Equilibrium`` is and for its reason:
-they cost less than half as much to build as frozen dataclasses.
+directly; its responses lam_T and lam_mu come from ``equilibrium``.  The
+capacity gradients are M lam_mu and (s_m + s_n) lam_mu, M = p + q - c the
+margin.
 
 Second derivatives, for the optimizers' Newton steps and the implicit-function
 sensitivities, are separate calls that reuse a solved equilibrium and
@@ -37,7 +33,8 @@ with partials (1, 1, 0, 0).  ``welfare_segment_curvature`` passes s_m + s_n
 and contracts the Hessian along (1, -1), f'' = H_pp - 2 H_pq + H_qq along
 q = cost - p, taking the per-unit surplus derivatives from identities, so a
 custom demand needs no extra quadrature: s' = h s - 1, s'' = s' h + s h' and
-h' = h^2 - m''/m, h the hazard.
+h' = h^2 - m''/m, h the hazard (``_hazard_slope``, which the sensitivities'
+sign rules also read).
 """
 
 from __future__ import annotations
@@ -125,6 +122,11 @@ def evaluate_objectives(model: MarketModel, price_user: float,
     )
 
 
+def _hazard_slope(h: float, curvature: float, level: float) -> float:
+    """h' of the hazard h = -m'/m, from m'' (``curvature``) and the level m."""
+    return h * h - curvature / level
+
+
 def _weighted_hessian(model: MarketModel, eq: Equilibrium, weight) -> tuple[float, float, float]:
     """(H_pp, H_pq, H_qq) of w lam at the equilibrium's prices; zeros where
     demand vanishes.  ``weight(m', n', m'', n'')`` returns the weight and its
@@ -158,11 +160,11 @@ def welfare_segment_curvature(model: MarketModel, eq: Equilibrium) -> float:
     zero where demand vanishes."""
     def surplus_terms(demand, price, level, slope, curvature):
         """(s, s', s''): the per-unit surplus and its derivatives, from the hazard
-        h = -m'/m and its slope h' = h^2 - m''/m."""
+        h = -m'/m and its slope."""
         s = demand._surplus(price) / level
         h = -slope / level
         s_1 = h * s - 1.0
-        return s, s_1, s_1 * h + s * (h * h - curvature / level)
+        return s, s_1, s_1 * h + s * _hazard_slope(h, curvature, level)
 
     def weight(m_1, n_1, m_2, n_2):
         s_m, s_m1, s_m2 = surplus_terms(model.user_demand, eq.price_user, eq.user_level,

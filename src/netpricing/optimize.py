@@ -2,11 +2,11 @@
 
 Each optimizer runs a deterministic global stage, then hands its best point
 to ``_optimum``, which solves the first-order conditions by projected Newton
-from there and builds the ``OptimumReport``.  The scan's axes set the Newton
-box, each from its first point to its last (a one-point axis holds that
-price), and the fallback step, the widest cell among the axes.  The prices,
-the objective value, the ``held`` and ``boundary`` flags and the residuals
-are read from the accepted iterate and its equilibrium:
+from there and builds the ``OptimumReport`` from the accepted iterate and its
+equilibrium: the prices, the objective value, the ``held`` and ``boundary``
+flags and the residuals.  The scan's axes set the Newton box, each from its
+first point to its last (a one-point axis holds that price), and the
+fallback step, the widest cell among the axes:
 
 * profit: ``grid_argmax`` on a grid of p x q, then Newton on the analytic
   gradient (dU/dp, dU/dq) over the box the two axes span.  The two-sided
@@ -18,32 +18,38 @@ are read from the accepted iterate and its equilibrium:
   dW/dp - dW/dq.  The one-sided welfare benchmark has no freedom left: it
   is (cost, 0).
 
-Both objectives are a price-dependent weight times the throughput, so one
-search, ``_starts``, is the global stage of every optimizer and of the
-``--verify`` grid oracle (``oracle.grid_optima``).  It scans each kind at
-its caller's points (the optimizers' ``_POINTS``, the oracle's finer ones) and
-passes all the searched optima of ``growth_rates``, of a sensitivity, of a
-re-optimization stencil, of every row of a sweep or of the oracle's scans to
-one ``grid_argmax`` call, each point under its own model's capacity and
-sensitivity.  ``grid_argmax`` returns, for each stage of each model's search,
-the first maximum of (a_i + b_j - c) lam(m_i n_j) on a grid in row-major
-order, value included, exactly as solving every point would, by branch and
-bound (the exhaustive argmaxes in ``tests/test_oracle.py`` are its
+The global search.  Both objectives are a price-dependent weight times the
+throughput, so one search, ``_starts``, is the global stage of every
+optimizer and of the ``--verify`` grid oracle (``oracle.grid_optima``).  It
+scans each kind at its caller's points (the optimizers' ``_POINTS``, the
+oracle's finer ones) and passes every searched optimum of a call (those of
+``growth_rates``, a sensitivity, a re-optimization stencil, every row of a
+sweep, the oracle's scans) to one ``grid_argmax`` call, each point under its
+own model's capacity and sensitivity.  For each stage of each model's search
+``grid_argmax`` returns the first maximum of (a_i + b_j - c) lam(m_i n_j) on
+a grid in row-major order, value included, exactly as solving every point
+would (the exhaustive argmaxes in ``tests/test_oracle.py`` are its
 references).  A profit grid passes a = p, b = q, c = cost and m(p), n(q); a
 welfare scan is one column, a = s_m + s_n, b = c = 0, m = m(p) n(cost - p),
-n = 1.  lam depends on the prices only through the demand product T and
-rises with it (at fixed lam, h(lam) = lam - T rho(Phi(lam, mu)) falls as T
-rises), so one table bounds all stages of a search, however few its points:
-lam at N + 1 evenly spaced T_k on [0, its largest max m * max n], N the
-smallest power of two at least 2 ceil(sqrt(P)) for its P grid points (a
-falling table raises ``NumericalError``).  A point's value is at most its
-bound max(a_i + b_j - c, 0) lam(T_k) (1 + ``BOUND_SLACK``), T_k the first
-node at or above m_i n_j, and at least its floor, the same weight times
-lam(T_(k-1)) (1 - ``BOUND_SLACK``), where its margin is nonnegative; a
-stage's best floor is its incumbent.  One ``solve_many`` call solves every
-search's table; one more solves the points whose bound reaches their stage's
-incumbent, which ``_kept_points`` finds, coarse to fine on a grid of more
-than ``_BLOCKS`` points.
+n = 1.
+
+It is a branch and bound on one throughput table per search.  lam depends
+on the prices only through the demand product T and rises with it (at fixed
+lam, h(lam) = lam - T rho(Phi(lam, mu)) falls as T rises), so one table
+bounds all stages of a search, however few its points:
+
+* table: lam at N + 1 evenly spaced T_k on [0, the largest max m * max n of
+  its stages], N the smallest power of two at least 2 ceil(sqrt(P)) for the
+  search's P grid points; a falling table raises ``NumericalError``;
+* bound: a point's value is at most max(a_i + b_j - c, 0) lam(T_k)
+  (1 + ``BOUND_SLACK``), T_k the first node at or above m_i n_j;
+* floor: where its margin is nonnegative, its value is at least the same
+  weight times lam(T_(k-1)) (1 - ``BOUND_SLACK``).  A stage's best floor is
+  its incumbent, so no point is solved to find it.
+
+One ``solve_many`` call solves every search's table, and one more the points
+whose bound reaches their stage's incumbent, which ``_kept_points`` finds,
+coarse to fine on a grid of more than ``_BLOCKS`` points.
 
 Newton is projected onto the price box: a coordinate at an edge whose
 gradient points out of the box is held exactly there, so corner optima
@@ -51,13 +57,13 @@ gradient points out of the box is held exactly there, so corner optima
 analytic (``objectives.profit_hessian`` and
 ``objectives.welfare_segment_curvature``, one formula from the curves' second
 derivatives), taken from the equilibrium an accepted iterate already solved,
-so a step costs one objective evaluation plus any backtracking trials; a
-profit optimum takes about 4 evaluations and a welfare or one-sided optimum
-about 3.  Refinement runs in Python floats: the iterate, gradient, box and
-step are floats, and the Newton step is ``concave_step``, -H^-1 g on the free
+so a step costs one objective evaluation plus any backtracking trials.
+Refinement runs in Python floats: the iterate, gradient, box and step are
+floats, and the Newton step is ``concave_step``, -H^-1 g on the free
 coordinates, which the implicit-function sensitivities share.  Where the
 Hessian is not finite or not negative definite the step is one scan cell
-along the gradient's signs.  Every step is backtracked on the objective.  Prices are accepted once the free gradient is below
+along the gradient's signs.  Every step is backtracked on the objective.
+Prices are accepted once the free gradient is below
 ``GRAD_TOL`` or a step moves them less than ``STEP_TOL``; reaching
 ``NEWTON_MAX_STEPS`` raises ``ConvergenceError``.  When only one coordinate
 has room in the box (welfare, one-sided profit) Newton also keeps the
@@ -254,14 +260,11 @@ def _kept_points(a, b, c, m_vals, n_vals, lam: np.ndarray,
                  scale: float) -> tuple[np.ndarray, np.ndarray]:
     """Indices (i, j), row-major, of the points of the grid a x b whose bound
     reaches the grid's best floor (its incumbent), under the throughput table
-    ``lam`` at the nodes T_k = k / ``scale``.
+    ``lam`` at the nodes T_k = k / ``scale``; bound and floor as in the module
+    docstring, at k = ceil(m_i n_j scale) (lam[0] at k = 0).
 
-    With w = max(a_i + b_j - c, 0) and k = ceil(m_i n_j scale) in the table,
-    a point's bound is w lam[k] (1 + ``BOUND_SLACK``) and its floor
-    w lam[k - 1] (1 - ``BOUND_SLACK``), lam[0] at k = 0.  lam is
-    nondecreasing, so where w > 0 a point's value lies between the two; the
-    incumbent is at most the grid maximum, or 0, which every bound reaches,
-    and dropping a point whose bound is below it cannot move the
+    The incumbent is at most the grid maximum, or 0, which every bound
+    reaches, so dropping a point whose bound is below it cannot move the
     first-occurrence argmax.  A grid of more than ``_BLOCKS`` points is
     bounded coarse to fine, in square blocks of a power-of-two side: the
     coarsest side leaves at most ``_BLOCKS`` blocks, whose first points'
@@ -311,11 +314,10 @@ def grid_argmax(searches) -> list[list[tuple[int, int, float, int]]]:
     """For each search (model, stages) and each of its stages (a, b, c,
     m_vals, n_vals), the first-occurrence argmax (i, j) of
     (a_i + b_j - c) * lam(m_i n_j) on the grid a x b, its value, and the
-    equilibria solved for it (a search's table counts in its first stage's).
-    One ``solve_many`` call solves every search's table and one more the
-    points that ``_kept_points`` keeps, no other.  The weight rises with a_i
-    and b_j, m_vals and n_vals are nonnegative, and the models share one gain
-    and one congestion law (module docstring)."""
+    equilibria solved for it (a search's table counts in its first stage's),
+    in the two ``solve_many`` calls of the module docstring.  The weight rises
+    with a_i and b_j, m_vals and n_vals are nonnegative, and the models share
+    one gain and one congestion law."""
     if not searches:
         return []
     stages = [stage for _, group in searches for stage in group]
@@ -364,10 +366,9 @@ def profit_objective(model: MarketModel):
 
 
 def _optimum(model: MarketModel, kind: str, start) -> OptimumReport:
-    """Projected Newton on the ``kind``'s objective from a ``_starts`` entry,
-    and the report of where it ends.  The box runs from each axis's first
-    point to its last (a one-point axis holds its price); a fallback step is
-    the widest cell among the other axes."""
+    """Projected Newton on the ``kind``'s objective from a ``_starts`` entry, in
+    the box and with the fallback step its axes set, and the report of where
+    it ends."""
     axes, point, _, solved = start
     welfare = kind == "welfare_two_sided"
     objective = (welfare_objective if welfare else profit_objective)(model)

@@ -11,19 +11,16 @@
   prices, the reference for the implicit-function price sensitivities
   (``reoptimization_gap`` compares a sensitivity report with it).
 
-``grid_optima`` runs the optimizers' own search, ``optimize._starts``, on
-fixed scans finer than theirs: ``GRID_POINTS`` = 2001 points per profit
-axis, against the optimizers' 101 x 101 profit grid, and ``SEGMENT_POINTS``
-= 4001 points on the welfare segment, every point of the optimizer's
-2001-point start scan plus each midpoint, so the check does not rest on the
-grid Newton started from, and a segment end at which an optimum is held
-stays on the grid.  It searches every scan of every model it is given in
-one call, so ``--verify`` checks a model's profit grid and welfare scan, or
-all the rows of a sweep, in two ``solve_many`` calls.  The oracle checks
-that Newton refinement ends within a cell of the best grid point, not how
-that point was found.  The independent references for the search are the
-exhaustive argmaxes in the test tree (``tests/test_oracle.py``), which solve
-every grid point.
+``grid_optima`` scans each model more finely than the optimizers do:
+``GRID_POINTS`` prices per axis of the clamped profit price box, against
+their 101 x 101 grid, and ``SEGMENT_POINTS`` user prices on the welfare
+segment, every point of their 2001-point start scan plus each midpoint.  So
+the check does not rest on the grid Newton started from, and a segment end
+at which an optimum is held stays on the grid.  It checks that Newton
+refinement ends within a cell of the best grid point, not how that point was
+found: it finds it with the optimizers' own search (``optimize._starts``),
+whose references are the exhaustive argmaxes in ``tests/test_oracle.py``,
+which solve every grid point.
 
 These ship in the library, not the test tree, so the CLI can re-verify any
 result against them (``--verify``).
@@ -60,17 +57,11 @@ class GridOptimum:
 
 
 def grid_optima(models, objectives=("profit", "welfare")) -> list[list[GridOptimum]]:
-    """For each model, the grid argmax of each of ``objectives``, all found
-    by one search (``optimize._starts``): a model's scans share its table,
-    which the first objective's ``solved_points`` counts, and each scan is
-    pruned against its own best floor, so each argmax and its value are the
-    ones its scan gives alone.
-
-    The first (lexicographically smallest) maximizer wins.  The profit grid
-    is ``GRID_POINTS`` per axis over the clamped price box; the welfare grid
-    is ``SEGMENT_POINTS`` user prices on the zero-profit segment
-    p + q = cost, so that the optimizer's own start scan is not the grid
-    that checks it.
+    """For each model, the grid argmax of each of ``objectives`` on the
+    module docstring's scans, all found by one ``optimize._starts`` search.
+    Each argmax and its value are the ones its scan gives alone, the first
+    (lexicographically smallest) maximizer winning; the first objective's
+    ``solved_points`` also counts the model's throughput table.
     """
     kinds = [f"{objective}_two_sided" for objective in objectives]
     if not set(kinds) <= _POINTS.keys():

@@ -19,7 +19,7 @@ conditions instead of re-optimizing.
 A call solves the two optima, whose global stages share one
 ``optimize._starts`` search, and the four equilibria of the dg/dx
 stencils, nothing more: the Hessians, the hazard slopes and the trace
-slopes below are closed forms at the optima's equilibria.
+slopes are closed forms at the optima's equilibria.
 
 The theorem needs an interior profit optimum and a nonsingular curvature
 there.  Both solves are ``optimize.concave_step``, the step Newton refinement
@@ -27,23 +27,10 @@ takes, so a boundary profit optimum, a Hessian that is not negative definite
 and an f_p >= 0 raise ``NumericalError``.  ``oracle.reoptimized_price_derivatives``
 re-optimizes at x -/+ the same step as the brute-force reference.
 
-The direction of the throughput-elasticity response to congestion decides
-the qualitative predictions.  The relevant slope is taken along the
-capacity-parameterized trace: hold prices and sensitivity fixed and let the
-capacity move, so d eps/d phi = (d eps/d mu) / (d phi/d mu).  With the demand
-product T = m n fixed, eps = 1/D with D = 1 - T rho' Phi_lam, and lam_mu =
-T rho' Phi_mu eps from ``equilibrium.capacity_response``, differentiating
-the equilibrium condition in mu gives
-
-    phi_mu = Phi_lam lam_mu + Phi_mu,
-    D_mu   = -T (rho'' phi_mu Phi_lam + rho' (Phi_lamlam lam_mu + Phi_lammu)),
-
-d eps/d mu = -D_mu eps^2, and the slope is -D_mu eps^2 / phi_mu.  A
-congestion that does not respond to capacity (|mu phi_mu| at most
-``TRACE_RESOLUTION`` times phi) leaves the slope undefined and raises
-``NumericalError``.  The partial at fixed capacity is a different object and
-would falsify the sign rules for capacity-dependent congestion laws.  The
-hazard slopes are closed-form too: h' = h^2 - m''/m.
+The qualitative predictions turn on the direction in which the throughput
+elasticity responds to congestion along the capacity trace, the slope
+``equilibrium._trace_slope`` takes at each optimum; the hazard slopes are
+``objectives._hazard_slope``.
 
 Sign predictions, one family for both parameters.  The user-side sign is
 sign(trace slope) for capacity and +1 for sensitivity, whose rules are
@@ -68,46 +55,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .curves import MarketModel, parameter_value, with_parameter
-from .equilibrium import Equilibrium, capacity_response, solve_equilibrium
+from .equilibrium import _trace_slope, solve_equilibrium
 from .errors import DomainError, NumericalError
-from .objectives import profit_hessian, welfare_segment_curvature
+from .objectives import _hazard_slope, profit_hessian, welfare_segment_curvature
 from .optimize import (OptimumReport, _optima, concave_step, profit_objective,
                        welfare_objective)
 
 PARAM_REL_STEP = 1e-3
 CONCLUSIVE_EPS = 1e-6
-TRACE_RESOLUTION = 1e-10    # capacity elasticity of congestion below which it does not respond
-
-
-def _trace_slope(model: MarketModel, eq: Equilibrium) -> float:
-    """d eps / d phi along the capacity trace at a solved, non-degenerate equilibrium."""
-    t, eps = eq.user_level * eq.cp_level, eq.elasticity
-    phi, lam, mu, s = eq.congestion, eq.throughput, model.capacity, model.sensitivity
-    rho_1 = model.gain._slope(phi, s)
-    law = model.congestion
-    phi_lam = law._congestion_slope(lam, mu)
-    law_mu, lam_mu = capacity_response(model, eq)
-    phi_mu = phi_lam * lam_mu + law_mu
-    if not abs(mu * phi_mu) > TRACE_RESOLUTION * phi:
-        raise NumericalError("congestion does not respond to capacity")
-    d_mu = -t * (model.gain._curvature(phi, s) * phi_mu * phi_lam
-                 + rho_1 * (law._congestion_curvature(lam, mu) * lam_mu
-                            + law._congestion_cross_slope(lam, mu)))
-    return -d_mu * eps * eps / phi_mu
 
 
 def elasticity_slope_vs_congestion(model: MarketModel, price_user: float,
                                    price_cp: float) -> float:
     """d eps / d phi along the capacity trace at fixed prices and sensitivity."""
-    m, n = model.demands(price_user, price_cp)
-    if m <= 0.0 or n <= 0.0:
+    eq = solve_equilibrium(model, price_user, price_cp)
+    if eq.degenerate:
         raise DomainError("elasticity trace needs positive demand on both sides")
-    return _trace_slope(model, solve_equilibrium(model, price_user, price_cp))
-
-
-def _hazard_slope(demand, price: float, h: float, level: float) -> float:
-    """h' = h^2 - m''/m of the hazard h = -m'/m at the price, m = ``level``."""
-    return h * h - demand.curvature(price) / level
+    return _trace_slope(model, eq)
 
 
 def _sign(x: float) -> int:
@@ -177,8 +141,8 @@ def _context(model: MarketModel, report: OptimumReport) -> OptimumContext:
         price_cp=q,
         user_hazard=mh,
         cp_hazard=nh,
-        user_hazard_slope=_hazard_slope(model.user_demand, p, mh, eq.user_level),
-        cp_hazard_slope=_hazard_slope(model.cp_demand, q, nh, eq.cp_level),
+        user_hazard_slope=_hazard_slope(mh, model.user_demand.curvature(p), eq.user_level),
+        cp_hazard_slope=_hazard_slope(nh, model.cp_demand.curvature(q), eq.cp_level),
         elasticity_slope=_trace_slope(model, eq),
         interior=not report.held,
     )

@@ -1,5 +1,6 @@
 """Command line behavior: subcommands, outputs, exit codes."""
 
+import csv
 import dataclasses
 import re
 from pathlib import Path
@@ -8,7 +9,6 @@ import pytest
 
 from netpricing import ScenarioConfig
 from netpricing.cli import main
-from netpricing.experiments import parse_csv
 
 BASELINE_SWEEP = """
 sweep.parameter = alpha
@@ -43,7 +43,8 @@ def test_solve_eq_verify_and_out(tmp_path, capsys):
     assert main(["solve-eq", "--config", str(cfg), "--verify",
                  "--out", str(out_csv)]) == 0
     assert "fixed-point congestion gap" in capsys.readouterr().out
-    header, rows = parse_csv(out_csv)
+    with out_csv.open(newline="", encoding="utf-8") as f:
+        header, *rows = csv.reader(f)
     assert header == ["name", "value"]
     assert rows[2][0] == "congestion"
 
@@ -137,7 +138,8 @@ def test_sweep_writes_csv(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     cfg = _write(tmp_path, BASELINE_SWEEP.format(out=out))
     assert main(["sweep", "--config", str(cfg)]) == 0
-    header, rows = parse_csv(out)
+    with out.open(newline="", encoding="utf-8") as f:
+        header, *rows = csv.reader(f)
     assert len(rows) == 3
     assert "wrote 3 rows" in capsys.readouterr().out
 
@@ -149,7 +151,8 @@ def test_sweep_over_degenerate_demands_writes_error_rows(tmp_path, sweep_range, 
     out = tmp_path / "sweep.csv"
     assert main(["sweep", "--set", "sweep.parameter=alpha", "--set", f"sweep.range={sweep_range}",
                  "--out", str(out)]) == 0
-    header, rows = parse_csv(out)
+    with out.open(newline="", encoding="utf-8") as f:
+        header, *rows = csv.reader(f)
     assert rows and all(row[header.index("error")].startswith(error) for row in rows)
 
 

@@ -1,6 +1,7 @@
 """Equilibrium solver: closed forms, uniqueness, elasticity, statics."""
 
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -9,12 +10,14 @@ import pytest
 from netpricing import (BracketError, CapacitySharing, CpPowerDemand, CustomCongestion,
                         CustomDemand, CustomGain, DomainError, ExponentialGain, MM1Queue,
                         ReciprocalGain, UserPowerDemand, baseline_model,
-                        comparative_statics, evaluate_objectives, finite_difference,
-                        growth_rates, optimal_price_sensitivity, solve_equilibrium)
+                        comparative_statics, elasticity_slope_vs_congestion,
+                        evaluate_objectives, finite_difference, growth_rates,
+                        optimal_price_sensitivity, solve_equilibrium)
 from netpricing import curves, equilibrium
 from netpricing.curves import DemandCurve
 from netpricing.equilibrium import (PREDICTED_STATIC_SIGNS, solve_for_demands,
                                     solve_many)
+from netpricing.oracle import grid_optima
 
 
 def random_model(rng):
@@ -131,6 +134,27 @@ def test_custom_demand_checks_no_level_from_its_support_on():
     demand = CustomDemand(lambda p: 1.0 - p if p < 1.0 else math.nan)
     np.testing.assert_array_equal(demand.value(np.array([0.5, 1.0, 1.5])), [0.5, 0.0, 0.0])
     assert demand.value(1.0) == 0.0
+
+
+def test_custom_demand_integrates_no_level_from_its_support_on():
+    # the surplus quadrature reads 0 at the support too, so the callable's NaN
+    # there reaches neither the surplus nor a search's welfare scan
+    demand = CustomDemand(lambda p: 1.0 - p if p < 1.0 else math.nan)
+    assert demand.surplus(0.3) == pytest.approx(0.245, abs=1e-10)
+    builtin = baseline_model(beta=2.0)
+    rates, want = growth_rates(replace(builtin, user_demand=demand)), growth_rates(builtin)
+    assert rates.profit_growth == pytest.approx(want.profit_growth, abs=1e-12)
+    assert rates.welfare_growth == pytest.approx(want.welfare_growth, abs=1e-12)
+
+
+@pytest.mark.parametrize("surplus", [math.nan, math.inf], ids=["nan", "inf"])
+def test_custom_demand_without_a_finite_surplus_raises_domain_error(surplus):
+    demand = CustomDemand(lambda p: 1.0 - p, surplus_fn=lambda p: surplus)
+    model = replace(baseline_model(beta=2.0), user_demand=demand)
+    for call in (lambda: demand.surplus(0.3), lambda: demand.surplus(np.array([0.2, 0.3])),
+                 lambda: evaluate_objectives(model, 0.3, 0.3), lambda: growth_rates(model)):
+        with pytest.raises(DomainError, match="surplus callable returned .* not a finite number"):
+            call()
 
 
 def test_a_solve_checks_its_arguments_a_fixed_number_of_times(monkeypatch):
@@ -552,6 +576,35 @@ def test_first_order_paths_take_no_second_derivatives(monkeypatch):
     solve_equilibrium(model, 0.2, 0.3)
     evaluate_objectives(model, 0.2, 0.3)
     comparative_statics(model, 0.2, 0.3)
+
+
+def test_one_module_owns_the_curve_partials(monkeypatch):
+    # rho'', Phi_lamlam, Phi_lammu and Phi_mu are read in equilibrium (or inside
+    # curves); every other module takes the derivatives built from them
+    readers = set()
+
+    def recorded(fn):
+        def kernel(*args):
+            readers.add(sys._getframe(1).f_globals["__name__"])
+            return fn(*args)
+        return kernel
+    partials = [(gain, "_curvature") for gain in (ReciprocalGain, ExponentialGain)] + [
+        (law, name) for law in (CapacitySharing, MM1Queue)
+        for name in ("_congestion_curvature", "_congestion_cross_slope",
+                     "_congestion_capacity_slope")]
+    for owner, name in partials:
+        monkeypatch.setattr(owner, name, recorded(getattr(owner, name)))
+    for model in (baseline_model(beta=2.0),
+                  baseline_model(gain=ExponentialGain(), congestion=MM1Queue(), capacity=2.0)):
+        evaluate_objectives(model, 0.3, 0.3)
+        comparative_statics(model, 0.3, 0.3)
+        elasticity_slope_vs_congestion(model, 0.3, 0.3)
+        growth_rates(model)
+        grid_optima([model])
+        for parameter in ("capacity", "sensitivity"):
+            optimal_price_sensitivity(model, parameter)
+    assert "netpricing.equilibrium" in readers
+    assert readers <= {"netpricing.equilibrium", "netpricing.curves"}
 
 
 def test_statics_reject_degenerate_point():

@@ -1,5 +1,6 @@
 """Sweep engine and CSV emission: integrity, determinism, error capture."""
 
+import csv
 import dataclasses
 from pathlib import Path
 
@@ -14,7 +15,7 @@ from netpricing import (PricePair, ScenarioConfig, SweepResult, SweepRow, baseli
 from netpricing.curves import with_parameter
 from netpricing.equilibrium import solve_many
 from netpricing.errors import ConfigError, ConvergenceError, VerificationError
-from netpricing.experiments import (ALL_COLUMNS, PRICE_COLUMNS, format_value, parse_csv,
+from netpricing.experiments import (ALL_COLUMNS, PRICE_COLUMNS, format_value,
                                     sweep_values)
 
 
@@ -57,7 +58,8 @@ def test_price_trend_sweep_restricts_columns():
 def test_emit_csv_round_trip(tmp_path):
     result = run_sweep(small_sweep_config())
     path = emit_csv(result, tmp_path / "sweep.csv")
-    header, rows = parse_csv(path)
+    with path.open(newline="", encoding="utf-8") as f:
+        header, *rows = csv.reader(f)
     assert header == list(ALL_COLUMNS)
     assert len(rows) == 4
     for parsed, row in zip(rows, result.rows):
@@ -206,7 +208,8 @@ def test_csv_uses_lf_and_12_digits(tmp_path):
 
 def test_error_rows_emit_blank_cells(tmp_path):
     result = run_sweep(small_sweep_config(cost=1.2))
-    header, rows = parse_csv(emit_csv(result, tmp_path / "err.csv"))
+    with emit_csv(result, tmp_path / "err.csv").open(newline="", encoding="utf-8") as f:
+        header, *rows = csv.reader(f)
     error_col = header.index("error")
     p_col = header.index("p_star")
     for parsed in rows:
