@@ -18,7 +18,7 @@ from .experiments import (SweepResult, SweepRow, emit_csv, run_sweep, verify_opt
 from .objectives import ObjectiveGradients, ObjectiveReport, evaluate_objectives
 from .optimize import (GrowthRates, OptimumReport, PricePair, growth_rates,
                        optimize_one_sided, optimize_profit, optimize_welfare)
-from .oracle import GridOptimum, finite_difference, fixed_point_equilibrium, grid_optimize
+from .oracle import GridOptimum, fixed_point_equilibrium, grid_optimize
 from .sensitivity import (SensitivityReport, SignRuleCheck,
                           elasticity_slope_vs_congestion,
                           optimal_price_sensitivity)
@@ -34,8 +34,8 @@ __all__ = [
     "ScenarioConfig", "SensitivityReport", "SignRuleCheck", "SweepResult", "SweepRow",
     "UserPowerDemand", "VerificationError", "apply_overrides", "baseline_model",
     "build_model", "comparative_statics", "elasticity_slope_vs_congestion",
-    "emit_csv", "evaluate_objectives", "finite_difference",
-    "fixed_point_equilibrium", "grid_optimize", "growth_rates", "load_config",
+    "emit_csv", "evaluate_objectives", "fixed_point_equilibrium",
+    "grid_optimize", "growth_rates", "load_config",
     "optimal_price_sensitivity", "optimize_one_sided", "optimize_profit",
     "optimize_welfare", "parse_config", "run_sweep", "solve_equilibrium",
     "verify_optima", "verify_sweep",

@@ -21,10 +21,12 @@ Each public curve method checks its arguments (``DomainError``), then calls
 its family's kernel of the same name with a leading underscore (``value``
 calls ``_value``), where each builtin formula is written once.  Kernels check
 nothing; code past the input boundary calls them on values it made itself
-(``equilibrium`` says where each check runs).  Each kernel states its formula
-in operators that take a float or a numpy array; a float stays in float
-arithmetic, far cheaper than numpy on a float.  Curve objects are immutable
-and pure, so instances can be shared and used concurrently.
+(``equilibrium`` says where each check runs).  A demand's kernels see only
+prices below its support: from the support on its public methods give 0
+without calling them, for an array as for a float.  Each kernel states its
+formula in operators that take a float or a numpy array; a float stays in
+float arithmetic, far cheaper than numpy on a float.  Curve objects are
+immutable and pure, so instances can be shared and used concurrently.
 
 Builtin families are closed-form throughout.  The ``Custom*`` variants take
 plain callables and derive what they are not given; which fallback a curve
@@ -239,12 +241,6 @@ class GainCurve:
         """d slope / d phi."""
         _check_gain_args(phi, sensitivity)
         return self._curvature(phi, sensitivity)
-
-    def elasticity(self, phi, sensitivity):
-        """Congestion elasticity phi * |slope| / value; 0 in the phi -> 0 limit."""
-        v = self.value(phi, sensitivity)
-        d = self.slope(phi, sensitivity)
-        return _where(phi > 0, phi * abs(d) / v, 0.0)
 
 
 @dataclass(frozen=True)
@@ -527,9 +523,10 @@ class DemandCurve:
     integral of the demand from the price to the support bound, and
     ``per_unit_surplus`` their ratio surplus/value.  A family supplies the
     kernels ``_value``, ``_slope``, ``_curvature`` and ``_surplus`` for
-    prices (float or array) in [0, support]; the public methods check that
-    the price is a nonnegative number and give 0 from the support bound on.
-    ``_level`` is ``value`` at a float price checked already.
+    prices (float or array) in [0, support), and a kernel sees no other: the
+    public methods check that the price is a nonnegative number and give 0
+    from the support bound on, where they call no kernel.  ``_level`` is
+    ``value`` at a float price checked already.
     """
 
     support: float
@@ -547,10 +544,13 @@ class DemandCurve:
         return self._below_support(self._surplus, price)
 
     def _below_support(self, fn: Callable, price):
-        """fn(price) on [0, support) and 0 from the support bound on; fn sees no price above it."""
+        """fn(price) on [0, support) and 0 from the support bound on, where fn is not called."""
         _require(price >= 0, "price must be a nonnegative number, got {}", price)
         if isinstance(price, np.ndarray):
-            return np.where(price < self.support, fn(np.minimum(price, self.support)), 0.0)
+            below = price < self.support
+            out = np.zeros(price.shape)
+            out[below] = fn(price[below].astype(float))
+            return out
         return fn(price) if price < self.support else 0.0
 
     def _level(self, price: float) -> float:

@@ -51,14 +51,27 @@ take the second-order terms at a solved equilibrium:
   ``NumericalError``.  The partial at fixed capacity is a different object
   and would falsify the sign rules for capacity-dependent congestion laws.
 
-Domain checks run where inputs enter: prices in ``solve_equilibrium``, and
-capacity and sensitivity in ``MarketModel`` and once per call of
-``solve_for_demands`` and ``solve_many``, whose ``throughput_limit``, start
-probe lam0 and (scalar) last Phi(lam), the one throughput outside the sign
-bracket, take the public curve methods.  Past
-them, the Newton rounds and everything built on a solved equilibrium call the
-curves' unchecked kernels (``curves``); only a custom law's kernel checks, its
-callable's output.
+The curves' arguments and outputs are checked (``DomainError``) where they
+enter, at these places alone:
+
+* the model's parameters in ``MarketModel`` and in the curves' constructors;
+* prices in ``solve_equilibrium``;
+* capacity and sensitivity once per call of ``solve_for_demands`` and
+  ``solve_many``, whose ``throughput_limit``, start probe lam0 and (scalar)
+  last Phi(lam), the one throughput outside the sign bracket, take the
+  public curve methods;
+* the cost of a welfare search in ``optimize.welfare_segment``.  A search
+  scans prices it builds in [0, support): the segment's, and those of the
+  clamped ``optimize.profit_box``;
+* a zero demand level in ``DemandCurve._per_unit``, through which the
+  optimum diagnostics divide the hazards and per-unit surpluses;
+* a custom curve's output, in its kernels: a law's congestion, a demand's
+  level and surplus.
+
+Past them, the Newton rounds, the search's scans, the optimum diagnostics,
+the sensitivity contexts and everything else built on a solved equilibrium
+call the curves' unchecked kernels (``curves``).  Only the reference route
+``oracle.fixed_point_equilibrium`` takes the public methods throughout.
 
 The records built on every solve, ``Equilibrium`` and ``ComparativeStatics``
 here and ``objectives.ObjectiveReport`` and ``objectives.ObjectiveGradients``,

@@ -231,8 +231,8 @@ class OptimumReport:
 
 def _hazards(model: MarketModel, eq: Equilibrium) -> tuple[float, float]:
     """Both sides' hazards -m'/m at the equilibrium's prices, m its demand levels."""
-    return (-model.user_demand._per_unit(model.user_demand.slope(eq.price_user), eq.user_level),
-            -model.cp_demand._per_unit(model.cp_demand.slope(eq.price_cp), eq.cp_level))
+    return (-model.user_demand._per_unit(model.user_demand._slope(eq.price_user), eq.user_level),
+            -model.cp_demand._per_unit(model.cp_demand._slope(eq.price_cp), eq.cp_level))
 
 
 def _profit_diagnostics(model: MarketModel, eq: Equilibrium,
@@ -426,18 +426,18 @@ def _scan(model: MarketModel, kind: str, points: int):
         lo, hi = welfare_segment(model)
         p_axis = np.linspace(lo, hi, points)
         q_axis = model.cost - p_axis
-        m_vals = model.user_demand.value(p_axis)
-        n_vals = model.cp_demand.value(q_axis)
+        m_vals = model.user_demand._value(p_axis)
+        n_vals = model.cp_demand._value(q_axis)
         weights = np.zeros(points)
         both = (m_vals > 0) & (n_vals > 0)
-        weights[both] = (model.user_demand.per_unit_surplus(p_axis[both])
-                         + model.cp_demand.per_unit_surplus(q_axis[both]))
+        weights[both] = (model.user_demand._surplus(p_axis[both]) / m_vals[both]
+                         + model.cp_demand._surplus(q_axis[both]) / n_vals[both])
         return (p_axis,), (weights, np.zeros(1), 0.0, m_vals * n_vals, np.ones(1))
     p_hi, q_hi = profit_box(model)
     axes = (np.linspace(0.0, p_hi, points),
             np.linspace(0.0, q_hi, points) if kind == "profit_two_sided" else np.zeros(1))
-    return axes, (*axes, model.cost, model.user_demand.value(axes[0]),
-                  model.cp_demand.value(axes[1]))
+    return axes, (*axes, model.cost, model.user_demand._value(axes[0]),
+                  model.cp_demand._value(axes[1]))
 
 
 def optimize_profit(model: MarketModel) -> OptimumReport:
@@ -461,8 +461,8 @@ def _welfare_diagnostics(model: MarketModel, eq: Equilibrium,
                          held: tuple[bool]) -> OptimumDiagnostics:
     """Ramsey residual; None when p is held at a segment end (``held``)."""
     mh, nh = _hazards(model, eq)
-    s_m = model.user_demand._per_unit(model.user_demand.surplus(eq.price_user), eq.user_level)
-    s_n = model.cp_demand._per_unit(model.cp_demand.surplus(eq.price_cp), eq.cp_level)
+    s_m = model.user_demand._per_unit(model.user_demand._surplus(eq.price_user), eq.user_level)
+    s_n = model.cp_demand._per_unit(model.cp_demand._surplus(eq.price_cp), eq.cp_level)
     eps = eq.elasticity
     share_m = s_m / (s_m + s_n)
     share_n = s_n / (s_m + s_n)
@@ -501,11 +501,10 @@ def optimize_one_sided(model: MarketModel, kind: str) -> OptimumReport:
     if kind == "profit":
         return _optima([model], ("profit_one_sided",))[0][0]
     if kind == "welfare":
-        p = model.cost
+        p, user, cp = model.cost, model.user_demand, model.cp_demand
         report = evaluate_objectives(model, p, 0.0)
         eq = report.equilibrium
-        mh = (model.user_demand.hazard(p)
-              if p < model.user_demand.support else math.inf)
+        mh = -user._per_unit(user._slope(p), eq.user_level) if p < user.support else math.inf
         return OptimumReport(
             kind="welfare_one_sided",
             prices=PricePair(p, 0.0),
@@ -513,7 +512,7 @@ def optimize_one_sided(model: MarketModel, kind: str) -> OptimumReport:
             equilibrium=eq,
             diagnostics=OptimumDiagnostics(
                 user_hazard=mh,
-                cp_hazard=model.cp_demand.hazard(0.0),
+                cp_hazard=-cp._per_unit(cp._slope(0.0), eq.cp_level),
                 elasticity=eq.elasticity,
             ),
             boundary=True,      # the constraint leaves no interior freedom

@@ -6,7 +6,6 @@
   its one-model, one-objective case;
 * ``fixed_point_equilibrium``: damped fixed-point iteration on the
   congestion map, an alternative to the Newton equilibrium solver;
-* ``finite_difference``: central differencing for gradient cross-checks;
 * ``reoptimized_price_derivatives``: central differences of re-optimized
   prices, the reference for the implicit-function price sensitivities
   (``reoptimization_gap`` compares a sensitivity report with it).
@@ -112,12 +111,6 @@ def fixed_point_equilibrium(model: MarketModel, price_user: float, price_cp: flo
             return phi_next
         phi = phi_next
     raise ConvergenceError("damped fixed-point iteration did not converge")
-
-
-def finite_difference(f, x: float, rel_step: float = 1e-5) -> float:
-    """Central difference df/dx with step rel_step * max(1, |x|)."""
-    h = rel_step * max(1.0, abs(x))
-    return (f(x + h) - f(x - h)) / (2 * h)
 
 
 def reoptimized_price_derivatives(model: MarketModel, parameter: str,

@@ -141,8 +141,8 @@ def _context(model: MarketModel, report: OptimumReport) -> OptimumContext:
         price_cp=q,
         user_hazard=mh,
         cp_hazard=nh,
-        user_hazard_slope=_hazard_slope(mh, model.user_demand.curvature(p), eq.user_level),
-        cp_hazard_slope=_hazard_slope(nh, model.cp_demand.curvature(q), eq.cp_level),
+        user_hazard_slope=_hazard_slope(mh, model.user_demand._curvature(p), eq.user_level),
+        cp_hazard_slope=_hazard_slope(nh, model.cp_demand._curvature(q), eq.cp_level),
         elasticity_slope=_trace_slope(model, eq),
         interior=not report.held,
     )

@@ -1,18 +1,33 @@
-"""Finite-difference references for the closed-form second derivatives.
+"""Independent references that only the tests compare the library against.
 
-The library takes its Newton Hessians and its elasticity trace slope in
-closed form; these are the brute-force routes they replaced, kept here to
-check them.
+The library takes its gradients, Newton Hessians and elasticity trace slope
+in closed form; the central difference and the differenced Hessian and trace
+slope here are the brute-force routes that check them.  ``gain_elasticity``
+is the gain's congestion elasticity, the independent formula of criterion 09.
 """
 
 import numpy as np
 
 from netpricing import solve_equilibrium
-from netpricing.curves import with_parameter
+from netpricing.curves import _where, with_parameter
 from netpricing.errors import NumericalError
 
 HESSIAN_STEP = 1e-6         # relative step of the gradient's central difference
 TRACE_REL_STEP = 1e-3       # relative capacity step of the trace stencil
+
+
+def finite_difference(f, x: float, rel_step: float = 1e-5) -> float:
+    """Central difference df/dx with step rel_step * max(1, |x|)."""
+    h = rel_step * max(1.0, abs(x))
+    return (f(x + h) - f(x - h)) / (2 * h)
+
+
+def gain_elasticity(gain, phi, sensitivity):
+    """Congestion elasticity phi * |rho'| / rho of a gain (float or array phi);
+    0 in the phi -> 0 limit."""
+    v = gain.value(phi, sensitivity)
+    d = gain.slope(phi, sensitivity)
+    return _where(phi > 0, phi * abs(d) / v, 0.0)
 
 
 def differenced_hessian(objective, x: np.ndarray, free: np.ndarray,

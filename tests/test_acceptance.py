@@ -15,13 +15,13 @@ from netpricing import (CapacitySharing, CpPowerDemand, CustomDemand,
                         CustomGain, ExponentialGain, MarketModel,
                         MM1Queue, ReciprocalGain, UserPowerDemand,
                         baseline_model, comparative_statics, emit_csv,
-                        evaluate_objectives, finite_difference,
-                        fixed_point_equilibrium, grid_optimize,
+                        evaluate_objectives, fixed_point_equilibrium, grid_optimize,
                         optimal_price_sensitivity, optimize_profit,
                         optimize_welfare, parse_config, run_sweep,
                         solve_equilibrium)
 from netpricing.equilibrium import solve_for_demands
 from netpricing.sensitivity import elasticity_slope_vs_congestion
+from references import finite_difference, gain_elasticity
 
 GAINS = {"reciprocal": ReciprocalGain(), "exponential": ExponentialGain()}
 CONGESTIONS = {"sharing": CapacitySharing(), "mm1": MM1Queue()}
@@ -391,7 +391,7 @@ def test_criterion_09_elasticity_identities():
                                  capacity=mu, sensitivity=s)
         eq = solve_equilibrium(sharing, p, q)
         gap = abs(eq.elasticity
-                  - 1.0 / (1.0 + gain.elasticity(eq.congestion, s)))
+                  - 1.0 / (1.0 + gain_elasticity(gain, eq.congestion, s)))
         worst_sharing = max(worst_sharing, gap)
         assert gap <= 1e-10
 

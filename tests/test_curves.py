@@ -12,9 +12,9 @@ from netpricing import (CapacitySharing, CpPowerDemand, CustomCongestion,
                         CustomDemand, CustomGain, DomainError, ExponentialGain,
                         MarketModel, MM1Queue, ReciprocalGain, UserPowerDemand,
                         baseline_model, comparative_statics, evaluate_objectives,
-                        finite_difference, growth_rates, optimize_profit,
-                        solve_equilibrium)
+                        growth_rates, optimize_profit, solve_equilibrium)
 from netpricing.curves import PARAMETERS, parameter_value, with_parameter
+from references import finite_difference, gain_elasticity
 
 GAINS = [ReciprocalGain(), ExponentialGain()]
 CONGESTIONS = [CapacitySharing(), MM1Queue()]
@@ -40,10 +40,11 @@ def test_gain_slopes_at_known_points():
 
 def test_gain_elasticities_match_closed_forms():
     # reciprocal: 1 - 1/(phi s + 1);  exponential: phi ln(s + 1)
-    assert ReciprocalGain().elasticity(1.0, 1.0) == pytest.approx(0.5, rel=1e-14)
-    assert ExponentialGain().elasticity(2.0, 1.0) == pytest.approx(2 * math.log(2.0), rel=1e-14)
+    assert gain_elasticity(ReciprocalGain(), 1.0, 1.0) == pytest.approx(0.5, rel=1e-14)
+    assert gain_elasticity(ExponentialGain(), 2.0, 1.0) == pytest.approx(
+        2 * math.log(2.0), rel=1e-14)
     for gain in GAINS:
-        assert gain.elasticity(0.0, 2.0) == 0.0
+        assert gain_elasticity(gain, 0.0, 2.0) == 0.0
 
 
 @pytest.mark.parametrize("gain", GAINS)
@@ -97,7 +98,7 @@ def test_gain_domain_errors():
     with pytest.raises(DomainError):
         ExponentialGain().slope(1.0, 0.0)
     with pytest.raises(DomainError):
-        ReciprocalGain().elasticity(2.0, -1.0)
+        gain_elasticity(ReciprocalGain(), 2.0, -1.0)
 
 
 def _per_point_sensitivities(rng):
@@ -531,9 +532,10 @@ def _surplus_hazard(demand, price):
 # The inverse law's slopes in phi, d Lambda / d phi = 1 / Phi_lam and
 # d Lambda / d mu = -Phi_mu / Phi_lam, are no methods of the law: they are
 # checked as composed from its public partials at Lambda(phi, mu).  Nor is
-# the surplus hazard m / S of a demand, the reciprocal of its per-unit surplus.
+# the surplus hazard m / S of a demand, the reciprocal of its per-unit
+# surplus, nor a gain's congestion elasticity, the tests' reference formula.
 _COMPOSED = {"throughput_slope": _throughput_slope, "capacity_slope": _capacity_slope,
-             "surplus_hazard": _surplus_hazard}
+             "surplus_hazard": _surplus_hazard, "elasticity": gain_elasticity}
 
 
 @pytest.mark.parametrize("curve, method, xs, args, bad", [
@@ -552,6 +554,16 @@ def test_array_inputs_match_float_inputs(curve, method, xs, args, bad):
             fn(bad, *args)
         with pytest.raises(DomainError):
             fn(np.array([xs[1], bad]), *args)
+
+
+def test_a_demand_array_calls_no_kernel_from_the_support_on():
+    # 0 from the support bound on, for an array as for a float: an array
+    # does not hand the callable its support, where this one divides by zero
+    demand = CustomDemand(lambda p: 1.0 - p if p < 1.0 else 1.0 / 0.0)
+    prices = [0.0, 0.5, 1.0, 1.5]
+    for method in ("value", "slope", "curvature", "surplus"):
+        fn = getattr(demand, method)
+        assert [v.hex() for v in fn(np.array(prices))] == [fn(p).hex() for p in prices], method
 
 
 def test_custom_congestion_domain_matches_builtins():
@@ -613,8 +625,10 @@ def test_custom_curves_take_an_argument_per_point(curve, methods):
     # together with the first, and each point equals its float call bit for bit
     xs, per_point = np.array([0.0, 0.1, 0.4, 0.9]), np.array([0.7, 1.3, 2.0, 0.4])
     for method in methods:
-        got = getattr(curve, method)(xs, per_point)
-        want = [getattr(curve, method)(float(x), float(a)) for x, a in zip(xs, per_point)]
+        fn = (partial(_COMPOSED[method], curve) if method in _COMPOSED
+              else getattr(curve, method))
+        got = fn(xs, per_point)
+        want = [fn(float(x), float(a)) for x, a in zip(xs, per_point)]
         assert [v.hex() for v in got] == [v.hex() for v in want], method
 
 

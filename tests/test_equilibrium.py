@@ -3,21 +3,24 @@
 import math
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from netpricing import (BracketError, CapacitySharing, CpPowerDemand, CustomCongestion,
-                        CustomDemand, CustomGain, DomainError, ExponentialGain, MM1Queue,
-                        ReciprocalGain, UserPowerDemand, baseline_model,
-                        comparative_statics, elasticity_slope_vs_congestion,
-                        evaluate_objectives, finite_difference, growth_rates,
-                        optimal_price_sensitivity, solve_equilibrium)
+                        CustomDemand, CustomGain, DomainError, ExponentialGain, MarketModel,
+                        MM1Queue, ReciprocalGain, UserPowerDemand, baseline_model,
+                        comparative_statics, elasticity_slope_vs_congestion, emit_csv,
+                        evaluate_objectives, fixed_point_equilibrium, growth_rates,
+                        optimal_price_sensitivity, parse_config, run_sweep,
+                        solve_equilibrium)
 from netpricing import curves, equilibrium
 from netpricing.curves import DemandCurve
 from netpricing.equilibrium import (PREDICTED_STATIC_SIGNS, solve_for_demands,
                                     solve_many)
 from netpricing.oracle import grid_optima
+from references import finite_difference, gain_elasticity
 
 
 def random_model(rng):
@@ -372,7 +375,7 @@ def test_sharing_elasticity_matches_gain_elasticity_form():
                                sensitivity=float(rng.uniform(0.5, 3.0)))
         p, q = random_prices(rng)
         eq = solve_equilibrium(model, p, q)
-        eps_rho = model.gain.elasticity(eq.congestion, model.sensitivity)
+        eps_rho = gain_elasticity(model.gain, eq.congestion, model.sensitivity)
         assert abs(eq.elasticity - 1.0 / (1.0 + eps_rho)) <= 1e-10
 
 
@@ -605,6 +608,35 @@ def test_one_module_owns_the_curve_partials(monkeypatch):
             optimal_price_sensitivity(model, parameter)
     assert "netpricing.equilibrium" in readers
     assert readers <= {"netpricing.equilibrium", "netpricing.curves"}
+
+
+def test_past_the_input_boundary_no_demand_method_is_called(monkeypatch, tmp_path):
+    # the searches, the optimum diagnostics and the sensitivity contexts take
+    # the demand kernels at prices they built; the fixed-point reference alone
+    # takes the public methods, through MarketModel.demands
+    custom = MarketModel(ExponentialGain(), MM1Queue(), CustomDemand(
+        lambda p: (1.0 - p) * (1.0 - p), slope_fn=lambda p: -2.0 * (1.0 - p),
+        surplus_fn=lambda p: (1.0 - p) ** 3 / 3.0), CpPowerDemand(beta=2.0), capacity=2.0)
+    models = (baseline_model(beta=2.0),
+              baseline_model(gain=ExponentialGain(), congestion=MM1Queue(), capacity=2.0), custom)
+    golden = Path(__file__).parent / "data" / "sweep_alpha_exponential_mm1.csv"
+    cfg = parse_config("gain = exponential\ncongestion = mm1\n"
+                       "sweep.parameter = alpha\nsweep.range = 0.5:3:3")
+
+    def refused(name):
+        def method(*_):
+            raise AssertionError(f"DemandCurve.{name} called past the input boundary")
+        return method
+    for name in ("value", "slope", "curvature", "surplus", "hazard", "per_unit_surplus"):
+        monkeypatch.setattr(DemandCurve, name, refused(name))
+    for model in models:
+        growth_rates(model)
+        grid_optima([model])
+        for parameter in ("capacity", "sensitivity"):
+            optimal_price_sensitivity(model, parameter)
+    assert emit_csv(run_sweep(cfg), tmp_path / "sweep.csv").read_bytes() == golden.read_bytes()
+    with pytest.raises(AssertionError, match="DemandCurve.value"):
+        fixed_point_equilibrium(custom, 0.3, 0.3)
 
 
 def test_statics_reject_degenerate_point():

@@ -8,11 +8,11 @@ import pytest
 from netpricing import (CapacitySharing, CpPowerDemand, CustomCongestion, CustomDemand,
                         CustomGain, ExponentialGain, MarketModel, MM1Queue,
                         ReciprocalGain, UserPowerDemand, baseline_model,
-                        evaluate_objectives, finite_difference)
+                        evaluate_objectives)
 from netpricing.objectives import profit_hessian, welfare_segment_curvature
 from netpricing.optimize import (profit_box, profit_objective, welfare_objective,
                                  welfare_segment)
-from references import differenced_hessian
+from references import differenced_hessian, finite_difference
 
 import dataclasses
 

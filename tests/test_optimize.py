@@ -330,7 +330,7 @@ def test_welfare_scan_takes_surpluses_only_where_both_demands_are_positive(monke
     # the scan's calls: the demand levels, then the surpluses at positive demand
     calls.clear()
     positive = model.user_demand.value(p_axis) > 0.0
-    model.user_demand.per_unit_surplus(p_axis[positive])
+    model.user_demand.surplus(p_axis[positive])
     assert scan_calls == len(calls)
     assert 0 < positive.sum() < p_axis.size
     assert np.array_equal(weights[0] > 0.0, positive)
@@ -435,6 +435,24 @@ def test_one_sided_welfare_is_cost_on_user_side():
     s_m = UserPowerDemand(1.0).per_unit_surplus(0.7)
     s_n = CpPowerDemand(1.0).per_unit_surplus(0.0)
     assert report.objective == pytest.approx((s_m + s_n) * eq.throughput, rel=1e-12)
+
+
+@pytest.mark.parametrize("model, objective, diagnostics", [
+    # no user demand at p = cost = 1.2: its hazard is inf, taken from no level
+    (baseline_model(cost=1.2), 0.0,
+     "OptimumDiagnostics(user_hazard=inf, cp_hazard=1.0, elasticity=1.0, kkt_residual=None, "
+     "lerner_residual=None, ramsey_residual=None, user_surplus_per_unit=None, "
+     "cp_surplus_per_unit=None)"),
+    # n'(0) = 0.0 under beta = 2, so the content hazard is a signed zero
+    (baseline_model(beta=2.0), 0.19732287644614588,
+     "OptimumDiagnostics(user_hazard=3.333333333333333, cp_hazard=-0.0, "
+     "elasticity=0.8370999312316211, kkt_residual=None, lerner_residual=None, "
+     "ramsey_residual=None, user_surplus_per_unit=None, cp_surplus_per_unit=None)"),
+], ids=["no-user-demand", "flat-content-demand"])
+def test_one_sided_welfare_benchmark_reports_its_hazards(model, objective, diagnostics):
+    report = optimize_one_sided(model, "welfare")
+    assert report.objective == objective
+    assert repr(report.diagnostics) == diagnostics
 
 
 def test_two_sided_dominates_one_sided():

@@ -13,7 +13,7 @@ import netpricing.sensitivity as sensitivity_mod
 from netpricing import (CapacitySharing, CpPowerDemand, CustomCongestion,
                         CustomDemand, CustomGain, ExponentialGain,
                         MarketModel, MM1Queue, ReciprocalGain, UserPowerDemand,
-                        baseline_model, finite_difference, fixed_point_equilibrium,
+                        baseline_model, fixed_point_equilibrium,
                         grid_optimize, growth_rates, optimal_price_sensitivity,
                         optimize_profit, optimize_welfare, solve_equilibrium)
 from netpricing.curves import parameter_value, with_parameter
@@ -21,6 +21,7 @@ from netpricing.equilibrium import solve_many
 from netpricing.errors import DomainError, NumericalError
 from netpricing.experiments import verify_optima
 from netpricing.oracle import reoptimized_price_derivatives
+from references import finite_difference
 
 BUILTIN_LAWS = {"sharing": CapacitySharing(), "mm1": MM1Queue()}
 _ROWS_PER_BLOCK = 128

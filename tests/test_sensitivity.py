@@ -10,13 +10,13 @@ import netpricing.sensitivity as sensitivity_mod
 from netpricing import (CapacitySharing, CustomCongestion, CustomGain, ExponentialGain,
                         MarketModel, MM1Queue, ReciprocalGain, UserPowerDemand,
                         CpPowerDemand, baseline_model,
-                        elasticity_slope_vs_congestion, finite_difference,
+                        elasticity_slope_vs_congestion,
                         optimal_price_sensitivity, optimize_profit)
 from netpricing import optimize as optimize_mod
 from netpricing.curves import PARAMETERS
 from netpricing.errors import DomainError, NumericalError
 from netpricing.oracle import reoptimization_gap
-from references import stencil_trace_slope
+from references import finite_difference, stencil_trace_slope
 
 
 def video_gain() -> CustomGain:
