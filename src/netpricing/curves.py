@@ -23,10 +23,11 @@ calls ``_value``), where each builtin formula is written once.  Kernels check
 nothing; code past the input boundary calls them on values it made itself
 (``equilibrium`` says where each check runs).  A demand's kernels see only
 prices below its support: from the support on its public methods give 0
-without calling them, for an array as for a float.  Each kernel states its
-formula in operators that take a float or a numpy array; a float stays in
-float arithmetic, far cheaper than numpy on a float.  Curve objects are
-immutable and pure, so instances can be shared and used concurrently.
+without calling them, for an array as for a float, and no difference
+stencil reaches it.  Each kernel states its formula in operators that take
+a float or a numpy array; a float stays in float arithmetic, far cheaper
+than numpy on a float.  Curve objects are immutable and pure, so instances
+can be shared and used concurrently.
 
 Builtin families are closed-form throughout.  The ``Custom*`` variants take
 plain callables and derive what they are not given; which fallback a curve
@@ -41,8 +42,7 @@ uses is chosen once, at construction:
   slope would lose about four more digits); a law's cross partial Phi_lammu
   is a four-point difference at the same step;
 * a demand's surplus without ``surplus_fn`` is the adaptive Simpson integral
-  of its level, to absolute tolerance ``QUAD_ABS_TOL``;
-* a law's inverse without ``inverse_fn`` is bisected for.
+  of its level, to absolute tolerance ``QUAD_ABS_TOL``.
 
 Whether a callable broadcasts is decided once too: each value, slope or
 surplus callable is called on a two-point float array (a gain's or law's
@@ -51,8 +51,10 @@ on arrays if it returns an array of that shape, or mapped elementwise if it
 raises ``TypeError``, ``ValueError`` or ``ArithmeticError`` or returns
 another shape.  A mapped callable is mapped over every array argument
 together with the first, so a search over several models can pass a
-capacity and a sensitivity per point.  An ``inverse_fn`` is never probed (no
-solver calls it) and is always mapped.  Float inputs give float results.
+capacity and a sensitivity per point.  Float inputs give float results.
+A law's inverse is its ``inverse_fn``, which no solver calls: it is never
+probed, always mapped, and not derived (without one ``implied_throughput``
+raises ``NotImplementedError``).
 
 ``PARAMETERS`` are the sweepable model parameters, read by
 ``parameter_value`` and set on a copy by ``with_parameter``.
@@ -136,19 +138,19 @@ def _custom_partials(value_fn: Callable, slope_fn: Callable | None, probe: tuple
 
 def _central_diff(f: Callable, x, lo: float, hi: float, *args):
     """Central difference of f(., *args) at x (float or array), one-sided at
-    [lo, hi] edges."""
+    [lo, hi] edges; no point reaches hi."""
     h = FD_REL_STEP * _where(abs(x) > 1.0, abs(x), 1.0)
     a = _where(x - h < lo, x, x - h)
-    b = _where(x + h > hi, x, x + h)
+    b = _where(x + h >= hi, x, x + h)
     _require(a != b, "finite-difference interval collapsed to a point")
     return (f(b, *args) - f(a, *args)) / (b - a)
 
 
 def _second_diff(f: Callable, x, lo: float, hi: float, *args):
     """Three-point second difference of f(., *args) at x (float or array); near
-    an edge of [lo, hi] the stencil is shifted inside it."""
+    lo the stencil starts at lo, and one that would reach hi ends at x."""
     h = SECOND_REL_STEP * _where(abs(x) > 1.0, abs(x), 1.0)
-    c = _where(x - h < lo, lo + h, _where(x + h > hi, hi - h, x))
+    c = _where(x - h < lo, lo + h, _where(x + h >= hi, x - h, x))
     return (f(c + h, *args) - 2.0 * f(c, *args) + f(c - h, *args)) / (h * h)
 
 
@@ -460,9 +462,8 @@ class CustomCongestion(CongestionCurve, _CustomCurve):
     inverse_fn: Callable | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        inverse = self._bisect_inverse if self.inverse_fn is None else self.inverse_fn
-        vars(self).update(_inverse=_custom_callable(inverse), _law=_custom_callable(
-            self.congestion_fn, (np.array([0.25, 0.5]), np.ones(2))))
+        vars(self)["_law"] = _custom_callable(self.congestion_fn,
+                                              (np.array([0.25, 0.5]), np.ones(2)))
 
     def _congestion(self, throughput, capacity):
         try:
@@ -484,30 +485,11 @@ class CustomCongestion(CongestionCurve, _CustomCurve):
         return True
 
     def implied_throughput(self, phi, capacity):
+        if self.inverse_fn is None:
+            raise NotImplementedError("a custom congestion law has no inverse without inverse_fn")
         floor = self.congestion_floor(capacity)
         _require(phi >= floor, "congestion {} below zero-throughput floor {}", phi, floor)
-        return self._inverse(phi, capacity)
-
-    def _bisect_inverse(self, phi: float, capacity: float) -> float:
-        if phi == self.congestion_fn(0.0, capacity):
-            return 0.0
-
-        def reaches(lam):       # a throughput outside the callable's domain is too high
-            try:
-                return self.congestion_fn(lam, capacity) >= phi
-            except (ArithmeticError, ValueError):
-                return True
-
-        lo, hi = 0.0, 1.0
-        while not reaches(hi):
-            lo, hi = hi, hi * 2.0
-            if hi > 2.0 ** 199:
-                raise DomainError(f"no throughput induces congestion {phi}")
-        mid = 0.5 * (lo + hi)
-        while lo < mid < hi and hi - lo > 1e-15 * max(1.0, hi):
-            lo, hi = (lo, mid) if reaches(mid) else (mid, hi)
-            mid = 0.5 * (lo + hi)
-        return mid
+        return _custom_callable(self.inverse_fn)(phi, capacity)
 
 
 # ---------------------------------------------------------------------------
@@ -657,7 +639,8 @@ class CustomDemand(DemandCurve, _CustomCurve):
     surplus_fn: Callable | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        _require(self.support > 0, "support must be positive, got {}", self.support)
+        _require(0 < self.support < math.inf, "support must be positive and finite, got {}",
+                 self.support)
         probe = (np.array([0.25, 0.5]) * self.support,)
         value, slope, curvature = _custom_partials(self.value_fn, self.slope_fn, probe,
                                                    self.support)

@@ -61,10 +61,7 @@ class SweepResult:
 def sweep_values(cfg: ScenarioConfig) -> list[float]:
     if cfg.sweep_parameter is None or cfg.sweep_range is None:
         raise ConfigError("sweep needs both sweep.parameter and sweep.range")
-    start, stop, count = cfg.sweep_range
-    if count == 1:
-        return [start]
-    values = np.linspace(start, stop, count)
+    values = np.linspace(*cfg.sweep_range)
     return sorted(float(v) for v in values)
 
 

@@ -68,13 +68,13 @@ Prices are accepted once the free gradient is below
 ``NEWTON_MAX_STEPS`` raises ``ConvergenceError``.  When only one coordinate
 has room in the box (welfare, one-sided profit) Newton also keeps the
 bracket in which its derivative changed sign: a step that would leave it
-bisects it instead, and the price is accepted once the bracket is narrower
-than ``STEP_TOL``.  This holds a root that sits in a sliver far narrower
-than a Newton step's overshoot (a welfare optimum within 1e-9 of p = 0
-under a user demand with alpha just below 1).  ``OptimumReport.termination``
-records which of these tests ended the run.  The objectives
-(``profit_objective``, ``welfare_objective``) are public: the price
-sensitivities differentiate the same first-order conditions.
+bisects it instead, so once the bracket is narrower than ``STEP_TOL`` the
+step test ends the run.  This holds a root that sits in a sliver far
+narrower than a Newton step's overshoot (a welfare optimum within 1e-9 of
+p = 0 under a user demand with alpha just below 1).
+``OptimumReport.termination`` records which of these tests ended the run.
+The objectives (``profit_objective``, ``welfare_objective``) are public:
+the price sensitivities differentiate the same first-order conditions.
 
 First-order-condition residuals: the KKT residual of hazard equalization
 over the prices not held at a box edge, and, for interior optima only, the
@@ -139,7 +139,7 @@ def _projected_newton(objective, hessian, x0, lo, hi, width: float):
     is ``width`` along the gradient's signs, which stay defined where a
     hazard, and so the gradient, diverges.  The result is (x, its value, its
     report, Newton steps, termination), the termination one of "gradient",
-    "step", "bracket" and "no_free_coordinate".
+    "step" and "no_free_coordinate".
     """
     x = [float(v) for v in x0]
     room = [k for k in range(len(x)) if lo[k] < hi[k]]
@@ -167,8 +167,6 @@ def _projected_newton(objective, hessian, x0, lo, hi, width: float):
                 a = x[line]
             else:
                 b = x[line]
-            if b - a < STEP_TOL:
-                return x, f, report, steps, "bracket"
             if not a < x[line] + d[line] < b:
                 d[line], bisect = 0.5 * (a + b) - x[line], True
         t = 1.0

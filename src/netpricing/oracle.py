@@ -83,8 +83,7 @@ def grid_optimize(model: MarketModel, objective: str = "profit") -> GridOptimum:
     return grid_optima([model], (objective,))[0][0]
 
 
-def fixed_point_equilibrium(model: MarketModel, price_user: float, price_cp: float,
-                            start: float | None = None) -> float:
+def fixed_point_equilibrium(model: MarketModel, price_user: float, price_cp: float) -> float:
     """Damped congestion fixed point phi <- (1-theta) phi + theta Phi(lam(phi), mu),
     theta = ``FIXED_POINT_THETA``.
 
@@ -98,7 +97,7 @@ def fixed_point_equilibrium(model: MarketModel, price_user: float, price_cp: flo
     if m <= 0.0 or n <= 0.0:
         return floor
     mn = m * n
-    phi = start if start is not None else floor + 1e-6
+    phi = floor + 1e-6
     for _ in range(FIXED_POINT_MAX_ITER):
         lam = mn * model.gain.value(phi, model.sensitivity)
         try:

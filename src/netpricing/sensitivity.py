@@ -226,11 +226,10 @@ def _implicit_derivatives(objective_of, hess, stencil, step: float, x, name: str
     return derivs
 
 
-def optimal_price_sensitivity(model: MarketModel, parameter: str,
-                              rel_step: float = PARAM_REL_STEP) -> SensitivityReport:
+def optimal_price_sensitivity(model: MarketModel, parameter: str) -> SensitivityReport:
     """Derivatives of the optimal prices in ``parameter`` by the implicit function theorem."""
     base = parameter_value(model, parameter)
-    step = rel_step * abs(base)
+    step = PARAM_REL_STEP * abs(base)
     if step == 0.0:
         raise DomainError("parameter step collapsed to zero")
     stencil = (with_parameter(model, parameter, base - step),

@@ -326,7 +326,12 @@ def test_criterion_07_welfare_optimum_structure():
 # 8. price-sensitivity sign rules and ratio identities
 # ---------------------------------------------------------------------------
 
-def test_criterion_08_sensitivity_corollaries():
+def test_criterion_08_sensitivity_corollaries(monkeypatch):
+    def at_half_step(model, parameter):
+        with monkeypatch.context() as patch:
+            patch.setattr("netpricing.sensitivity.PARAM_REL_STEP", 5e-4)
+            return optimal_price_sensitivity(model, parameter)
+
     # falling-elasticity branch: sharing with both builtin gains
     for gain in GAINS.values():
         model = baseline_model(gain=gain, beta=2.0)
@@ -345,8 +350,8 @@ def test_criterion_08_sensitivity_corollaries():
         assert abs(sens.welfare_price_derivs[0] + sens.welfare_price_derivs[1]) <= 1e-6
 
         # halving the step flips no sign
-        cap_half = optimal_price_sensitivity(model, "capacity", rel_step=5e-4)
-        sens_half = optimal_price_sensitivity(model, "sensitivity", rel_step=5e-4)
+        cap_half = at_half_step(model, "capacity")
+        sens_half = at_half_step(model, "sensitivity")
         for full, half in ((cap, cap_half), (sens, sens_half)):
             for a, b in zip(full.profit_price_derivs + full.welfare_price_derivs,
                             half.profit_price_derivs + half.welfare_price_derivs):
@@ -361,8 +366,8 @@ def test_criterion_08_sensitivity_corollaries():
     sens = optimal_price_sensitivity(video, "sensitivity")
     assert sens.profit_price_derivs[0] > 0 and sens.profit_price_derivs[1] > 0
     assert all(c.conclusive and c.signs_satisfied for c in sens.predictions)
-    cap_half = optimal_price_sensitivity(video, "capacity", rel_step=5e-4)
-    sens_half = optimal_price_sensitivity(video, "sensitivity", rel_step=5e-4)
+    cap_half = at_half_step(video, "capacity")
+    sens_half = at_half_step(video, "sensitivity")
     for full, half in ((cap, cap_half), (sens, sens_half)):
         for a, b in zip(full.profit_price_derivs + full.welfare_price_derivs,
                         half.profit_price_derivs + half.welfare_price_derivs):

@@ -156,6 +156,13 @@ def test_sweep_over_degenerate_demands_writes_error_rows(tmp_path, sweep_range, 
     assert rows and all(row[header.index("error")].startswith(error) for row in rows)
 
 
+def test_sweep_verify_checks_the_rows_against_the_oracle(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    cfg = _write(tmp_path, BASELINE_SWEEP.format(out=out))
+    assert main(["sweep", "--config", str(cfg), "--verify"]) == 0
+    assert "verify: max price gap vs oracle" in capsys.readouterr().out
+
+
 def test_sweep_out_flag_overrides_config(tmp_path):
     cfg = _write(tmp_path, "sweep.parameter = alpha\nsweep.range = 1:1.1:2\n")
     out = tmp_path / "explicit.csv"
@@ -208,6 +215,18 @@ def test_sensitivity_verify_catches_a_wrong_derivative(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert "all conclusive sign predictions hold" in captured.out
     assert "re-optimized price derivatives disagree" in captured.err
+
+
+def test_sensitivity_verify_exits_3_on_a_conclusive_sign_mismatch(monkeypatch, capsys):
+    import netpricing.sensitivity as sensitivity_mod
+    exact = sensitivity_mod._implicit_derivatives
+    monkeypatch.setattr(sensitivity_mod, "_implicit_derivatives",
+                        lambda *args: tuple(-v for v in exact(*args)))
+    assert main(["sensitivity", "--set", "sweep.parameter=mu",
+                 "--set", "cp_demand.beta=2", "--verify"]) == 3
+    captured = capsys.readouterr()
+    assert "profit_prices_vs_capacity: MISMATCH" in captured.out
+    assert "conclusive sign predictions failed: profit_prices_vs_capacity" in captured.err
 
 
 def test_verification_mismatch_exits_3(monkeypatch, capsys):

@@ -57,6 +57,17 @@ def test_mm1_reciprocal_closed_form():
     assert abs(eq.throughput - (2.0 - math.sqrt(2.0))) <= 1e-10
 
 
+def test_a_start_probe_above_the_bracket_falls_back_to_its_midpoint():
+    # at mu = 0.5 and s = 0.2 the probe T rho(Phi(hi / 2)) = 1 / 1.8 exceeds
+    # hi = mu, so Newton starts from hi / 2 instead
+    model = baseline_model(congestion=MM1Queue(), capacity=0.5, sensitivity=0.2)
+    hi = model.congestion.throughput_limit(model.capacity)
+    assert model.gain.value(model.congestion.congestion(0.5 * hi, 0.5), 0.2) > hi
+    eq = solve_equilibrium(model, 0.0, 0.0)
+    assert not eq.degenerate and 0.0 < eq.throughput < hi
+    assert abs(fixed_point_equilibrium(model, 0.0, 0.0) - eq.congestion) <= 1e-11
+
+
 def test_zero_demand_returns_degenerate_floor():
     model = baseline_model()
     eq = solve_equilibrium(model, 1.0, 0.3)

@@ -52,10 +52,14 @@ def test_welfare_decomposition():
 
 
 def test_degenerate_report_is_flagged_and_zero():
-    report = evaluate_objectives(baseline_model(), 1.0, 0.2)
+    model = baseline_model()
+    report = evaluate_objectives(model, 1.0, 0.2)
     assert report.degenerate
     assert report.profit == 0.0 and report.welfare == 0.0
     assert report.gradients.profit_price_user == 0.0
+    # so are the Hessians, as the gradients are
+    assert profit_hessian(model, report.equilibrium) == ((0.0, 0.0), (0.0, 0.0))
+    assert welfare_segment_curvature(model, report.equilibrium) == 0.0
 
 
 def _fd_gradients(model, p, q):

@@ -75,12 +75,6 @@ def test_fixed_point_agrees_with_bisection():
         assert abs(phi_fp - phi_bi) <= 1e-10 * max(1.0, phi_bi)
 
 
-def test_fixed_point_restarts_from_solution():
-    model = baseline_model(capacity=1.3, sensitivity=2.0)
-    phi = solve_equilibrium(model, 0.2, 0.3).congestion
-    assert abs(fixed_point_equilibrium(model, 0.2, 0.3, start=phi) - phi) <= 1e-12
-
-
 def test_fixed_point_zero_demand_floor():
     model = baseline_model(congestion=MM1Queue(), capacity=2.0)
     assert fixed_point_equilibrium(model, 1.0, 0.0) == 0.5

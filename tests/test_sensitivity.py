@@ -185,10 +185,12 @@ def test_alpha_beta_derivatives_have_no_sign_rules():
         assert abs(r.welfare_price_derivs[0] + r.welfare_price_derivs[1]) <= 1e-6
 
 
-def test_step_halving_stability():
+def test_step_halving_stability(monkeypatch):
     model = baseline_model(beta=2.0)
-    full = optimal_price_sensitivity(model, "capacity", rel_step=1e-3)
-    half = optimal_price_sensitivity(model, "capacity", rel_step=5e-4)
+    full = optimal_price_sensitivity(model, "capacity")
+    monkeypatch.setattr(sensitivity_mod, "PARAM_REL_STEP", 0.5 * sensitivity_mod.PARAM_REL_STEP)
+    half = optimal_price_sensitivity(model, "capacity")
+    assert half.step == 0.5 * full.step
     for a, b in zip(full.profit_price_derivs + full.welfare_price_derivs,
                     half.profit_price_derivs + half.welfare_price_derivs):
         assert math.copysign(1.0, a) == math.copysign(1.0, b)
